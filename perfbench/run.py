@@ -113,7 +113,8 @@ def expected_metrics():
 
 
 def run(binary, workload, seed, seconds, trace, scale):
-    """Runs one benchmark process; returns (stdout lines, parsed result)."""
+    """Runs one benchmark process at `scale` ("full" or the self-test's
+    "tiny"); returns (stdout lines, parsed result)."""
     cmd = [binary, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace), "--scale", scale]
     try:
@@ -157,9 +158,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    parser.add_argument("--scale", choices=["full", "tiny"], default="full")
     parser.add_argument("--selftest", action="store_true")
     args = parser.parse_args()
     if not args.selftest and not args.workload:
@@ -174,7 +174,7 @@ def main():
         return
     workloads = expected_metrics()[2] if args.workload == "all" else [args.workload]
     for workload in workloads:
-        lines, _ = run(binary, workload, args.seed, args.seconds, args.trace, args.scale)
+        lines, _ = run(binary, workload, args.seed, args.seconds, args.trace, "full")
         print("\n".join(lines), flush=True)
 
 

@@ -7,38 +7,13 @@
 use crate::metrics::{self, ratio, Report};
 use crate::probe::{self, closed_loop, time, Sampler};
 use crate::{Args, Scale, DEFAULT_SEED};
-use califorms_bench::{fig10, fig12_series, policy_figure, SEEDS};
+use califorms_bench::{fig10, fig12_series, policy_figure, SlowdownRow, SEEDS};
 use califorms_sim::{line_base, CoreConfig, Engine, HierarchyConfig, SimStats, TraceOp};
 use califorms_workloads::{
     fig10_benchmarks, generate, run_workload, software_eval_benchmarks, BenchmarkProfile, Workload,
     WorkloadConfig,
 };
 use std::time::Instant;
-
-/// The paper's published Fig 10 slowdowns (fractions), as
-/// `califorms_bench::fig10` reports them; checked against it at the
-/// default seed.
-const PAPER_FIG10: &[(&str, f64)] = &[
-    ("astar", 0.0070),
-    ("bzip2", 0.0070),
-    ("dealII", 0.0087),
-    ("gcc", 0.0100),
-    ("gobmk", 0.0056),
-    ("h264ref", 0.0060),
-    ("hmmer", 0.0024),
-    ("lbm", 0.0068),
-    ("libquantum", 0.0110),
-    ("mcf", 0.0120),
-    ("milc", 0.0105),
-    ("namd", 0.0031),
-    ("omnetpp", 0.0096),
-    ("perlbench", 0.0090),
-    ("povray", 0.0038),
-    ("sjeng", 0.0045),
-    ("soplex", 0.0091),
-    ("sphinx3", 0.0098),
-    ("xalancbmk", 0.0137),
-];
 
 /// One figure cell: a profile under a variant configuration, compared
 /// with its natural-layout baseline on the Table 3 machine.
@@ -116,10 +91,12 @@ struct PassOut {
     ops: u64,
 }
 
-/// Runs one regeneration pass; with a tracer, generation and every
-/// `Engine` call are timed through it.
-fn pass(plan: &Plan, mut tracer: Option<&mut EngineTrace>) -> PassOut {
+/// Runs one regeneration pass; with a tracer, every `Engine` call is
+/// timed through it. Also returns the host seconds the pass spent in
+/// `generate`.
+fn pass(plan: &Plan, mut tracer: Option<&mut EngineTrace>) -> (PassOut, f64) {
     let mut out = PassOut::default();
+    let mut generate_s = 0.0;
     let mut cell = |c: &Cell, out: &mut PassOut| -> f64 {
         // The same sequence and arithmetic as the experiment functions'
         // mean-over-seeds, so rows compare exactly.
@@ -131,16 +108,13 @@ fn pass(plan: &Plan, mut tracer: Option<&mut EngineTrace>) -> PassOut {
                 seed,
                 ..c.variant
             };
-            let (base, with) = match tracer.as_deref_mut() {
-                Some(t) => (
-                    t.generate(&c.profile, &base_cfg),
-                    t.generate(&c.profile, &with_cfg),
-                ),
-                None => (
+            let ((base, with), s) = time(|| {
+                (
                     generate(&c.profile, &base_cfg),
                     generate(&c.profile, &with_cfg),
-                ),
-            };
+                )
+            });
+            generate_s += s;
             let westmere = HierarchyConfig::westmere();
             let (sb, sv) = match tracer.as_deref_mut() {
                 Some(t) => (
@@ -167,11 +141,12 @@ fn pass(plan: &Plan, mut tracer: Option<&mut EngineTrace>) -> PassOut {
         let vs = row.iter().map(|c| cell(c, &mut out)).collect();
         out.fig12.push(vs);
     }
-    out
+    (out, generate_s)
 }
 
-/// Warm-up passes before timing; `setup_s` is taken over them.
-const SETUP_REPS: usize = 2;
+/// Untimed warm-up passes; `setup_s` is the median of their `generate`
+/// time.
+const SETUP_REPS: usize = 3;
 
 /// Step classes the traced run times separately: table row, ns-per-call
 /// metric and call-count metric.
@@ -230,12 +205,6 @@ impl EngineTrace {
             cforms: 0,
             execs: 0,
         }
-    }
-
-    fn generate(&mut self, profile: &BenchmarkProfile, cfg: &WorkloadConfig) -> Workload {
-        let (w, s) = time(|| generate(profile, cfg));
-        self.generate_s += s;
-        w
     }
 
     /// `run_workload`, statement for statement, with its calls timed.
@@ -321,31 +290,24 @@ impl EngineTrace {
     }
 }
 
-/// Mean |measured − paper| over the Fig 10 rows, in percentage points.
-fn fig10_err_pp(plan: &Plan, rows: &[f64]) -> f64 {
-    let errs: Vec<f64> = plan
-        .fig10
+/// Mean |measured − paper| over the Fig 10 rows, in percentage points;
+/// the paper column is the one `fig10()` reports.
+fn fig10_err_pp(rows10: &[SlowdownRow], measured: &[f64]) -> f64 {
+    let errs: Vec<f64> = rows10
         .iter()
-        .zip(rows)
-        .filter_map(|(c, m)| {
-            PAPER_FIG10
-                .iter()
-                .find(|(n, _)| *n == c.profile.name)
-                .map(|(_, p)| (m - p).abs() * 100.0)
-        })
+        .zip(measured)
+        .filter_map(|(r, m)| r.paper.map(|p| (m - p).abs() * 100.0))
         .collect();
     ratio(errs.iter().sum(), errs.len() as f64)
 }
 
-/// At the default seed, the pass's rows must equal the experiment functions'
-/// own output exactly, and the paper column must match ours.
-fn check_against_experiments(plan: &Plan, reference: &PassOut) -> bool {
-    let rows10 = fig10(plan.steady_ops);
+/// At the default seed, the pass's rows must equal the experiment
+/// functions' own output exactly.
+fn check_against_experiments(plan: &Plan, rows10: &[SlowdownRow], reference: &PassOut) -> bool {
     let rows12 = policy_figure(&fig12_series(), plan.steady_ops);
     let mut ok = true;
     for (r, m) in rows10.iter().zip(&reference.fig10) {
-        let paper = PAPER_FIG10.iter().find(|(n, _)| *n == r.label).map(|p| p.1);
-        if r.measured != *m || r.paper != paper {
+        if r.measured != *m {
             eprintln!(
                 "Fig 10 row {} differs from fig10(): {m} vs {}",
                 r.label, r.measured
@@ -387,13 +349,13 @@ pub fn run(args: &Args) -> Report {
         plan.steady_ops
     );
     // Set-up: untimed warm-up passes; the first one's outcome is the
-    // reference every later pass must reproduce. A pass regenerates its
-    // own inputs, so warming up is all the set-up the workload has.
-    let (reference, first_s) = time(|| pass(&plan, None));
+    // reference every later pass must reproduce. A pass generates its own
+    // inputs, so their generation is what set-up prepares.
+    let (reference, first_s) = pass(&plan, None);
     let mut setup_s = vec![first_s];
     let mut checks_ok = true;
     for _ in 1..SETUP_REPS {
-        let (again, s) = time(|| pass(&plan, None));
+        let (again, s) = pass(&plan, None);
         setup_s.push(s);
         if again != reference {
             eprintln!("set-up is not deterministic: warm-up passes differ");
@@ -406,6 +368,9 @@ pub fn run(args: &Args) -> Report {
         reference.stats.len(),
         reference.ops
     );
+    // The experiment function's rows: its paper column for `fig10_err_pp`,
+    // and at the default seed its measured column for the check.
+    let rows10 = fig10(plan.steady_ops);
     let reset = probe::reset_peak_rss();
     let check = |out: &PassOut| -> Result<(), String> {
         if *out == reference {
@@ -419,7 +384,7 @@ pub fn run(args: &Args) -> Report {
         traced(args, &plan, &reference, check)
     } else {
         let samples = closed_loop(args.seconds, || {
-            let (out, wall) = time(|| pass(&plan, None));
+            let ((out, _), wall) = time(|| pass(&plan, None));
             (wall, check(&out))
         });
         let rss = probe::peak_rss_mb().filter(|_| reset);
@@ -428,7 +393,7 @@ pub fn run(args: &Args) -> Report {
         println!(
             "  {:<14} {:>12.4} pp (mean |measured - paper| over {} Fig 10 rows)",
             "fig10_err_pp",
-            fig10_err_pp(&plan, &reference.fig10),
+            fig10_err_pp(&rows10, &reference.fig10),
             reference.fig10.len()
         );
         let avg = ratio(reference.fig10.iter().sum(), reference.fig10.len() as f64);
@@ -450,7 +415,7 @@ pub fn run(args: &Args) -> Report {
         report
     };
     if args.seed == DEFAULT_SEED {
-        checks_ok &= check_against_experiments(&plan, &reference);
+        checks_ok &= check_against_experiments(&plan, &rows10, &reference);
     }
     report.checks_ok &= checks_ok;
     report
@@ -472,11 +437,12 @@ fn traced(
     let samples = closed_loop(args.seconds, || {
         turn += 1;
         if turn % 2 == 1 {
-            let (out, wall) = time(|| pass(plan, Some(&mut tracer)));
+            let ((out, generate_s), wall) = time(|| pass(plan, Some(&mut tracer)));
+            tracer.generate_s += generate_s;
             traced_wall.push(wall);
             (wall, check(&out))
         } else {
-            let (out, wall) = time(|| pass(plan, None));
+            let ((out, _), wall) = time(|| pass(plan, None));
             untraced_wall.push(wall);
             (wall, check(&out))
         }

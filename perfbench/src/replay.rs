@@ -14,7 +14,7 @@ use crate::probe::{self, closed_loop, median, time};
 use crate::{Args, Scale};
 use califorms_layout::InsertionPolicy;
 use califorms_sim::{
-    shard_ops, Engine, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError, RuntimeTiming,
+    shard_ops, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError, RuntimeTiming,
     TraceOp, TracePack,
 };
 use califorms_workloads::{
@@ -97,36 +97,6 @@ fn check(
     }
 }
 
-/// Decode lanes and their work: each lane runs one full `next_batch`
-/// pass over its pack. A shared pack has one lane per core, each keeping
-/// 1/cores of what it decodes; per-core packs have one lane each.
-fn lanes(shape: Shape, packs: &[TracePack]) -> Vec<&TracePack> {
-    match shape {
-        Shape::Shared => vec![&packs[0]; CORES],
-        Shape::Lock => packs.iter().collect(),
-    }
-}
-
-/// Host seconds of one full batch-decode pass over `pack`.
-fn decode_pass(pack: &TracePack) -> f64 {
-    let mut ring = [TraceOp::Exec(0); Engine::REPLAY_BATCH];
-    let (decoded, s) = time(|| {
-        let mut dec = pack.decoder();
-        let mut n = 0u64;
-        loop {
-            let got = dec
-                .next_batch(&mut ring)
-                .expect("pack built by from_ops is well-formed");
-            if got == 0 {
-                break n;
-            }
-            n += std::hint::black_box(&ring[..got]).len() as u64;
-        }
-    });
-    assert_eq!(decoded, pack.len_ops(), "a decode pass yields every op");
-    s
-}
-
 /// Runs the workload and prints its tables.
 pub fn run(args: &Args, shape: Shape) -> Report {
     let name = match shape {
@@ -170,6 +140,8 @@ pub fn run(args: &Args, shape: Shape) -> Report {
     );
 
     // The reference: the unpacked shards through the `Vec` entry point.
+    // The traced run replays them again, so it keeps a copy.
+    let unpacked = args.trace.then(|| shards.clone());
     let reference = MulticoreEngine::new(cfg)
         .try_run(shards)
         .unwrap_or_else(|e| panic!("reference replay failed: {e}"));
@@ -179,8 +151,8 @@ pub fn run(args: &Args, shape: Shape) -> Report {
     );
     let reset = probe::reset_peak_rss();
 
-    let mut report = if args.trace {
-        traced(args, shape, cfg, &packs, &reference)
+    let mut report = if let Some(unpacked) = unpacked {
+        traced(args, shape, cfg, &packs, &unpacked, &reference)
     } else {
         let samples = closed_loop(args.seconds, || {
             let (out, wall) = time(|| replay(shape, cfg, &packs));
@@ -203,45 +175,63 @@ pub fn run(args: &Args, shape: Shape) -> Report {
     report
 }
 
-/// The traced run: plain and telemetry-enabled replays alternate, every
-/// one checked; the layer table splits the telemetry runs' wall time
-/// into the runtime's bound, weave and barrier phases.
+/// The traced run: a telemetry-enabled pack replay, a plain pack replay
+/// and a plain replay of the unpacked shards take turns, every one
+/// checked. The layer table splits the telemetry runs' wall time into the
+/// runtime's bound, weave and barrier phases. Pack decode is what a pack
+/// replay costs over replaying the same shards unpacked.
 fn traced(
     args: &Args,
     shape: Shape,
     cfg: MulticoreConfig,
     packs: &[TracePack],
+    unpacked: &[Vec<TraceOp>],
     reference: &MulticoreOutcome,
 ) -> Report {
     let mut traced_runs: Vec<(f64, RuntimeTiming)> = Vec::new();
-    let mut untraced_wall = Vec::new();
+    let mut pack_wall = Vec::new();
+    let mut unpacked_wall = Vec::new();
+    let mut decoded = 0u64;
     let mut turn = 0u64;
     let samples = closed_loop(args.seconds, || {
         turn += 1;
-        let traced = turn % 2 == 1;
-        let run_cfg = if traced { cfg.with_telemetry() } else { cfg };
-        let (out, wall) = time(|| replay(shape, run_cfg, packs));
-        match check(out, reference) {
-            Ok(out) if traced => {
-                traced_runs.push((wall, out.timing));
-                (wall, Ok(()))
+        match turn % 3 {
+            1 => {
+                let (out, wall) = time(|| replay(shape, cfg.with_telemetry(), packs));
+                let ok = check(out, reference).map(|out| {
+                    decoded = out
+                        .telemetry
+                        .as_ref()
+                        .and_then(|t| t.counters.total("decode.ops"))
+                        .unwrap_or(0);
+                    traced_runs.push((wall, out.timing));
+                });
+                (wall, ok)
             }
-            Ok(_) => {
-                untraced_wall.push(wall);
-                (wall, Ok(()))
+            2 => {
+                let (out, wall) = time(|| replay(shape, cfg, packs));
+                (wall, check(out, reference).map(|_| pack_wall.push(wall)))
             }
-            Err(e) => (wall, Err(e)),
+            _ => {
+                let shards = unpacked.to_vec();
+                let (out, wall) = time(|| MulticoreEngine::new(cfg).try_run(shards));
+                (
+                    wall,
+                    check(out, reference).map(|_| unpacked_wall.push(wall)),
+                )
+            }
         }
     });
     let mut report = Report::new(&samples);
 
-    let lanes = lanes(shape, packs);
-    let decode_s: Vec<f64> = (0..3)
-        .map(|_| lanes.iter().map(|p| decode_pass(p)).sum())
+    // Turn by turn, what the pack replay took over the unpacked one.
+    let decode: Vec<f64> = pack_wall
+        .iter()
+        .zip(&unpacked_wall)
+        .map(|(p, u)| p - u)
         .collect();
-    let decoded: u64 = lanes.iter().map(|p| p.len_ops()).sum();
+    let decode_s = median(&decode);
     let kept: u64 = packs.iter().map(TracePack::len_ops).sum();
-    let decode_s = median(&decode_s);
 
     let n = traced_runs.len() as f64;
     let mean =
@@ -262,18 +252,18 @@ fn traced(
         })
         .collect();
     println!(
-        "{} telemetry-enabled and {} plain replays",
+        "{} telemetry-enabled pack replays, {} plain pack replays, {} unpacked replays",
         traced_runs.len(),
-        untraced_wall.len()
+        pack_wall.len(),
+        unpacked_wall.len()
     );
     let nested = vec![
         (
             "bound: pack decode",
             format!(
-                "{:.4} s CPU over {} lanes ({:.4} s per lane, lanes decode in parallel)",
-                decode_s,
-                lanes.len(),
-                decode_s / lanes.len() as f64
+                "{decode_s:.4} s (pack minus unpacked replay wall, median of {} turns); \
+                 lanes decoded {decoded} ops to keep {kept}",
+                decode.len()
             ),
         ),
         (
@@ -295,7 +285,7 @@ fn traced(
         ],
         &nested,
         wall,
-        untraced_wall.iter().sum::<f64>() / untraced_wall.len() as f64,
+        pack_wall.iter().sum::<f64>() / pack_wall.len() as f64,
     );
     report.set("tracepack.decode_s", decode_s);
     report.set("tracepack.useful_frac", ratio(kept as f64, decoded as f64));

@@ -29,22 +29,20 @@
 //!   worker-loop roots, and [`atomics`] audits non-SeqCst atomic
 //!   orderings for `// analyze::order(<reason>)` justifications.
 //! * **The concurrency model checker** ([`sched`]) is a loom-style
-//!   deterministic virtual scheduler with shim
-//!   `Mutex`/`RwLock`/`Condvar`/atomic/channel types mirroring the
-//!   `std::sync` API, a DFS bounded-preemption explorer over all
-//!   interleavings of small protocol models, and a seeded-random
-//!   large-schedule mode. [`sched::models`] holds faithful
+//!   deterministic virtual scheduler with shim `Mutex`/`Condvar`/atomic
+//!   types mirroring the `std::sync` API, a DFS bounded-preemption
+//!   explorer over all interleavings of small protocol models, and a
+//!   seeded-random large-schedule mode. [`sched::models`] holds faithful
 //!   state-machine models of the `QuantumBarrier` epoch protocol and the
 //!   worker-slot task handoff from `califorms-sim::multicore`, and
-//!   [`sched::weave`] the speculative-weave claim → execute →
-//!   commit/abort epoch protocol — checked for deadlock, lost wakeups,
-//!   epoch monotonicity and lost updates across every schedule up to
-//!   the bound.
+//!   [`sched::drain`] the checkpoint drain protocol — checked for
+//!   deadlock, lost wakeups, epoch monotonicity and torn snapshots
+//!   across every schedule up to the bound.
 //!
 //! CI entry point: `cargo run -p califorms-analyze -- --check` (lints the
 //! workspace, exits non-zero on findings) and `-- --sched` (exhaustive
 //! protocol-model pass, including the broken variants that prove the
-//! detectors fire, with the weave model's schedule count pinned).
+//! detectors fire, with the drain model's schedule count pinned).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

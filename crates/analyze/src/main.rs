@@ -5,7 +5,7 @@
 //! califorms-analyze --check [--root DIR] [--json PATH]   # lint pass
 //! califorms-analyze --fix [--root DIR]                   # auto-fixes
 //! califorms-analyze --sched [--workers N] [--quanta N] [--bound N]
-//!                    [--weave-schedules N] [--drain-schedules N]
+//!                    [--drain-schedules N]
 //! ```
 //!
 //! `--check` exits non-zero iff any lint finding survives suppression;
@@ -15,18 +15,17 @@
 //! reports the rewritten files. `--sched` runs the exhaustive
 //! protocol-model pass — the correct models must explore cleanly and
 //! every broken variant must be caught — plus a seeded-random
-//! large-schedule sweep; `--weave-schedules N` / `--drain-schedules N`
-//! additionally assert the exact schedule count of the exhaustive
-//! weave / checkpoint-drain runs (drift detectors for the models and
-//! explorer both).
+//! large-schedule sweep; `--drain-schedules N` additionally asserts the
+//! exact schedule count of the exhaustive checkpoint-drain run (a drift
+//! detector for the model and the explorer both).
 
 #![forbid(unsafe_code)]
 
 use califorms_analyze::config::LintConfig;
 use califorms_analyze::fix::apply_fixes;
 use califorms_analyze::sched::{
-    check_barrier, check_drain, check_weave, check_worker_slots, models, BarrierVariant,
-    DrainVariant, SlotVariant, WeaveVariant,
+    check_barrier, check_drain, check_worker_slots, models, BarrierVariant, DrainVariant,
+    SlotVariant,
 };
 use califorms_analyze::workspace::scan_workspace;
 use std::path::PathBuf;
@@ -41,7 +40,6 @@ struct Args {
     workers: usize,
     quanta: usize,
     bound: usize,
-    weave_schedules: Option<usize>,
     drain_schedules: Option<usize>,
 }
 
@@ -55,7 +53,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 2,
         quanta: 2,
         bound: 2,
-        weave_schedules: None,
         drain_schedules: None,
     };
     let mut it = std::env::args().skip(1);
@@ -72,13 +69,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--quanta" => args.quanta = value("--quanta")?.parse().map_err(|e| format!("{e}"))?,
             "--bound" => args.bound = value("--bound")?.parse().map_err(|e| format!("{e}"))?,
-            "--weave-schedules" => {
-                args.weave_schedules = Some(
-                    value("--weave-schedules")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
             "--drain-schedules" => {
                 args.drain_schedules = Some(
                     value("--drain-schedules")?
@@ -168,31 +158,6 @@ fn run_sched(args: &Args) -> bool {
     let r = check_worker_slots(w, 1, SlotVariant::DoneBeforeReturn, b.max(1), max);
     verdict(
         "slots/done-before-return (must fail)",
-        r.failure.is_some(),
-        r.failure
-            .as_ref()
-            .map_or("no failure found".to_string(), |f| {
-                format!("caught {} after {} schedules", f.kind, r.schedules_run)
-            }),
-    );
-    let r = check_weave(w, 1, WeaveVariant::Correct, b, max);
-    let weave_count_ok = args
-        .weave_schedules
-        .is_none_or(|expect| r.schedules_run == expect);
-    verdict(
-        "weave/correct",
-        r.failure.is_none() && r.complete && weave_count_ok,
-        format!(
-            "{} schedules, complete={}{}",
-            r.schedules_run,
-            r.complete,
-            args.weave_schedules
-                .map_or(String::new(), |e| { format!(" (expected exactly {e})") })
-        ),
-    );
-    let r = check_weave(w, 1, WeaveVariant::CommitBeforeCheck, b, max);
-    verdict(
-        "weave/commit-before-check (must fail)",
         r.failure.is_some(),
         r.failure
             .as_ref()

@@ -69,10 +69,6 @@ pub(crate) enum Pending {
     Running,
     /// Blocked acquiring a model mutex.
     Acquire(usize),
-    /// Blocked acquiring a model rwlock for shared (read) access.
-    AcquireRead(usize),
-    /// Blocked acquiring a model rwlock for exclusive (write) access.
-    AcquireWrite(usize),
     /// Waiting on a condvar; `notified` flips on notify, after which the
     /// thread competes to reacquire `mutex`.
     WaitCv {
@@ -121,14 +117,6 @@ struct MutexState {
     owner: Option<usize>,
 }
 
-struct RwState {
-    name: String,
-    writer: Option<usize>,
-    /// Current readers (a thread may appear once; re-entrancy is a model
-    /// bug the std type would also deadlock on).
-    readers: Vec<usize>,
-}
-
 struct CvState {
     name: String,
     /// Un-notified waiters, FIFO (notify wakes the longest waiter —
@@ -139,7 +127,6 @@ struct CvState {
 struct Inner {
     threads: Vec<ThreadState>,
     mutexes: Vec<MutexState>,
-    rwlocks: Vec<RwState>,
     condvars: Vec<CvState>,
     current: usize,
     mode: Mode,
@@ -212,10 +199,6 @@ fn is_eligible(g: &Inner, t: usize) -> bool {
     match g.threads[t].pending {
         Pending::Ready => true,
         Pending::Acquire(m) => g.mutexes[m].owner.is_none(),
-        Pending::AcquireRead(r) => g.rwlocks[r].writer.is_none(),
-        Pending::AcquireWrite(r) => {
-            g.rwlocks[r].writer.is_none() && g.rwlocks[r].readers.is_empty()
-        }
         Pending::WaitCv {
             notified, mutex, ..
         } => notified && g.mutexes[mutex].owner.is_none(),
@@ -229,8 +212,6 @@ fn describe_pending(g: &Inner, t: usize) -> String {
         Pending::Ready => "ready".to_string(),
         Pending::Running => "running".to_string(),
         Pending::Acquire(m) => format!("acquire({})", g.mutexes[m].name),
-        Pending::AcquireRead(r) => format!("read({})", g.rwlocks[r].name),
-        Pending::AcquireWrite(r) => format!("write({})", g.rwlocks[r].name),
         Pending::WaitCv { cv, notified, .. } => format!(
             "wait({}{})",
             g.condvars[cv].name,
@@ -255,7 +236,6 @@ impl Controller {
             inner: StdMutex::new(Inner {
                 threads: Vec::new(),
                 mutexes: Vec::new(),
-                rwlocks: Vec::new(),
                 condvars: Vec::new(),
                 current: 0,
                 mode,
@@ -279,16 +259,6 @@ impl Controller {
             owner: None,
         });
         g.mutexes.len() - 1
-    }
-
-    pub(crate) fn register_rwlock(&self, name: &str) -> usize {
-        let mut g = lk(&self.inner);
-        g.rwlocks.push(RwState {
-            name: name.to_string(),
-            writer: None,
-            readers: Vec::new(),
-        });
-        g.rwlocks.len() - 1
     }
 
     pub(crate) fn register_condvar(&self, name: &str) -> usize {
@@ -358,8 +328,6 @@ impl Controller {
             Pending::Acquire(m) | Pending::WaitCv { mutex: m, .. } => {
                 g.mutexes[m].owner = Some(t);
             }
-            Pending::AcquireRead(r) => g.rwlocks[r].readers.push(t),
-            Pending::AcquireWrite(r) => g.rwlocks[r].writer = Some(t),
             _ => {}
         }
         g.threads[t].pending = Pending::Running;
@@ -443,30 +411,6 @@ impl Controller {
         g.mutexes[id].owner = None;
         let name = g.mutexes[id].name.clone();
         g.events.push(format!("t{me} release({name})"));
-    }
-
-    /// Read-guard release: like mutex release, not a schedule point.
-    pub(crate) fn release_read(&self, me: usize, id: usize) {
-        let mut g = lk(&self.inner);
-        if g.aborted {
-            return;
-        }
-        if let Some(pos) = g.rwlocks[id].readers.iter().position(|&t| t == me) {
-            g.rwlocks[id].readers.remove(pos);
-        }
-        let name = g.rwlocks[id].name.clone();
-        g.events.push(format!("t{me} release_read({name})"));
-    }
-
-    /// Write-guard release: like mutex release, not a schedule point.
-    pub(crate) fn release_write(&self, me: usize, id: usize) {
-        let mut g = lk(&self.inner);
-        if g.aborted {
-            return;
-        }
-        g.rwlocks[id].writer = None;
-        let name = g.rwlocks[id].name.clone();
-        g.events.push(format!("t{me} release_write({name})"));
     }
 
     /// Records a model assertion failure and tears the execution down.

@@ -10,10 +10,9 @@
 //! replayed exactly from its decision sequence — which is what makes
 //! exhaustive enumeration and counterexample reporting possible.
 //!
-//! * [`shim`] — drop-in `Mutex`/`RwLock`/`Condvar`/`AtomicU64`/
-//!   `AtomicBool`/`AtomicUsize`/mpsc-style channel/spawn/join types
-//!   mirroring the `std::sync` API, each routing its visible operations
-//!   through the scheduler.
+//! * [`shim`] — drop-in `Mutex`/`Condvar`/`AtomicU64`/`AtomicBool`/
+//!   spawn/join types mirroring the `std::sync` API, each routing its
+//!   visible operations through the scheduler.
 //! * [`explorer`] — the controller itself: DFS over all interleavings
 //!   up to a preemption bound (Musuvathi & Qadeer-style iterative
 //!   context bounding), plus a seeded-random large-schedule mode.
@@ -30,11 +29,6 @@
 //!   quantum barrier → single-threaded snapshot → next release), with a
 //!   `SnapshotBeforeDrain` variant whose torn snapshot the explorer
 //!   catches with a counterexample trace.
-//! * [`weave`] — the speculative-weave commit protocol now shipped as
-//!   the optimistic execution path of `MulticoreEngine` (DESIGN.md
-//!   §15): per-bank claim → execute → commit/abort across an epoch
-//!   boundary, with a `CommitBeforeCheck` variant whose lost update the
-//!   explorer catches with a counterexample trace.
 //!
 //! ## Granularity
 //!
@@ -50,9 +44,7 @@ pub mod drain;
 pub mod explorer;
 pub mod models;
 pub mod shim;
-pub mod weave;
 
 pub use drain::{check_drain, DrainVariant};
 pub use explorer::{explore, explore_random, ExploreReport, Failure, ModelFn, Sched, SchedConfig};
 pub use models::{check_barrier, check_worker_slots, BarrierVariant, SlotVariant};
-pub use weave::{check_weave, WeaveVariant};

@@ -13,12 +13,8 @@
 
 use super::explorer::{current_id, Effect, Pending, Sched};
 use crate::sched::explorer::Controller;
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
-use std::sync::{
-    Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError, RwLock as StdRwLock,
-    RwLockReadGuard as StdRwLockReadGuard, RwLockWriteGuard as StdRwLockWriteGuard,
-};
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError};
 
 fn lk<T>(m: &StdMutex<T>) -> StdMutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -248,259 +244,6 @@ impl AtomicBool {
     }
 }
 
-/// A model reader-writer lock. Shared across model threads via `Arc`.
-///
-/// Read acquisition is eligible whenever no writer holds the lock;
-/// write acquisition needs the lock entirely free. Releases are not
-/// schedule points (they only widen eligibility).
-pub struct RwLock<T> {
-    id: usize,
-    name: String,
-    ctl: Arc<Controller>,
-    data: StdRwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a named model rwlock registered with `sched`'s scheduler.
-    pub fn new(sched: &Sched, name: &str, value: T) -> Self {
-        Self {
-            id: sched.ctl.register_rwlock(name),
-            name: name.to_string(),
-            ctl: Arc::clone(&sched.ctl),
-            data: StdRwLock::new(value),
-        }
-    }
-
-    /// Acquires shared access — a schedule point that blocks (at model
-    /// level) while a writer holds the lock.
-    pub fn read(&self) -> RwReadGuard<'_, T> {
-        let me = current_id();
-        self.ctl.schedule_point(
-            me,
-            Pending::AcquireRead(self.id),
-            Effect::None,
-            format!("read({})", self.name),
-        );
-        RwReadGuard {
-            lock: self,
-            inner: Some(self.data.read().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-
-    /// Acquires exclusive access — a schedule point that blocks (at
-    /// model level) while any reader or writer holds the lock.
-    pub fn write(&self) -> RwWriteGuard<'_, T> {
-        let me = current_id();
-        self.ctl.schedule_point(
-            me,
-            Pending::AcquireWrite(self.id),
-            Effect::None,
-            format!("write({})", self.name),
-        );
-        RwWriteGuard {
-            lock: self,
-            inner: Some(self.data.write().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-}
-
-/// RAII shared guard mirroring `std::sync::RwLockReadGuard`.
-pub struct RwReadGuard<'a, T> {
-    lock: &'a RwLock<T>,
-    inner: Option<StdRwLockReadGuard<'a, T>>,
-}
-
-impl<T> Deref for RwReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard holds the lock")
-    }
-}
-
-impl<T> Drop for RwReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.inner.take();
-        self.lock.ctl.release_read(current_id(), self.lock.id);
-    }
-}
-
-/// RAII exclusive guard mirroring `std::sync::RwLockWriteGuard`.
-pub struct RwWriteGuard<'a, T> {
-    lock: &'a RwLock<T>,
-    inner: Option<StdRwLockWriteGuard<'a, T>>,
-}
-
-impl<T> Deref for RwWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard holds the lock")
-    }
-}
-
-impl<T> DerefMut for RwWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard holds the lock")
-    }
-}
-
-impl<T> Drop for RwWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.inner.take();
-        self.lock.ctl.release_write(current_id(), self.lock.id);
-    }
-}
-
-/// A model atomic usize; every access is a schedule point.
-pub struct AtomicUsize {
-    name: String,
-    ctl: Arc<Controller>,
-    val: StdMutex<usize>,
-}
-
-impl AtomicUsize {
-    /// Creates a named model atomic.
-    pub fn new(sched: &Sched, name: &str, value: usize) -> Self {
-        Self {
-            name: name.to_string(),
-            ctl: Arc::clone(&sched.ctl),
-            val: StdMutex::new(value),
-        }
-    }
-
-    /// Atomic load (schedule point before the access).
-    pub fn load(&self) -> usize {
-        self.point("load");
-        *lk(&self.val)
-    }
-
-    /// Atomic store (schedule point before the access).
-    pub fn store(&self, v: usize) {
-        self.point("store");
-        *lk(&self.val) = v;
-    }
-
-    /// Atomic fetch-add, returning the previous value.
-    pub fn fetch_add(&self, v: usize) -> usize {
-        self.point("fetch_add");
-        let mut g = lk(&self.val);
-        let prev = *g;
-        *g += v;
-        prev
-    }
-
-    /// Atomic compare-exchange: replaces the value with `new` iff it
-    /// equals `current`, returning `Ok(previous)` on success and
-    /// `Err(actual)` on failure — the `std` contract.
-    pub fn compare_exchange(&self, current: usize, new: usize) -> Result<usize, usize> {
-        self.point("compare_exchange");
-        let mut g = lk(&self.val);
-        if *g == current {
-            *g = new;
-            Ok(current)
-        } else {
-            Err(*g)
-        }
-    }
-
-    fn point(&self, op: &str) {
-        self.ctl.schedule_point(
-            current_id(),
-            Pending::Ready,
-            Effect::None,
-            format!("{op}({})", self.name),
-        );
-    }
-}
-
-struct ChanState<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-struct ChanInner<T> {
-    queue: Mutex<ChanState<T>>,
-    cv: Condvar,
-}
-
-/// Creates an unbounded mpsc-style model channel built on the model
-/// mutex + condvar, so every send/receive is explored like any other
-/// synchronization. `recv` blocks until a message or close; a closed,
-/// drained channel yields `None`.
-pub fn channel<T: Send>(sched: &Sched, name: &str) -> (Sender<T>, Receiver<T>) {
-    let inner = Arc::new(ChanInner {
-        queue: Mutex::new(
-            sched,
-            &format!("{name}.queue"),
-            ChanState {
-                queue: VecDeque::new(),
-                closed: false,
-            },
-        ),
-        cv: Condvar::new(sched, &format!("{name}.cv")),
-    });
-    (
-        Sender {
-            inner: Arc::clone(&inner),
-        },
-        Receiver { inner },
-    )
-}
-
-/// Sending half of a model channel; clone freely across model threads.
-pub struct Sender<T> {
-    inner: Arc<ChanInner<T>>,
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<T: Send> Sender<T> {
-    /// Enqueues a message and wakes one waiting receiver.
-    pub fn send(&self, value: T) {
-        {
-            let mut g = self.inner.queue.lock();
-            g.queue.push_back(value);
-        }
-        self.inner.cv.notify_one();
-    }
-
-    /// Marks the channel closed; drained receivers then see `None`.
-    pub fn close(&self) {
-        {
-            let mut g = self.inner.queue.lock();
-            g.closed = true;
-        }
-        self.inner.cv.notify_all();
-    }
-}
-
-/// Receiving half of a model channel.
-pub struct Receiver<T> {
-    inner: Arc<ChanInner<T>>,
-}
-
-impl<T: Send> Receiver<T> {
-    /// Blocks (at model level) until a message arrives or the channel is
-    /// closed and drained.
-    pub fn recv(&self) -> Option<T> {
-        let mut g = self.inner.queue.lock();
-        loop {
-            if let Some(v) = g.queue.pop_front() {
-                return Some(v);
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.inner.cv.wait(g);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,89 +268,6 @@ mod tests {
             }
             cv.notify_all();
             h.join();
-        });
-        let rep = explore(
-            &SchedConfig {
-                preemption_bound: 2,
-                max_schedules: 20_000,
-            },
-            model,
-        );
-        assert!(rep.failure.is_none(), "failure: {:?}", rep.failure);
-        assert!(rep.complete);
-    }
-
-    #[test]
-    fn rwlock_serializes_writers_against_readers() {
-        let model: ModelFn = Arc::new(|s| {
-            let l = Arc::new(RwLock::new(&s, "l", 0u64));
-            let l2 = Arc::clone(&l);
-            let h = s.spawn(move |s2| {
-                let g = l2.read();
-                // A reader never observes a torn/intermediate value: the
-                // writer's two stores happen under one write guard.
-                s2.check(*g == 0 || *g == 10, "reader sees whole writes only");
-            });
-            {
-                let mut g = l.write();
-                *g = 5;
-                *g = 10;
-            }
-            h.join();
-            s.check(*l.read() == 10, "final value visible after join");
-        });
-        let rep = explore(
-            &SchedConfig {
-                preemption_bound: 2,
-                max_schedules: 20_000,
-            },
-            model,
-        );
-        assert!(rep.failure.is_none(), "failure: {:?}", rep.failure);
-        assert!(rep.complete);
-    }
-
-    #[test]
-    fn compare_exchange_admits_exactly_one_winner() {
-        let model: ModelFn = Arc::new(|s| {
-            let a = Arc::new(AtomicUsize::new(&s, "claim", usize::MAX));
-            let wins = Arc::new(AtomicUsize::new(&s, "wins", 0));
-            let mut handles = Vec::new();
-            for w in 0..2 {
-                let a2 = Arc::clone(&a);
-                let wins2 = Arc::clone(&wins);
-                handles.push(s.spawn(move |_| {
-                    if a2.compare_exchange(usize::MAX, w).is_ok() {
-                        wins2.fetch_add(1);
-                    }
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
-            s.check(wins.load() == 1, "exactly one CAS wins an uncontended slot");
-        });
-        let rep = explore(&SchedConfig::default(), model);
-        assert!(rep.failure.is_none(), "failure: {:?}", rep.failure);
-        assert!(rep.complete);
-    }
-
-    #[test]
-    fn channel_delivers_every_message_then_none_after_close() {
-        let model: ModelFn = Arc::new(|s| {
-            let (tx, rx) = channel::<u64>(&s, "ch");
-            let tx2 = tx.clone();
-            let h = s.spawn(move |_| {
-                tx2.send(3);
-                tx2.send(4);
-            });
-            let a = rx.recv().expect("first message");
-            let b = rx.recv().expect("second message");
-            s.check(a + b == 7, "both messages delivered");
-            s.check(a == 3, "per-sender FIFO order preserved");
-            h.join();
-            tx.close();
-            s.check(rx.recv().is_none(), "closed and drained yields None");
         });
         let rep = explore(
             &SchedConfig {

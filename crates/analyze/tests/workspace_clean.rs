@@ -58,13 +58,8 @@ fn workspace_suppressions_follow_the_policy() {
     assert!(spawns >= 2, "model spawn suppressions missing");
     // Suppressions are a budget, not a dumping ground: if this number
     // grows, each new entry needs the same per-site scrutiny these got.
-    // Raised 30 → 40 for the speculative weave (DESIGN.md §15): its
-    // exec path carries nine invariant-backed entries — bank-claim
-    // Option accesses whose panics are confined by the epoch's
-    // catch_unwind and re-surface through the serial residue path, plus
-    // two per-epoch (not per-op) allocations.
     assert!(
-        report.suppressions.len() <= 40,
+        report.suppressions.len() <= 30,
         "suppression budget exceeded ({}): fix findings instead of annotating them",
         report.suppressions.len()
     );

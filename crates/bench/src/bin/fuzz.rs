@@ -9,9 +9,7 @@
 //!   mid-run DMA reads / page swap cycles);
 //! * multi-core cases diff [`califorms_sim::MulticoreEngine`] at the
 //!   configured core count under weave batches **1 and 64** (the strict
-//!   one-transaction-per-turn weave and the batched default), each with
-//!   the serial **and** the speculative weave (the latter additionally
-//!   required bit-identical to its serial twin, DESIGN.md §15);
+//!   one-transaction-per-turn weave and the batched default);
 //! * every fourth case (deterministically, by seed) also replays in
 //!   checkpoint+resume mode: checkpointed every 2 boundaries, resumed
 //!   from each checkpoint, every resumed run required bit-identical to
@@ -129,19 +127,6 @@ fn configs_for(case: &FuzzCase, inject: bool) -> Vec<DiffConfig> {
                 resume_at,
                 ..DiffConfig::multicore(case.cores, 64)
             },
-            // The speculative-weave arms: each multi-core case also
-            // replays with the optimistic parallel weave, which must be
-            // bit-identical to its serial twin (DESIGN.md §15) *and*
-            // agree with the oracle.
-            DiffConfig {
-                speculative: true,
-                ..DiffConfig::multicore(case.cores, 1)
-            },
-            DiffConfig {
-                speculative: true,
-                resume_at,
-                ..DiffConfig::multicore(case.cores, 64)
-            },
         ]
     }
 }
@@ -150,12 +135,8 @@ fn configs_for(case: &FuzzCase, inject: bool) -> Vec<DiffConfig> {
 /// divergence reproduces from the pack alone).
 fn report_divergence(case: &FuzzCase, cfg: &DiffConfig, d: &Divergence, index: u64) {
     eprintln!(
-        "DIVERGENCE in case {index} ({}, seed {:#x}, cores {}, weave batch {}{}):\n  {d}",
-        case.label,
-        case.seed,
-        cfg.cores,
-        cfg.weave_batch,
-        if cfg.speculative { ", speculative" } else { "" }
+        "DIVERGENCE in case {index} ({}, seed {:#x}, cores {}, weave batch {}):\n  {d}",
+        case.label, case.seed, cfg.cores, cfg.weave_batch
     );
     eprintln!(
         "  repro: fuzz --seed {:#x} --cases 1 --ops {} --cores {}",

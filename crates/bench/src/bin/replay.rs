@@ -34,19 +34,11 @@
 //! bound/weave/barrier wall-clock breakdown plus the deterministic
 //! runtime counters.
 //!
-//! Each multicore shape additionally gets a `*_spec` row replaying the
-//! same packs with the speculative weave (DESIGN.md §15) enabled; the
-//! row is asserted bit-identical to the serial run after masking the
-//! spec-only counters, and reports the epoch/commit/abort/residue
-//! accounting so the JSON artifact tracks commit rates per shape.
-//!
 //! Results go to stdout and `BENCH_replay.json` in the working directory
 //! (the perf-trajectory artifact CI uploads per PR). With `--check`, the
-//! process exits non-zero unless (a) the best 2-core packed scaling row
+//! process exits non-zero unless the best 2-core packed scaling row
 //! (disjoint or read-mostly) is at least 1.0x legacy single-core
-//! throughput, and (b) the speculative read-mostly rows hold ≥ 1.0x
-//! legacy at 2 cores and ≥ 1.5x at 4 cores — speculation must never
-//! cost throughput on the shape the runtime targets.
+//! throughput — the CI scaling gate.
 //!
 //! With `--telemetry` (implied by `--metrics-out`/`--trace-out`), the
 //! highest-core-count shared-stream packed replay is re-run instrumented:
@@ -105,12 +97,6 @@ struct ReplayRow {
     weave_transactions: u64,
     batched_transactions: u64,
     contended_transactions: u64,
-    /// Speculative-weave epoch accounting (DESIGN.md §15; zero on
-    /// serial rows).
-    spec_epochs: u64,
-    spec_commits: u64,
-    spec_aborts: u64,
-    spec_residue_transactions: u64,
 }
 
 /// The whole report written to `BENCH_replay.json`.
@@ -199,17 +185,6 @@ fn mc_identical(a: &MulticoreOutcome, b: &MulticoreOutcome) -> bool {
         && a.stats.runtime == b.stats.runtime
         && a.stats.weave == b.stats.weave
         && a.exceptions == b.exceptions
-}
-
-/// Bit-identity between a speculative-weave run and its serial twin:
-/// everything must match except the spec-only epoch counters, which the
-/// serial run doesn't have (DESIGN.md §15).
-fn spec_identical(spec: &MulticoreOutcome, serial: &MulticoreOutcome) -> bool {
-    spec.stats.combined == serial.stats.combined
-        && spec.stats.per_core == serial.stats.per_core
-        && spec.stats.runtime.without_spec() == serial.stats.runtime.without_spec()
-        && spec.stats.weave == serial.stats.weave
-        && spec.exceptions == serial.exceptions
 }
 
 fn main() {
@@ -321,10 +296,6 @@ fn main() {
             weave_transactions: 0,
             batched_transactions: 0,
             contended_transactions: 0,
-            spec_epochs: 0,
-            spec_commits: 0,
-            spec_aborts: 0,
-            spec_residue_transactions: 0,
         };
     let mc_row = |mode: &str,
                   cores: usize,
@@ -350,10 +321,6 @@ fn main() {
         weave_transactions: out.stats.runtime.weave_transactions,
         batched_transactions: out.stats.runtime.batched_transactions,
         contended_transactions: out.stats.runtime.contended_transactions,
-        spec_epochs: out.stats.runtime.spec_epochs,
-        spec_commits: out.stats.runtime.spec_commits,
-        spec_aborts: out.stats.runtime.spec_aborts,
-        spec_residue_transactions: out.stats.runtime.spec_residue_transactions,
     };
 
     // --- Single core. ---
@@ -398,8 +365,6 @@ fn main() {
     // --- Multi core. ---
     let mut disjoint_2core_packed_speedup = f64::NAN;
     let mut readmostly_2core_packed_speedup = f64::NAN;
-    let mut readmostly_2core_spec_speedup = f64::NAN;
-    let mut readmostly_4core_spec_speedup = f64::NAN;
     for &cores in &core_counts {
         // Shared stream, round-robin sharded: the contended worst case.
         // (Generated workloads carry no mask windows, so round-robin
@@ -427,26 +392,6 @@ fn main() {
             legacy_mops,
             identical,
             &mc_pack,
-        ));
-        // Speculative weave on the shared stream (DESIGN.md §15): the
-        // conflict-heavy case — most epochs abort and re-execute as
-        // serial residue, so this row bounds the speculation overhead.
-        let (mc_spec, mc_spec_elapsed) = time(|| {
-            MulticoreEngine::new(mc_config(cores).with_speculative_weave()).run_pack(&pack)
-        });
-        let identical = spec_identical(&mc_spec, &mc_vec);
-        assert!(
-            identical,
-            "speculative shared replay must be bit-identical to serial"
-        );
-        push(mc_row(
-            "mc_shared_spec",
-            cores,
-            total_ops,
-            mc_spec_elapsed,
-            legacy_mops,
-            identical,
-            &mc_spec,
         ));
 
         // Disjoint working sets: one offset copy of the stream per core.
@@ -487,26 +432,6 @@ fn main() {
             disjoint_2core_packed_speedup = row.speedup_vs_legacy;
         }
         push(row);
-        // Speculative weave over disjoint working sets: streams sweep
-        // every directory bank, so claims still collide — commit rate
-        // tracks how often the per-quantum bank footprints stay apart.
-        let (dis_spec, dis_spec_elapsed) = time(|| {
-            MulticoreEngine::new(mc_config(cores).with_speculative_weave()).run_packs(&dis_packs)
-        });
-        let identical = spec_identical(&dis_spec, &dis_vec);
-        assert!(
-            identical,
-            "speculative disjoint replay must be bit-identical to serial"
-        );
-        push(mc_row(
-            "mc_disjoint_spec",
-            cores,
-            dis_ops,
-            dis_spec_elapsed,
-            legacy_mops,
-            identical,
-            &dis_spec,
-        ));
 
         // Read-mostly shared table that fits the private L1s: after
         // warm-up nearly every op is a clean Shared hit completed in the
@@ -550,33 +475,6 @@ fn main() {
         );
         if cores == 2 {
             readmostly_2core_packed_speedup = row.speedup_vs_legacy;
-        }
-        push(row);
-        // Speculative weave on the read-mostly shape: weave traffic is
-        // sparse and mostly private, so epochs commit and the weave
-        // leaves the serial bottleneck.
-        let (rm_spec, rm_spec_elapsed) = time(|| {
-            MulticoreEngine::new(mc_config(cores).with_speculative_weave()).run_packs(&rm_packs)
-        });
-        let identical = spec_identical(&rm_spec, &rm_vec);
-        assert!(
-            identical,
-            "speculative read-mostly replay must be bit-identical to serial"
-        );
-        let row = mc_row(
-            "mc_readmostly_spec",
-            cores,
-            rm_ops,
-            rm_spec_elapsed,
-            legacy_mops,
-            identical,
-            &rm_spec,
-        );
-        if cores == 2 {
-            readmostly_2core_spec_speedup = row.speedup_vs_legacy;
-        }
-        if cores == 4 {
-            readmostly_4core_spec_speedup = row.speedup_vs_legacy;
         }
         push(row);
     }
@@ -701,28 +599,6 @@ fn main() {
         );
         if best.is_nan() || best < 1.0 {
             eprintln!("FAIL: 2-core packed replay dropped below 1.0x single-core legacy");
-            std::process::exit(1);
-        }
-        // The speculative-weave gate (DESIGN.md §15): on the read-mostly
-        // shape — the one the parallel runtime targets — speculation must
-        // cost nothing: ≥ 1.0x legacy at 2 cores, ≥ 1.5x at 4 cores
-        // (measured ~3.2x / ~2.6x; the margin absorbs host noise). The
-        // weave-bound `mc_shared` rows are NOT gated: their epochs span
-        // every directory bank, so per-bank claims always conflict and
-        // speculation can only match the serial weave, never beat it —
-        // bit-identity there is enforced by the hard asserts above.
-        println!(
-            "check: speculative read-mostly at {readmostly_2core_spec_speedup:.2}x (2-core, \
-             gate ≥ 1.0x) / {readmostly_4core_spec_speedup:.2}x (4-core, gate ≥ 1.5x) legacy"
-        );
-        if readmostly_2core_spec_speedup.is_nan() || readmostly_2core_spec_speedup < 1.0 {
-            eprintln!("FAIL: 2-core speculative read-mostly replay below 1.0x legacy");
-            std::process::exit(1);
-        }
-        if core_counts.contains(&4)
-            && (readmostly_4core_spec_speedup.is_nan() || readmostly_4core_spec_speedup < 1.5)
-        {
-            eprintln!("FAIL: 4-core speculative read-mostly replay below 1.5x legacy");
             std::process::exit(1);
         }
     }

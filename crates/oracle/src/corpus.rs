@@ -5,9 +5,8 @@
 //! `<stem>-c<cores>.cftp`. Entries are replayed by
 //! [`replay_pack_file`] — single-core packs through
 //! [`califorms_sim::Engine`], multi-core packs through
-//! [`califorms_sim::MulticoreEngine`] at weave batches 1 **and** 64,
-//! each under both the serial and the speculative weave — and every
-//! replay must agree with the oracle byte-for-byte. Shrunk
+//! [`califorms_sim::MulticoreEngine`] at weave batches 1 **and** 64 —
+//! and every replay must agree with the oracle byte-for-byte. Shrunk
 //! counterexamples from past fuzzing campaigns land here so the bug
 //! they caught can never silently return.
 
@@ -88,20 +87,6 @@ pub fn replay_pack_file(path: &Path) -> io::Result<Vec<(String, Option<Divergenc
             results.push((
                 format!("{cores}-core, weave batch {batch}"),
                 diff_pack(&pack, &[], &DiffConfig::multicore(cores, batch)),
-            ));
-            // The speculative-weave arm: same pack, optimistic parallel
-            // weave, required bit-identical to the serial run above
-            // (DESIGN.md §15).
-            results.push((
-                format!("{cores}-core, weave batch {batch}, speculative"),
-                diff_pack(
-                    &pack,
-                    &[],
-                    &DiffConfig {
-                        speculative: true,
-                        ..DiffConfig::multicore(cores, batch)
-                    },
-                ),
             ));
         }
     }

@@ -108,14 +108,6 @@ pub struct DiffConfig {
     /// require each resumed run to be bit-identical (stats, runtime and
     /// weave counters, exceptions) to the straight-through run.
     pub resume_at: Option<u64>,
-    /// Run the multi-core engine with the speculative weave
-    /// (`RuntimeConfig::speculative_weave`, DESIGN.md §15) **and**
-    /// additionally replay the same pack through the serial weave,
-    /// requiring the two outcomes bit-identical (stats, runtime and
-    /// weave counters, exceptions) after masking the spec-only
-    /// counters ([`califorms_sim::RuntimeStats::without_spec`]).
-    /// Multi-core only; ignored for `cores == 1`.
-    pub speculative: bool,
     /// Run the multi-core engine under the adaptive quantum controller
     /// (`MulticoreConfig::with_adaptive_quantum`). Multi-core only.
     /// Combined with [`Self::resume_at`] this pins that a checkpoint
@@ -132,7 +124,6 @@ impl Default for DiffConfig {
             quantum: 10_000.0,
             fault: None,
             resume_at: None,
-            speculative: false,
             adaptive_quantum: false,
         }
     }
@@ -156,17 +147,14 @@ impl DiffConfig {
 }
 
 /// The one place a [`DiffConfig`] becomes a [`MulticoreConfig`] — every
-/// multi-core arm (straight-through, speculative twin, resume) builds
-/// its engine here so the knobs can never drift between arms.
+/// multi-core arm (straight-through, resume) builds its engine here so
+/// the knobs can never drift between arms.
 fn engine_config(cfg: &DiffConfig) -> MulticoreConfig {
     let mut mc = MulticoreConfig::westmere(cfg.cores)
         .with_weave_batch(cfg.weave_batch)
         .with_quantum(cfg.quantum);
     if cfg.adaptive_quantum {
         mc = mc.with_adaptive_quantum();
-    }
-    if cfg.speculative {
-        mc = mc.with_speculative_weave();
     }
     mc
 }
@@ -231,14 +219,6 @@ pub enum Divergence {
         /// The panic message.
         message: String,
     },
-    /// A speculative-weave replay ([`DiffConfig::speculative`]) broke
-    /// the bit-identity contract with its serial-weave twin: commits
-    /// and residue re-execution must reproduce the serial round-robin
-    /// weave exactly (DESIGN.md §15).
-    Speculative {
-        /// What disagreed between the speculative and serial runs.
-        detail: String,
-    },
     /// A checkpoint+resume replay ([`DiffConfig::resume_at`]) broke the
     /// bit-identity contract: the resumed run disagreed with the
     /// straight-through run, or the checkpoint machinery itself failed.
@@ -297,9 +277,6 @@ impl std::fmt::Display for Divergence {
             ),
             Divergence::EnginePanic { core, message } => {
                 write!(f, "engine worker for core {core} panicked: {message}")
-            }
-            Divergence::Speculative { detail } => {
-                write!(f, "speculative weave diverged from serial weave: {detail}")
             }
             Divergence::Resume { checkpoint, detail } => {
                 write!(f, "checkpoint {checkpoint} resume diverged: {detail}")
@@ -558,12 +535,6 @@ fn diff_multicore(pack: &TracePack, cfg: &DiffConfig) -> Option<Divergence> {
         }
     };
 
-    if cfg.speculative {
-        if let Some(d) = diff_speculative_vs_serial(pack, cfg, &outcome) {
-            return Some(d);
-        }
-    }
-
     if let Some(interval) = cfg.resume_at {
         if let Some(d) = diff_resume_multicore(pack, cfg, interval, &outcome) {
             return Some(d);
@@ -582,69 +553,6 @@ fn diff_multicore(pack: &TracePack, cfg: &DiffConfig) -> Option<Divergence> {
         if let Some(d) = diff_counters(c, &outcome.stats.per_core[c], lane.counters()) {
             return Some(d);
         }
-    }
-    None
-}
-
-/// The speculative-weave bit-identity arm ([`DiffConfig::speculative`]):
-/// replay the pack once more through the serial round-robin weave and
-/// require the outcome identical to the speculative run `spec` —
-/// exceptions, per-core/combined/weave stats, and the runtime counters
-/// with the spec-only bookkeeping masked out
-/// ([`califorms_sim::RuntimeStats::without_spec`]; the serial twin's
-/// spec counters are zero by construction, so both sides are masked
-/// symmetrically). Committed epochs and re-executed residue alike must
-/// reproduce the serial weave exactly (DESIGN.md §15).
-fn diff_speculative_vs_serial(
-    pack: &TracePack,
-    cfg: &DiffConfig,
-    spec: &califorms_sim::MulticoreOutcome,
-) -> Option<Divergence> {
-    let rt = &spec.stats.runtime;
-    if rt.spec_epochs != rt.spec_commits + rt.spec_aborts {
-        return Some(Divergence::Speculative {
-            detail: format!(
-                "inconsistent speculative accounting: {} epochs != {} commits + {} aborts",
-                rt.spec_epochs, rt.spec_commits, rt.spec_aborts
-            ),
-        });
-    }
-    let serial_cfg = DiffConfig {
-        speculative: false,
-        ..*cfg
-    };
-    let serial = match MulticoreEngine::new(engine_config(&serial_cfg)).try_run_pack(pack) {
-        Ok(outcome) => outcome,
-        Err(err) => {
-            return Some(Divergence::Speculative {
-                detail: format!("serial twin failed where the speculative run succeeded: {err}"),
-            })
-        }
-    };
-    if spec.exceptions != serial.exceptions {
-        return Some(Divergence::Speculative {
-            detail: "delivered exceptions differ from the serial twin".into(),
-        });
-    }
-    if spec.stats.per_core != serial.stats.per_core {
-        return Some(Divergence::Speculative {
-            detail: "per-core stats differ from the serial twin".into(),
-        });
-    }
-    if spec.stats.combined != serial.stats.combined {
-        return Some(Divergence::Speculative {
-            detail: "combined stats differ from the serial twin".into(),
-        });
-    }
-    if spec.stats.weave != serial.stats.weave {
-        return Some(Divergence::Speculative {
-            detail: "weave breakdown differs from the serial twin".into(),
-        });
-    }
-    if spec.stats.runtime.without_spec() != serial.stats.runtime.without_spec() {
-        return Some(Divergence::Speculative {
-            detail: "runtime counters differ from the serial twin".into(),
-        });
     }
     None
 }
@@ -983,9 +891,8 @@ mod tests {
     }
 
     /// A workload with genuine cross-core coherence traffic: every core
-    /// hammers the same handful of lines, so the speculative weave sees
-    /// both conflict-heavy epochs (aborts + residue re-execution) and,
-    /// interleaved with disjoint strides, conflict-free ones (commits).
+    /// hammers the same handful of lines (contended weave transactions),
+    /// interleaved with core-private strides (private ones that batch).
     fn sharing_ops(cores: u64) -> Vec<TraceOp> {
         let mut ops = Vec::new();
         for i in 0..400u64 {
@@ -996,7 +903,7 @@ mod tests {
                     addr: 0x8000 + (i % 8) * 8,
                     size: 8,
                 });
-                // Core-private stride (fills conflict-free epochs).
+                // Core-private stride.
                 ops.push(TraceOp::Load {
                     addr: 0x2_0000 + c * 0x1000 + (i % 64) * 8,
                     size: 8,
@@ -1006,31 +913,26 @@ mod tests {
         ops
     }
 
-    /// The tentpole acceptance matrix: the speculative weave is
-    /// bit-identical to the serial weave at 2/4 cores × weave batches
-    /// {1, 64}, on both a sharing-heavy and a mostly-private workload,
-    /// including checkpoint+resume replays. (`cores == 1` replays
-    /// through the single-core [`Engine`], which has no weave.)
+    /// The contended half of the weave matrix (the mostly-private
+    /// `resume_ops` half is `resume_mode_agrees_across_core_and_batch_matrix`):
+    /// with every core hammering shared lines, the round-robin weave
+    /// agrees with the oracle at 2/4 cores × weave batches {1, 64}, and
+    /// every checkpoint+resume replay is bit-identical to the
+    /// straight-through run.
     #[test]
-    fn speculative_weave_agrees_across_core_and_batch_matrix() {
+    fn weave_agrees_across_core_and_batch_matrix() {
         for cores in [2usize, 4] {
-            let packs = [
-                TracePack::from_ops(resume_ops()),
-                TracePack::from_ops(sharing_ops(cores as u64)),
-            ];
-            for (p, pack) in packs.iter().enumerate() {
-                for batch in [1u32, 64] {
-                    let cfg = DiffConfig {
-                        speculative: true,
-                        resume_at: Some(2),
-                        ..DiffConfig::multicore(cores, batch)
-                    };
-                    assert_eq!(
-                        diff_pack(pack, &[], &cfg),
-                        None,
-                        "pack={p} cores={cores} batch={batch}"
-                    );
-                }
+            let pack = TracePack::from_ops(sharing_ops(cores as u64));
+            for batch in [1u32, 64] {
+                let cfg = DiffConfig {
+                    resume_at: Some(2),
+                    ..DiffConfig::multicore(cores, batch)
+                };
+                assert_eq!(
+                    diff_pack(&pack, &[], &cfg),
+                    None,
+                    "cores={cores} batch={batch}"
+                );
             }
         }
     }
@@ -1043,19 +945,12 @@ mod tests {
     fn resume_restores_adaptive_quantum_mid_run() {
         let pack = TracePack::from_ops(sharing_ops(4));
         for cores in [2usize, 4] {
-            for speculative in [false, true] {
-                let cfg = DiffConfig {
-                    adaptive_quantum: true,
-                    speculative,
-                    resume_at: Some(1),
-                    ..DiffConfig::multicore(cores, 64)
-                };
-                assert_eq!(
-                    diff_pack(&pack, &[], &cfg),
-                    None,
-                    "cores={cores} speculative={speculative}"
-                );
-            }
+            let cfg = DiffConfig {
+                adaptive_quantum: true,
+                resume_at: Some(1),
+                ..DiffConfig::multicore(cores, 64)
+            };
+            assert_eq!(diff_pack(&pack, &[], &cfg), None, "cores={cores}");
         }
     }
 

@@ -14,19 +14,18 @@
 //! The format follows the same discipline as `tracepack`:
 //!
 //! ```text
-//! header  := magic "CFCK" | version u8 (=1)
+//! header  := magic "CFCK" | version u8 (=2)
 //! section := tag u8 (!= 0xFF) | len u64 LE | payload[len]
 //! end     := 0xFF
 //! trailer := checksum u64 LE (FNV-1a over every preceding byte)
 //! ```
 //!
-//! Sections are length-prefixed so a reader can skip unknown tags from a
-//! newer minor revision, and the trailing checksum rejects torn or
-//! bit-flipped files before any payload is interpreted. Every decode
-//! failure — bad magic, truncation at any byte, checksum mismatch,
-//! section-length lies, semantically impossible payloads — surfaces as a
-//! typed [`CheckpointError`], never a panic (negative-path suite in
-//! `crates/sim/tests/checkpoint.rs`).
+//! Sections are length-prefixed, and the trailing checksum rejects torn
+//! or bit-flipped files before any payload is interpreted. Every decode
+//! failure — bad magic, wrong version, truncation at any byte, checksum
+//! mismatch, section-length lies, semantically impossible payloads —
+//! surfaces as a typed [`CheckpointError`], never a panic (negative-path
+//! suite in `crates/sim/tests/checkpoint.rs`).
 //!
 //! Checkpoints are only taken at *quantum boundaries*: for the
 //! single-core [`crate::engine::Engine`] that is a decode-batch edge,
@@ -46,8 +45,10 @@ use califorms_core::{
 /// The four magic bytes opening every checkpoint.
 pub const MAGIC: [u8; 4] = *b"CFCK";
 
-/// Current checkpoint format version.
-pub const VERSION: u8 = 1;
+/// Checkpoint format version. Checkpoints are run-local and never
+/// migrated, so the decoder reads exactly this version and rejects every
+/// other one, older or newer.
+pub const VERSION: u8 = 2;
 
 /// End-of-sections marker tag.
 const TAG_END: u8 = 0xFF;
@@ -60,7 +61,7 @@ const TAG_END: u8 = 0xFF;
 pub enum CheckpointError {
     /// The stream does not start with [`MAGIC`].
     BadMagic,
-    /// The stream's version is newer than this decoder.
+    /// The stream's version is not [`VERSION`].
     UnsupportedVersion(u8),
     /// The stream ended before its framing said it would (truncated
     /// tail, or a section length pointing past the end).
@@ -327,7 +328,7 @@ pub(crate) fn parse_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>> {
     if bytes[..4] != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    if bytes[4] > VERSION {
+    if bytes[4] != VERSION {
         return Err(CheckpointError::UnsupportedVersion(bytes[4]));
     }
     if bytes.len() < 14 {

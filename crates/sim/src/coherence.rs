@@ -116,11 +116,7 @@ struct DirEntry {
 /// the accesses that need no directory transaction (hits with sufficient
 /// MESI permission). Everything else returns `None` and is replayed
 /// through [`CoherentHierarchy`] in the deterministic serial phase.
-///
-/// `Clone` exists for the speculative weave's rollback snapshots
-/// (DESIGN.md §15): a worker clones its L1 before executing an epoch
-/// optimistically and the commit point restores the clone on abort.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CoreL1 {
     cache: SetAssocCache<CoherentLine>,
 }
@@ -344,11 +340,7 @@ impl CoreL1 {
 /// [`LevelBank`]'s lines, plus the counters whose events are attributable
 /// to a single bank (and may therefore be bumped by a bound-phase worker
 /// that owns the bank, without any synchronisation).
-///
-/// `Clone` exists for the speculative weave (DESIGN.md §15): a worker
-/// that claims a bank executes against a clone of its shard and the
-/// commit point installs the clone wholesale (or drops it on abort).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct BankExt {
     /// Directory shard: full-map entries for this bank's lines.
     dir: LineMap<DirEntry>,
@@ -407,24 +399,6 @@ pub struct CoherentHierarchy {
     /// per-bank `lookups`/`upgrades`/`spills`/`fills` are merged in by
     /// [`Self::coherence_totals`]).
     coherence: CoherenceStats,
-}
-
-/// How far [`CoherentHierarchy::ensure_state_private`] got: either the
-/// request was fully satisfied without involving another core, or it
-/// needs one of the remote arms — which only the serial weave may run
-/// (the speculative weave aborts its epoch instead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PrivateOutcome {
-    /// Handled entirely core-locally; latency beyond the L1 hit latency.
-    Done(u32),
-    /// Resident Shared + write with remote sharers to invalidate. The
-    /// L1 hit and the shard's lookup/upgrade counters are already
-    /// accounted; the directory entry itself is untouched.
-    RemoteUpgrade,
-    /// Not resident, and the directory names a remote owner or sharer.
-    /// The L1 miss and the shard lookup are already accounted; the
-    /// entry exists (possibly just created) and is untouched.
-    RemoteMiss,
 }
 
 /// Largest bank count the coherent hierarchy shards into.
@@ -519,28 +493,6 @@ impl CoherentHierarchy {
     /// Returns a lent L1.
     pub(crate) fn put_l1(&mut self, c: usize, l1: CoreL1) {
         self.l1s[c] = l1;
-    }
-
-    /// Number of banks the shared levels and the directory are sharded
-    /// into (the claim-table width of the speculative weave).
-    pub(crate) fn banks(&self) -> usize {
-        self.exts.len()
-    }
-
-    /// Lends every bank (shared-level slice + directory shard) out for a
-    /// speculative weave phase, leaving the hierarchy bankless; pair
-    /// with [`Self::put_banks`]. While lent, only the per-core L1
-    /// accessors may be used.
-    pub(crate) fn take_banks(&mut self) -> (Vec<LevelBank>, Vec<BankExt>) {
-        (self.shared.take_banks(), std::mem::take(&mut self.exts))
-    }
-
-    /// Returns the banks lent by [`Self::take_banks`] (or the committed
-    /// clones replacing them), in bank order.
-    pub(crate) fn put_banks(&mut self, banks: Vec<LevelBank>, exts: Vec<BankExt>) {
-        debug_assert!(self.exts.is_empty(), "banks returned while not lent");
-        self.shared.put_banks(banks);
-        self.exts = exts;
     }
 
     /// L1→L2 spill conversions of califormed lines (all cores, all banks).
@@ -651,33 +603,18 @@ impl CoherentHierarchy {
         }
     }
 
-    /// The private slice of the MESI state machine: every arm of
-    /// [`Self::ensure_state`] that involves no core other than `c`,
-    /// factored over explicit borrows of the core's L1 and the line's
-    /// bank so the serial weave (on `self`) and the speculative weave
-    /// ([`SpecExec`], on bank clones) execute the *same statements* —
-    /// the statement-for-statement production counterpart of the
-    /// `califorms-analyze` `sched::weave` model's `execute` step.
-    /// Accounting (L1 hit/miss, shard lookup/upgrade counters) lands
-    /// exactly where the unfactored code counted it; a `Remote*` return
-    /// leaves the directory entry itself untouched.
-    fn ensure_state_private(
-        ccfg: &CoherenceConfig,
-        l1: &mut CoreL1,
-        bank: &mut LevelBank,
-        ext: &mut BankExt,
-        c: usize,
-        line_addr: u64,
-        write: bool,
-    ) -> PrivateOutcome {
+    /// The MESI state machine: makes `line_addr` resident in core `c`'s
+    /// L1 with read (`write == false`) or write permission, returning the
+    /// latency beyond the L1 hit latency.
+    fn ensure_state(&mut self, c: usize, line_addr: u64, write: bool) -> u32 {
+        let b = self.shared.bank_of(line_addr);
         // Fast path: already resident with sufficient permission.
-        if let Some(e) = l1.cache.access(line_addr) {
+        if let Some(e) = self.l1s[c].cache.access(line_addr) {
             match (e.state, write) {
-                (_, false) | (Mesi::Modified, true) | (Mesi::Exclusive, true) => {
-                    return PrivateOutcome::Done(0)
-                }
+                (_, false) | (Mesi::Modified, true) | (Mesi::Exclusive, true) => return 0,
                 (Mesi::Shared, true) => {
-                    // S→M upgrade.
+                    // S→M upgrade: invalidate every other sharer.
+                    let ext = &mut self.exts[b];
                     ext.lookups += 1;
                     ext.upgrades += 1;
                     let entry = ext
@@ -686,126 +623,71 @@ impl CoherentHierarchy {
                         // analyze::allow(hot-path-unwrap): coherence invariant: shared lines keep their directory entry
                         .expect("shared lines are in the directory");
                     let others = entry.sharers & !(1u64 << c);
-                    if others != 0 {
-                        return PrivateOutcome::RemoteUpgrade;
-                    }
-                    // Sole sharer (the peers' copies were evicted):
-                    // the upgrade is bank-local.
                     entry.sharers = 1 << c;
                     entry.owner = Some(c);
-                    let e = l1
+                    let mut latency = self.ccfg.directory_latency;
+                    if others != 0 {
+                        latency += self.ccfg.upgrade_latency;
+                        for o in 0..self.l1s.len() {
+                            if others >> o & 1 == 1 {
+                                // Shared copies are clean: drop silently.
+                                self.l1s[o].cache.invalidate(line_addr);
+                                self.coherence.invalidations += 1;
+                            }
+                        }
+                    }
+                    let e = self.l1s[c]
                         .cache
                         .peek_mut(line_addr)
                         // analyze::allow(hot-path-unwrap): the line was pinned resident earlier in this transaction
                         .expect("still resident");
                     e.state = Mesi::Modified;
-                    return PrivateOutcome::Done(ccfg.directory_latency);
+                    return latency;
                 }
             }
         }
 
         // Miss: consult the directory shard (one hash op for the whole
         // transaction — the entry is created and updated in place).
-        ext.lookups += 1;
-        let entry = ext.dir.entry(line_addr).or_default();
+        self.exts[b].lookups += 1;
+        let entry = self.exts[b].dir.entry(line_addr).or_default();
         let remote_owner = entry.owner.filter(|&o| o != c);
         let remote_sharers = entry.sharers & !(1u64 << c);
-        if remote_owner.is_some() || remote_sharers != 0 {
-            return PrivateOutcome::RemoteMiss;
-        }
 
-        // No other core involved: the transaction touches only this
-        // core's L1 and the line's own bank — the private case the
-        // weave batches, the adaptive quantum grows over, and the
-        // speculative weave commits in parallel.
-        entry.sharers = 1 << c;
-        entry.owner = Some(c);
-        let state = if write {
-            Mesi::Modified
-        } else {
-            Mesi::Exclusive
-        };
-        let mut latency = ccfg.directory_latency;
-        let (l2line, fetch_latency) = bank.fetch(line_addr);
-        latency += fetch_latency;
-        if l2line.califormed {
-            ext.fills += 1;
-        }
-        let l1line = fill_canonical(&l2line);
-        if let Some(victim) = l1.cache.insert(
-            line_addr,
-            CoherentLine {
-                line: l1line,
-                state,
-            },
-            false,
-        ) {
-            // NB divides the L1 set count, so the victim (same L1
-            // set) provably lives in the same bank as the line.
-            Self::retire_victim(bank, ext, c, victim.line_addr, victim.value, victim.dirty);
-        }
-        PrivateOutcome::Done(latency)
-    }
-
-    /// The MESI state machine: makes `line_addr` resident in core `c`'s
-    /// L1 with read (`write == false`) or write permission, returning the
-    /// latency beyond the L1 hit latency. The private arms live in
-    /// [`Self::ensure_state_private`] (shared with the speculative
-    /// weave); only the remote arms below are serial-weave-only.
-    fn ensure_state(&mut self, c: usize, line_addr: u64, write: bool) -> u32 {
-        let b = self.shared.bank_of(line_addr);
-        match Self::ensure_state_private(
-            &self.ccfg,
-            &mut self.l1s[c],
-            self.shared.bank_mut(line_addr),
-            &mut self.exts[b],
-            c,
-            line_addr,
-            write,
-        ) {
-            PrivateOutcome::Done(latency) => return latency,
-            PrivateOutcome::RemoteUpgrade => {
-                // S→M upgrade with remote sharers: invalidate each.
-                let entry = self.exts[b]
-                    .dir
-                    .get_mut(&line_addr)
-                    // analyze::allow(hot-path-unwrap): coherence invariant: shared lines keep their directory entry
-                    .expect("shared lines are in the directory");
-                let others = entry.sharers & !(1u64 << c);
-                entry.sharers = 1 << c;
-                entry.owner = Some(c);
-                let latency = self.ccfg.directory_latency + self.ccfg.upgrade_latency;
-                for o in 0..self.l1s.len() {
-                    if others >> o & 1 == 1 {
-                        // Shared copies are clean: drop silently.
-                        self.l1s[o].cache.invalidate(line_addr);
-                        self.coherence.invalidations += 1;
-                    }
-                }
-                let e = self.l1s[c]
-                    .cache
-                    .peek_mut(line_addr)
-                    // analyze::allow(hot-path-unwrap): the line was pinned resident earlier in this transaction
-                    .expect("still resident");
-                e.state = Mesi::Modified;
-                return latency;
+        if remote_owner.is_none() && remote_sharers == 0 {
+            // No other core involved: the transaction touches only this
+            // core's L1 and the line's own bank — the private case the
+            // weave batches and the adaptive quantum grows over.
+            entry.sharers = 1 << c;
+            entry.owner = Some(c);
+            let state = if write {
+                Mesi::Modified
+            } else {
+                Mesi::Exclusive
+            };
+            let mut latency = self.ccfg.directory_latency;
+            let bank = self.shared.bank_mut(line_addr);
+            let (l2line, fetch_latency) = bank.fetch(line_addr);
+            latency += fetch_latency;
+            let ext = &mut self.exts[b];
+            if l2line.califormed {
+                ext.fills += 1;
             }
-            PrivateOutcome::RemoteMiss => {}
+            let l1line = fill_canonical(&l2line);
+            if let Some(victim) = self.l1s[c].cache.insert(
+                line_addr,
+                CoherentLine {
+                    line: l1line,
+                    state,
+                },
+                false,
+            ) {
+                // NB divides the L1 set count, so the victim (same L1
+                // set) provably lives in the same bank as the line.
+                Self::retire_victim(bank, ext, c, victim.line_addr, victim.value, victim.dirty);
+            }
+            return latency;
         }
-
-        // Miss with a remote core involved. The lookup was counted and
-        // the entry created by the private slice; re-read its verdict.
-        let (remote_owner, remote_sharers) = {
-            let entry = self.exts[b]
-                .dir
-                .get(&line_addr)
-                // analyze::allow(hot-path-unwrap): the private slice just consulted (or created) the entry
-                .expect("the private slice consulted the entry");
-            (
-                entry.owner.filter(|&o| o != c),
-                entry.sharers & !(1u64 << c),
-            )
-        };
 
         let mut latency = self.ccfg.directory_latency;
         let l2line = if let Some(o) = remote_owner {
@@ -1126,180 +1008,6 @@ impl CoherentHierarchy {
         stats.spills = self.spills();
         stats.fills = self.fills();
         stats.coherence = self.coherence_totals();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Speculative weave execution (DESIGN.md §15).
-// ---------------------------------------------------------------------------
-
-/// One worker's execution context for the speculative weave phase
-/// (DESIGN.md §15): the core's own L1 plus clones of every bank the
-/// stream has claimed so far. The `load_quiet`/`store`/`cform` methods
-/// mirror the [`CoherentHierarchy`] wrappers statement for statement,
-/// with [`CoherentHierarchy::ensure_state_private`] standing in for the
-/// full MESI machine — any transaction the private slice cannot finish
-/// (a remote owner, remote sharers) returns `None`, which aborts the
-/// epoch. `claim` is consulted once per bank on first touch; `None`
-/// from it means another worker holds the claim — also an abort.
-/// Non-temporal CFORMs (which cross every core's L1) have no mirror
-/// here at all: the caller aborts without executing them.
-pub(crate) struct SpecExec<'a, F> {
-    cfg: &'a HierarchyConfig,
-    ccfg: &'a CoherenceConfig,
-    c: usize,
-    banks: usize,
-    /// The core's real L1 (the commit point rolls it back on abort).
-    pub(crate) l1: &'a mut CoreL1,
-    claimed: Vec<Option<(LevelBank, BankExt)>>,
-    claim: F,
-}
-
-impl<'a, F: FnMut(usize) -> Option<(LevelBank, BankExt)>> SpecExec<'a, F> {
-    pub(crate) fn new(
-        cfg: &'a HierarchyConfig,
-        ccfg: &'a CoherenceConfig,
-        c: usize,
-        banks: usize,
-        l1: &'a mut CoreL1,
-        claim: F,
-    ) -> Self {
-        Self {
-            cfg,
-            ccfg,
-            c,
-            banks,
-            l1,
-            // analyze::allow(hot-path-alloc): one bank-count Vec per speculative epoch, amortized over the whole quantum's transactions
-            claimed: (0..banks).map(|_| None).collect(),
-            claim,
-        }
-    }
-
-    /// The claimed bank clones (bank index → mutated clone), for the
-    /// commit point to install wholesale.
-    pub(crate) fn into_claimed(self) -> Vec<Option<(LevelBank, BankExt)>> {
-        self.claimed
-    }
-
-    /// Same address→bank split as [`SharedLevels::bank_of`].
-    fn bank_of(&self, line_addr: u64) -> usize {
-        crate::hierarchy::bank_index(line_addr, self.banks)
-    }
-
-    /// Mirrors the private slice of [`CoherentHierarchy::ensure_state`]
-    /// against the claimed clone of the line's bank; `None` = abort.
-    fn ensure_state(&mut self, line_addr: u64, write: bool) -> Option<u32> {
-        let b = self.bank_of(line_addr);
-        if self.claimed[b].is_none() {
-            self.claimed[b] = Some((self.claim)(b)?);
-        }
-        // analyze::allow(hot-path-unwrap): the bank was claimed just above
-        let (bank, ext) = self.claimed[b].as_mut().expect("bank just claimed");
-        match CoherentHierarchy::ensure_state_private(
-            self.ccfg, self.l1, bank, ext, self.c, line_addr, write,
-        ) {
-            PrivateOutcome::Done(latency) => Some(latency),
-            PrivateOutcome::RemoteUpgrade | PrivateOutcome::RemoteMiss => None,
-        }
-    }
-
-    /// Mirrors [`CoherentHierarchy::l1_line_mut`].
-    fn l1_line_mut(&mut self, line_addr: u64) -> &mut CoherentLine {
-        // `ensure_state` has run and already counted the access.
-        self.l1
-            .cache
-            .access_uncounted(line_addr)
-            // analyze::allow(hot-path-unwrap): ensure_state on the line above pinned it
-            .expect("line was just ensured resident")
-    }
-
-    /// Mirrors [`CoherentHierarchy::load_quiet`]; `None` aborts.
-    pub(crate) fn load_quiet(&mut self, addr: u64, len: usize, pc: u64) -> Option<MemResult> {
-        let mut latency = 0u32;
-        let mut exception = None;
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let extra = self.ensure_state(line_addr, false)?;
-            latency = latency.max(self.cfg.l1d_latency + extra);
-            let bv = self.l1_line_mut(line_addr).line.bitvector();
-            if exception.is_none() {
-                exception = load_violation(bv & range_mask(offset, chunk), line_addr, pc);
-            }
-            cur += chunk as u64;
-        }
-        Some(MemResult::quiet(latency, exception))
-    }
-
-    /// Mirrors [`CoherentHierarchy::store`]; `None` aborts.
-    pub(crate) fn store(&mut self, addr: u64, bytes: &[u8], pc: u64) -> Option<MemResult> {
-        let mut latency = 0u32;
-        let mut exception = None;
-        let mut cur = addr;
-        let end = addr + bytes.len() as u64;
-        let mut consumed = 0usize;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let extra = self.ensure_state(line_addr, true)?;
-            latency = latency.max(self.cfg.l1d_latency + extra);
-            let e = self.l1_line_mut(line_addr);
-            match e.line.store(offset, &bytes[consumed..consumed + chunk]) {
-                Ok(()) => {
-                    e.state = Mesi::Modified;
-                    self.l1.cache.mark_dirty(line_addr);
-                }
-                Err(CoreError::StoreToSecurityByte { index }) => {
-                    if exception.is_none() {
-                        exception = Some(CaliformsException {
-                            fault_addr: line_addr + index as u64,
-                            access: AccessKind::Store,
-                            kind: ExceptionKind::SecurityByteAccess,
-                            pc,
-                        });
-                    }
-                }
-                Err(other) => unreachable!("store can only fault on security bytes: {other}"),
-            }
-            cur += chunk as u64;
-            consumed += chunk;
-        }
-        Some(MemResult::quiet(latency, exception))
-    }
-
-    /// Mirrors [`CoherentHierarchy::cform`]; `None` aborts.
-    pub(crate) fn cform(&mut self, insn: &CformInstruction, pc: u64) -> Option<MemResult> {
-        let extra = self.ensure_state(insn.line_addr, true)?;
-        let latency = self.cfg.l1d_latency + extra;
-        let e = self.l1_line_mut(insn.line_addr);
-        let exception = match insn.execute(e.line.line_mut()) {
-            Ok(_) => {
-                e.state = Mesi::Modified;
-                self.l1.cache.mark_dirty(insn.line_addr);
-                None
-            }
-            Err(err) => Some(kmap_exception(err, insn.line_addr, pc)),
-        };
-        Some(MemResult::quiet(latency, exception))
-    }
-
-    /// Attributes one committed speculative transaction to its (claimed)
-    /// shard — the [`CoherentHierarchy::note_weave_txn`] mirror.
-    /// Contended transactions cannot exist on this path: remote
-    /// involvement aborts the epoch before any transaction commits.
-    pub(crate) fn note_weave_txn(&mut self, line_addr: u64, batched: bool) {
-        let b = self.bank_of(line_addr);
-        let (_, ext) = self.claimed[b]
-            .as_mut()
-            // analyze::allow(hot-path-unwrap): the committed transaction just executed against this bank
-            .expect("committed transaction claimed its bank");
-        ext.weave_transactions += 1;
-        ext.weave_batched += u64::from(batched);
     }
 }
 

@@ -198,7 +198,7 @@ fn store_violation(e: CoreError, line_addr: u64, pc: u64) -> CaliformsException 
 
 /// Main memory: sentinel-format lines; the *califormed?* bit conceptually
 /// lives in spare ECC bits (Section 3), so no extra address space is used.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct Dram {
     lines: LineMap<L2Line>,
 }
@@ -231,11 +231,7 @@ impl Dram {
 /// a banked set **iff** they conflicted in the corresponding unbanked
 /// set, so banking changes no simulated result — with one bank this is
 /// the identity. All public methods speak global line addresses.
-///
-/// `Clone` exists for the speculative weave (DESIGN.md §15): a claiming
-/// worker executes against a clone of the bank and the commit point
-/// installs the clone wholesale (or drops it on abort).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LevelBank {
     cfg: HierarchyConfig,
     /// This bank's index and the total bank count (for address
@@ -387,14 +383,6 @@ pub struct SharedLevels {
     banks: Vec<LevelBank>,
 }
 
-/// The address→bank split shared by [`SharedLevels::bank_of`] and the
-/// speculative weave's claim table (`coherence::SpecExec`), kept as one
-/// function so the two can never drift.
-#[inline]
-pub(crate) fn bank_index(line_addr: u64, banks: usize) -> usize {
-    ((line_addr / LINE_BYTES) % banks as u64) as usize
-}
-
 impl SharedLevels {
     /// Builds the shared levels from a configuration, unbanked.
     pub fn new(cfg: HierarchyConfig) -> Self {
@@ -435,21 +423,7 @@ impl SharedLevels {
     /// Bank index holding `line_addr`.
     #[inline]
     pub fn bank_of(&self, line_addr: u64) -> usize {
-        bank_index(line_addr, self.banks.len())
-    }
-
-    /// Lends every bank out (for the speculative weave phase), leaving
-    /// this instance bankless; pair with [`Self::put_banks`]. While
-    /// lent, every addressed accessor would panic — callers must not
-    /// touch the shared levels until the banks return.
-    pub(crate) fn take_banks(&mut self) -> Vec<LevelBank> {
-        std::mem::take(&mut self.banks)
-    }
-
-    /// Returns the banks lent by [`Self::take_banks`], in bank order.
-    pub(crate) fn put_banks(&mut self, banks: Vec<LevelBank>) {
-        debug_assert!(self.banks.is_empty(), "banks returned while not lent");
-        self.banks = banks;
+        ((line_addr / LINE_BYTES) % self.banks.len() as u64) as usize
     }
 
     /// The bank holding `line_addr`.

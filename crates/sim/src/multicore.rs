@@ -45,13 +45,13 @@
 //! the same for per-core packs.
 
 use crate::checkpoint::{self as ck, CheckpointError};
-use crate::coherence::{BankExt, CoherenceConfig, CoherentHierarchy, CoreL1, SpecExec};
+use crate::coherence::{CoherenceConfig, CoherentHierarchy, CoreL1};
 use crate::cpu::CoreConfig;
 use crate::engine::with_store_data;
-use crate::hierarchy::{HierarchyConfig, LevelBank, MemResult};
+use crate::hierarchy::{HierarchyConfig, MemResult};
 use crate::runtime::{
-    lock_recover, BarrierPhase, BarrierWaitError, QuantumBarrier, QuantumSizing, RuntimeConfig,
-    RuntimeStats, RuntimeTiming, ADAPTIVE_SHRINK_THRESHOLD,
+    lock_recover, BarrierWaitError, QuantumBarrier, QuantumSizing, RuntimeConfig, RuntimeStats,
+    RuntimeTiming, ADAPTIVE_SHRINK_THRESHOLD,
 };
 use crate::stats::{
     CoreWeaveStats, MulticoreStats, ShardWeaveStats, SimStats, WeaveBreakdown, WeaveTimingBreakdown,
@@ -62,7 +62,6 @@ use califorms_core::{CaliformsException, CformInstruction, ExceptionMask};
 use califorms_telemetry::{LogHistogram, Phase, TelemetryClock, TelemetryReport, TrackRecorder};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -182,15 +181,6 @@ impl MulticoreConfig {
         self
     }
 
-    /// Same machine with the speculative (optimistic parallel) weave
-    /// enabled — results stay bit-identical to the serial weave
-    /// (DESIGN.md §15); only the `spec_*` counters in [`RuntimeStats`]
-    /// record that speculation happened.
-    pub fn with_speculative_weave(mut self) -> Self {
-        self.runtime.speculative_weave = true;
-        self
-    }
-
     /// Same machine with telemetry recording switched on (spans,
     /// histograms and the counter snapshot on
     /// [`MulticoreOutcome::telemetry`]).
@@ -301,73 +291,6 @@ impl ShardSource<'_> {
         match self {
             ShardSource::Slice { .. } => None,
             ShardSource::Pack { dec, .. } => Some((dec.ops_read(), dec.bytes_consumed())),
-        }
-    }
-}
-
-/// A saved [`ShardSource`] cursor — everything `peek`/`advance`/`refill`
-/// mutate — so an aborted speculative epoch can rewind the stream
-/// exactly (DESIGN.md §15). A slice shard needs only its position; a
-/// pack lane also owns copies of the decoder cursor and the decoded
-/// ring, because speculation may have refilled past the rollback point.
-#[derive(Debug)]
-enum ShardCursor<'p> {
-    Slice {
-        pos: usize,
-    },
-    Pack {
-        dec: PackDecoder<'p>,
-        next_idx: u64,
-        ring: Vec<TraceOp>,
-        head: usize,
-    },
-}
-
-impl<'p> ShardSource<'p> {
-    /// Saves the cursor for [`Self::rewind`].
-    fn cursor(&self) -> ShardCursor<'p> {
-        match self {
-            ShardSource::Slice { pos, .. } => ShardCursor::Slice { pos: *pos },
-            ShardSource::Pack {
-                dec,
-                next_idx,
-                ring,
-                head,
-                ..
-            } => ShardCursor::Pack {
-                dec: dec.clone(),
-                next_idx: *next_idx,
-                ring: ring.clone(),
-                head: *head,
-            },
-        }
-    }
-
-    /// Restores a cursor saved by [`Self::cursor`] on this same source.
-    fn rewind(&mut self, cur: ShardCursor<'p>) {
-        match (self, cur) {
-            (ShardSource::Slice { pos, .. }, ShardCursor::Slice { pos: saved }) => *pos = saved,
-            (
-                ShardSource::Pack {
-                    dec,
-                    next_idx,
-                    ring,
-                    head,
-                    ..
-                },
-                ShardCursor::Pack {
-                    dec: sdec,
-                    next_idx: sidx,
-                    ring: sring,
-                    head: shead,
-                },
-            ) => {
-                *dec = sdec;
-                *next_idx = sidx;
-                *ring = sring;
-                *head = shead;
-            }
-            _ => unreachable!("a cursor only ever rewinds the source that saved it"),
         }
     }
 }
@@ -542,62 +465,6 @@ impl<'p> CoreReplay<'p> {
             }
         }
     }
-
-    /// Saves everything the weave mutates, taken *before* a speculative
-    /// epoch touches this core (DESIGN.md §15). `exceptions` needs only
-    /// its length — speculation appends, never edits.
-    fn snapshot(&self) -> ReplaySnapshot<'p> {
-        ReplaySnapshot {
-            cursor: self.src.cursor(),
-            mask: self.mask.clone(),
-            cycles: self.cycles,
-            instructions: self.instructions,
-            loads: self.loads,
-            stores: self.stores,
-            cforms: self.cforms,
-            stores_suppressed: self.stores_suppressed,
-            committed: self.committed,
-            exceptions: self.exceptions.len(),
-            pc: self.pc,
-            weave: self.weave,
-        }
-    }
-
-    /// Restores a [`Self::snapshot`] — the replay half of an aborted
-    /// epoch's rollback (the L1 half is a wholesale swap-back).
-    fn rewind(&mut self, snap: ReplaySnapshot<'p>) {
-        self.src.rewind(snap.cursor);
-        self.mask = snap.mask;
-        self.cycles = snap.cycles;
-        self.instructions = snap.instructions;
-        self.loads = snap.loads;
-        self.stores = snap.stores;
-        self.cforms = snap.cforms;
-        self.stores_suppressed = snap.stores_suppressed;
-        self.committed = snap.committed;
-        self.exceptions.truncate(snap.exceptions);
-        self.pc = snap.pc;
-        self.weave = snap.weave;
-    }
-}
-
-/// A [`CoreReplay`] rollback point: the cursor plus every scalar the
-/// weave can advance. Cheap relative to the L1 clone taken beside it.
-#[derive(Debug)]
-struct ReplaySnapshot<'p> {
-    cursor: ShardCursor<'p>,
-    mask: ExceptionMask,
-    cycles: f64,
-    instructions: u64,
-    loads: u64,
-    stores: u64,
-    cforms: u64,
-    stores_suppressed: u64,
-    committed: u64,
-    /// Recorded-exception count to truncate back to.
-    exceptions: usize,
-    pc: u64,
-    weave: CoreWeaveStats,
 }
 
 /// Deterministically shards one op stream across `cores` shards:
@@ -637,85 +504,6 @@ struct WorkerTask<'p> {
     l1: CoreL1,
     track: Option<TrackRecorder>,
     quantum: u64,
-    /// This quantum's speculative-weave attempt, filled in by the worker
-    /// during a [`BarrierPhase::SpecWeave`] release and consumed by the
-    /// commit point (DESIGN.md §15). `None` outside speculative epochs.
-    spec: Option<SpecAttempt<'p>>,
-}
-
-/// One core's finished speculative-weave attempt: the rollback state
-/// taken before it ran, and — iff the whole stream executed without
-/// touching another core — the claimed bank clones to install at commit.
-#[derive(Debug)]
-struct SpecAttempt<'p> {
-    /// The core's L1 as it was before the epoch (swap back on abort).
-    l1_before: CoreL1,
-    /// The replay scalars/cursor as they were before the epoch.
-    snap: ReplaySnapshot<'p>,
-    /// `Some` iff this core ran conflict-free to quantum end (or stream
-    /// exhaustion); `None` means the epoch must abort.
-    outcome: Option<SpecOutcome>,
-}
-
-/// The committable product of one core's conflict-free speculative run.
-#[derive(Debug)]
-struct SpecOutcome {
-    /// Bank index → mutated clone, for every bank this core claimed.
-    /// Installed wholesale at commit; dropped on abort (the originals
-    /// were never touched).
-    banks: Vec<Option<(LevelBank, BankExt)>>,
-    /// Batch size of each weave turn that retired transactions, in turn
-    /// order — replayed into the telemetry batch-size histogram at
-    /// commit, exactly as the serial weave would have recorded them.
-    turn_sizes: Vec<u32>,
-}
-
-/// Claim-table word meaning "no core has claimed this bank".
-const SPEC_FREE: u64 = u64::MAX;
-
-/// Deterministic speculation backoff: after this many consecutive
-/// aborted epochs, stop attempting speculation…
-const SPEC_STREAK_LIMIT: u64 = 3;
-
-/// …except every this-many quanta, to probe whether the workload's
-/// sharing phase has passed. Both constants are part of the
-/// deterministic schedule, so `spec_streak` is checkpointed with the
-/// runtime counters.
-const SPEC_RETRY_PERIOD: u64 = 64;
-
-/// State shared between the main thread and the workers for speculative
-/// weave epochs (DESIGN.md §15). Created once per run; the bank slots
-/// are populated (lent from the hierarchy) only while a `SpecWeave`
-/// phase is in flight, and the *originals* in them are never mutated —
-/// claiming a bank hands the worker a clone.
-struct SpecShared {
-    /// One claim word per bank: [`SPEC_FREE`] or the claiming core.
-    claims: Vec<AtomicU64>,
-    /// The lent banks. A worker locks a slot only long enough to clone
-    /// it, and only after winning the CAS on the matching claim word.
-    banks: Vec<Mutex<Option<(LevelBank, BankExt)>>>,
-    /// Raised at the first conflict (claim collision, remote sharer, or
-    /// a non-speculable op); workers poll it between turns to cut the
-    /// epoch short. Advisory for early exit — the commit decision
-    /// re-derives abort from the per-core outcomes, which is
-    /// schedule-independent (DESIGN.md §15).
-    abort: AtomicBool,
-    hcfg: HierarchyConfig,
-    ccfg: CoherenceConfig,
-    weave_batch: u32,
-}
-
-impl SpecShared {
-    fn new(banks: usize, hcfg: HierarchyConfig, ccfg: CoherenceConfig, weave_batch: u32) -> Self {
-        Self {
-            claims: (0..banks).map(|_| AtomicU64::new(SPEC_FREE)).collect(),
-            banks: (0..banks).map(|_| Mutex::new(None)).collect(),
-            abort: AtomicBool::new(false),
-            hcfg,
-            ccfg,
-            weave_batch,
-        }
-    }
 }
 
 /// Run-loop state restored from a checkpoint: the deterministic runtime
@@ -727,9 +515,6 @@ struct ResumeSeed {
     rt: RuntimeStats,
     quantum: f64,
     quantum_end: f64,
-    /// Consecutive aborted speculative epochs at the boundary — the
-    /// backoff state the attempt schedule depends on (DESIGN.md §15).
-    spec_streak: u64,
 }
 
 /// A checkpoint interval (in quanta) paired with the sink each captured
@@ -963,168 +748,6 @@ fn run_task_caught(
     }
 }
 
-/// Dispatches one speculative coherence transaction through the worker's
-/// private execution context — the [`MulticoreEngine::execute_op`]
-/// mirror. `None` aborts the epoch: the op needs another core's state
-/// (or, for CFORM-NT, every core's), which speculation cannot provide.
-fn spec_execute_op<F: FnMut(usize) -> Option<(LevelBank, BankExt)>>(
-    exec: &mut SpecExec<'_, F>,
-    op: TraceOp,
-    pc: u64,
-) -> Option<MemResult> {
-    match op {
-        TraceOp::Load { addr, size } => exec.load_quiet(addr, size as usize, pc),
-        TraceOp::Store { addr, size } => {
-            with_store_data(addr, size as usize, |data| exec.store(addr, data, pc))
-        }
-        TraceOp::Cform {
-            line_addr,
-            attrs,
-            mask,
-        } => {
-            let insn = CformInstruction::new(line_addr, attrs, mask);
-            exec.cform(&insn, pc)
-        }
-        // Non-temporal CFORMs invalidate every core's copy below the
-        // L1s: inherently cross-core, never speculable.
-        TraceOp::CformNt { .. } => None,
-        TraceOp::Exec(..) | TraceOp::MaskPush | TraceOp::MaskPop => {
-            unreachable!("local ops are consumed by the fast path")
-        }
-    }
-}
-
-/// One core's whole speculative weave for the epoch: the exact
-/// [`MulticoreEngine::weave_turn`] loop, run against the core's own L1
-/// and clones of CAS-claimed banks instead of the shared machine.
-/// Returns `Some` iff every transaction completed privately — in which
-/// case the core sits at quantum end (or stream exhaustion) with
-/// exactly the state and counters the serial weave would have produced,
-/// because with zero cross-core involvement the serial round-robin
-/// cannot interleave anything between this core's turns that affects it
-/// (DESIGN.md §15 has the argument). Any conflict returns `None` and
-/// raises the shared abort flag.
-fn spec_run<'p>(
-    core: usize,
-    task: &mut WorkerTask<'p>,
-    quantum_end: f64,
-    spec: &SpecShared,
-) -> Option<SpecOutcome> {
-    let claims = &spec.claims;
-    let bank_slots = &spec.banks;
-    let abort = &spec.abort;
-    let mut exec = SpecExec::new(
-        &spec.hcfg,
-        &spec.ccfg,
-        core,
-        claims.len(),
-        &mut task.l1,
-        |b| {
-            match claims[b].compare_exchange(
-                SPEC_FREE,
-                core as u64,
-                // analyze::order(AcqRel: a winning claim acquires the bank slot published by the pre-release Relaxed stores (ordered by the barrier release) and publishes the claim to every later CAS; loser sees it via the failure Acquire)
-                Ordering::AcqRel,
-                // analyze::order(Acquire: a failed CAS only needs to observe that some claim exists; the epoch aborts either way)
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    let g = lock_recover(&bank_slots[b]);
-                    // Clone, never take: the original must survive the
-                    // epoch untouched so an abort has nothing to undo.
-                    // analyze::allow(hot-path-unwrap): the commit point lends every bank before releasing SpecWeave, and a panic here is confined by spec_task_caught's catch_unwind — the epoch aborts and rolls back
-                    Some(g.as_ref().expect("bank lent for the epoch").clone())
-                }
-                Err(_) => {
-                    // analyze::order(Release: abort is a false→true latch; pairs with the Acquire polls in spec_run — a late observer merely aborts a turn later, and the commit point re-reads it after the barrier)
-                    abort.store(true, Ordering::Release);
-                    None
-                }
-            }
-        },
-    );
-    let replay = &mut task.replay;
-    let batch = spec.weave_batch;
-    // analyze::allow(hot-path-alloc): Vec::new() is capacity 0 and never allocates; growth is once per weave turn, not per op
-    let mut turn_sizes = Vec::new();
-    // The serial weave loop, collapsed to this core: round-robin turns
-    // of a conflict-free epoch never interact, so running this core's
-    // turns back-to-back retires the same transactions with the same
-    // counters. Mirror `weave_turn` statement for statement below.
-    loop {
-        // analyze::order(Acquire: pairs with the Release abort stores; seeing the latch late only delays the abort to the commit point, which decides after the barrier)
-        if abort.load(Ordering::Acquire) {
-            return None;
-        }
-        if replay.cycles >= quantum_end || replay.done() {
-            break;
-        }
-        let committed_before = replay.committed;
-        replay.run_quantum_local(exec.l1, quantum_end);
-        let mut progressed = replay.committed != committed_before;
-        let mut txns = 0u32;
-        while txns < batch && replay.cycles < quantum_end {
-            let Some(op) = replay.src.peek() else { break };
-            let pc = replay.pc + 1;
-            let Some(r) = spec_execute_op(&mut exec, op, pc) else {
-                // analyze::order(Release: same false→true abort latch; exact propagation timing is irrelevant to the commit decision)
-                abort.store(true, Ordering::Release);
-                return None;
-            };
-            replay.commit(&op, r);
-            progressed = true;
-            txns += 1;
-            replay.weave.transactions += 1;
-            let batched = txns > 1;
-            if batched {
-                replay.weave.batched += 1;
-            }
-            // `contended` is impossible here: remote involvement aborted
-            // inside `spec_execute_op` before the transaction committed.
-            exec.note_weave_txn(txn_line_addr(&op), batched);
-            replay.run_quantum_local(exec.l1, quantum_end);
-        }
-        if progressed {
-            replay.weave.turns += 1;
-        }
-        if txns > 0 {
-            turn_sizes.push(txns);
-        }
-        if !progressed {
-            break;
-        }
-    }
-    Some(SpecOutcome {
-        banks: exec.into_claimed(),
-        turn_sizes,
-    })
-}
-
-/// Runs one core's speculative epoch under `catch_unwind`, recording the
-/// rollback state first so the commit point can always restore the
-/// pre-epoch machine. A panic inside speculation is *not* pushed to the
-/// panic log: the epoch aborts, the rollback undoes every effect, and if
-/// the panic was a genuine engine fault the serial residue re-executes
-/// the same op and surfaces it through the weave's own catch.
-fn spec_task_caught(core: usize, task: &mut WorkerTask<'_>, quantum_end: f64, spec: &SpecShared) {
-    let l1_before = task.l1.clone();
-    let snap = task.replay.snapshot();
-    let result = catch_unwind(AssertUnwindSafe(|| spec_run(core, task, quantum_end, spec)));
-    let outcome = match result {
-        Ok(outcome) => outcome,
-        Err(_) => {
-            // analyze::order(Release: abort latch on the panic path; the barrier's done handshake orders it before the commit point's read in any case)
-            spec.abort.store(true, Ordering::Release);
-            None
-        }
-    };
-    task.spec = Some(SpecAttempt {
-        l1_before,
-        snap,
-        outcome,
-    });
-}
-
 /// The persistent bound-phase worker loop: park at the barrier, run the
 /// lent task for the released quantum (up to the first op needing a
 /// coherence transaction), report done; repeat until stopped.
@@ -1140,10 +763,9 @@ fn worker_loop(
     slot: &Mutex<Option<WorkerTask<'_>>>,
     panics: &Mutex<Vec<WorkerPanic>>,
     fault: &FaultPlan,
-    spec: &SpecShared,
 ) {
     let mut seen = 0u64;
-    while let Some((quantum_end, phase)) = barrier.wait_for_phase(&mut seen) {
+    while let Some(quantum_end) = barrier.wait_for_quantum(&mut seen) {
         // `lock_recover` throughout: a poisoned slot means another thread
         // panicked mid-handoff; that root cause is (or is about to be)
         // recorded in the panic log and surfaced as a `WorkerPanic`, and
@@ -1151,14 +773,7 @@ fn worker_loop(
         // `worker_done` below and hang the barrier forever.
         let task = lock_recover(slot).take();
         if let Some(mut task) = task {
-            match phase {
-                BarrierPhase::Bound => {
-                    run_task_caught(core, &mut task, quantum_end, panics, fault);
-                }
-                BarrierPhase::SpecWeave => {
-                    spec_task_caught(core, &mut task, quantum_end, spec);
-                }
-            }
+            run_task_caught(core, &mut task, quantum_end, panics, fault);
             // Put the task back even after a panic (its state may be
             // mid-op, but the run is about to abort and only needs the
             // pieces accounted for).
@@ -1565,7 +1180,6 @@ impl MulticoreEngine {
         rt: &RuntimeStats,
         quantum: f64,
         quantum_end: f64,
-        spec_streak: u64,
     ) -> Vec<u8> {
         let mut w = ck::Wr::checkpoint();
 
@@ -1590,9 +1204,6 @@ impl MulticoreEngine {
         }
         w.u32(self.cfg.runtime.weave_batch);
         w.f64(self.cfg.quantum);
-        // Speculative-weave tail (readers treat absence as `false`, so
-        // pre-§15 checkpoints stay resumable without a version bump).
-        w.bool(self.cfg.runtime.speculative_weave);
         w.end_section(s);
 
         let s = w.begin_section(ck::SEC_CORE);
@@ -1626,13 +1237,6 @@ impl MulticoreEngine {
         w.u64(rt.contended_transactions);
         w.f64(quantum);
         w.f64(quantum_end);
-        // Speculative-weave tail: the epoch counters plus the backoff
-        // streak (absent in pre-§15 checkpoints ⇒ all zero on restore).
-        w.u64(rt.spec_epochs);
-        w.u64(rt.spec_commits);
-        w.u64(rt.spec_aborts);
-        w.u64(rt.spec_residue_transactions);
-        w.u64(spec_streak);
         w.end_section(s);
 
         let s = w.begin_section(ck::SEC_CURSOR);
@@ -1717,8 +1321,6 @@ impl MulticoreEngine {
         };
         let weave_batch = r.u32()?;
         let quantum0 = r.f64()?;
-        // Optional speculative-weave tail (absent in pre-§15 checkpoints).
-        let speculative_weave = if r.remaining() > 0 { r.bool()? } else { false };
         ck::consumed(&r, ck::SEC_CONFIG)?;
         if weave_batch == 0 {
             return Err(CheckpointError::Corrupt("weave batch of zero"));
@@ -1742,34 +1344,16 @@ impl MulticoreEngine {
         }
 
         let mut r = ck::require(&sections, ck::SEC_RUNTIME, "runtime counters")?;
-        let mut rt = RuntimeStats {
+        let rt = RuntimeStats {
             quanta: r.u64()?,
             barrier_waits: r.u64()?,
             weave_turns: r.u64()?,
             weave_transactions: r.u64()?,
             batched_transactions: r.u64()?,
             contended_transactions: r.u64()?,
-            spec_epochs: 0,
-            spec_commits: 0,
-            spec_aborts: 0,
-            spec_residue_transactions: 0,
         };
         let quantum = r.f64()?;
         let quantum_end = r.f64()?;
-        // Optional speculative-weave tail (absent in pre-§15 checkpoints).
-        let mut spec_streak = 0u64;
-        if r.remaining() > 0 {
-            rt.spec_epochs = r.u64()?;
-            rt.spec_commits = r.u64()?;
-            rt.spec_aborts = r.u64()?;
-            rt.spec_residue_transactions = r.u64()?;
-            spec_streak = r.u64()?;
-            if rt.spec_epochs != rt.spec_commits + rt.spec_aborts {
-                return Err(CheckpointError::Corrupt(
-                    "speculative epoch counters are inconsistent",
-                ));
-            }
-        }
         ck::consumed(&r, ck::SEC_RUNTIME)?;
         if !quantum.is_finite() || quantum <= 0.0 || !quantum_end.is_finite() || quantum_end <= 0.0
         {
@@ -1870,7 +1454,6 @@ impl MulticoreEngine {
             runtime: RuntimeConfig {
                 quantum_sizing,
                 weave_batch,
-                speculative_weave,
                 ..RuntimeConfig::default()
             },
             telemetry: false,
@@ -1889,7 +1472,6 @@ impl MulticoreEngine {
                 rt,
                 quantum,
                 quantum_end,
-                spec_streak,
             },
         ))
     }
@@ -1929,16 +1511,6 @@ impl MulticoreEngine {
         let slots: Vec<Mutex<Option<WorkerTask<'_>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let panics: Mutex<Vec<WorkerPanic>> = Mutex::new(Vec::new());
         let fault = self.cfg.fault;
-        // Speculative-weave plumbing (DESIGN.md §15): claim table, bank
-        // slots and the abort flag, created once per run like the
-        // barrier. Inert (never released to) unless the knob is on.
-        let spec_on = self.cfg.runtime.speculative_weave;
-        let spec = SpecShared::new(
-            self.hierarchy.banks(),
-            self.cfg.hierarchy,
-            self.cfg.coherence,
-            self.cfg.runtime.weave_batch,
-        );
 
         let run_result: Result<(), RunError> = std::thread::scope(|scope| {
             if use_threads {
@@ -1946,8 +1518,7 @@ impl MulticoreEngine {
                     let barrier = &barrier;
                     let panics = &panics;
                     let fault = &fault;
-                    let spec = &spec;
-                    scope.spawn(move || worker_loop(core, barrier, slot, panics, fault, spec));
+                    scope.spawn(move || worker_loop(core, barrier, slot, panics, fault));
                 }
             }
 
@@ -1956,14 +1527,10 @@ impl MulticoreEngine {
                 QuantumSizing::Adaptive { min, max } => (self.cfg.quantum, min, max),
             };
             let mut quantum_end = quantum;
-            // Consecutive aborted epochs — the deterministic speculation
-            // backoff state (checkpointed, so resume stays bit-identical).
-            let mut spec_streak = 0u64;
             if let Some(s) = &seed {
                 rt = s.rt;
                 quantum = s.quantum;
                 quantum_end = s.quantum_end;
-                spec_streak = s.spec_streak;
             }
 
             loop {
@@ -1982,7 +1549,6 @@ impl MulticoreEngine {
                         l1: self.hierarchy.take_l1(c),
                         track: tel.as_mut().and_then(|t| t.tracks[c].take()),
                         quantum: rt.quanta,
-                        spec: None,
                     };
                     *lock_recover(slot) = Some(task);
                 }
@@ -2022,49 +1588,6 @@ impl MulticoreEngine {
                 }
                 let t2 = Instant::now();
 
-                // Speculative weave epoch (DESIGN.md §15): lend the
-                // banks, reset the claim table, release the workers a
-                // second time. Whether to attempt is a pure function of
-                // checkpointed state (`spec_streak`, `rt.quanta`), so
-                // the schedule of attempts is deterministic; single-core
-                // runs skip it outright (nobody to overlap with, and no
-                // workers to release).
-                let spec_attempted = spec_on
-                    && use_threads
-                    && (spec_streak < SPEC_STREAK_LIMIT || rt.quanta % SPEC_RETRY_PERIOD == 0);
-                if spec_attempted {
-                    rt.spec_epochs += 1;
-                    let (banks, exts) = self.hierarchy.take_banks();
-                    for (b, (bank, ext)) in banks.into_iter().zip(exts).enumerate() {
-                        // analyze::order(Relaxed: single-threaded pre-release reset; release_phase's barrier publishes it to every worker before SpecWeave starts)
-                        spec.claims[b].store(SPEC_FREE, Ordering::Relaxed);
-                        *lock_recover(&spec.banks[b]) = Some((bank, ext));
-                    }
-                    // analyze::order(Relaxed: same single-threaded reset, published by the barrier release below)
-                    spec.abort.store(false, Ordering::Relaxed);
-                    barrier.release_phase(n, quantum_end, BarrierPhase::SpecWeave);
-                    match self.cfg.runtime.watchdog {
-                        None => barrier.wait_all_done(),
-                        Some(deadline) => {
-                            if let Err(err) = barrier.wait_all_done_deadline(deadline) {
-                                let core = match err {
-                                    BarrierWaitError::Stalled(cores) => {
-                                        cores.first().copied().unwrap_or(0)
-                                    }
-                                    BarrierWaitError::TornDown => 0,
-                                };
-                                barrier.tear_down();
-                                return Err(RunError::Stall(WorkerStall {
-                                    core,
-                                    phase: "speculative weave",
-                                    quantum: rt.quanta,
-                                }));
-                            }
-                        }
-                    }
-                }
-                let t2s = Instant::now();
-
                 // Reclaim the machine for the weave. An empty slot (the
                 // worker failed to return its task — only reachable
                 // through a handoff bug or a panic between take and
@@ -2072,11 +1595,9 @@ impl MulticoreEngine {
                 // `WorkerPanic` below, after the panic log has been
                 // consulted for the likelier root cause.
                 let mut missing_slot: Option<usize> = None;
-                let mut attempts: Vec<Option<SpecAttempt<'_>>> = (0..n).map(|_| None).collect();
                 for (c, slot) in slots.iter().enumerate() {
                     match lock_recover(slot).take() {
-                        Some(mut task) => {
-                            attempts[c] = task.spec.take();
+                        Some(task) => {
                             self.hierarchy.put_l1(c, task.l1);
                             replays[c] = Some(task.replay);
                             if let (Some(t), Some(track)) = (tel.as_mut(), task.track) {
@@ -2129,105 +1650,13 @@ impl MulticoreEngine {
                     .into());
                 }
 
-                // Speculative commit point (DESIGN.md §15) — single
-                // threaded, every worker quiesced. The epoch commits iff
-                // every core ran conflict-free; the predicate depends
-                // only on which (core, bank) pairs were touched, not on
-                // how the workers were scheduled, so the decision — and
-                // with it every committed counter — is deterministic.
-                let mut spec_committed = false;
-                if spec_attempted {
-                    // analyze::order(Acquire: pairs with the workers' Release abort stores; wait_all_done already ordered every worker's epoch before this read)
-                    let conflict_free = !spec.abort.load(Ordering::Acquire)
-                        && attempts
-                            .iter()
-                            .all(|a| a.as_ref().is_some_and(|a| a.outcome.is_some()));
-                    let mut banks = Vec::with_capacity(spec.banks.len());
-                    let mut exts = Vec::with_capacity(spec.banks.len());
-                    if conflict_free {
-                        // Commit wholesale: merge each core's weave-tally
-                        // delta in core order, then rebuild the bank
-                        // array in bank order — claimed banks from the
-                        // winners' clones, the rest from the untouched
-                        // originals.
-                        rt.spec_commits += 1;
-                        spec_streak = 0;
-                        spec_committed = true;
-                        let mut committed: Vec<Option<(LevelBank, BankExt)>> =
-                            (0..spec.banks.len()).map(|_| None).collect();
-                        for (c, a) in attempts.iter_mut().enumerate() {
-                            let a = a.as_mut().expect("conflict-free epoch has every attempt");
-                            let outcome = a
-                                .outcome
-                                .take()
-                                .expect("conflict-free epoch has every outcome");
-                            let core = replays[c].as_ref().expect("replay present between quanta");
-                            rt.weave_turns += core.weave.turns - a.snap.weave.turns;
-                            rt.weave_transactions +=
-                                core.weave.transactions - a.snap.weave.transactions;
-                            rt.batched_transactions += core.weave.batched - a.snap.weave.batched;
-                            // `contended` delta is zero by construction:
-                            // remote involvement aborts the epoch.
-                            if let Some(t) = tel.as_mut() {
-                                for &s in &outcome.turn_sizes {
-                                    t.weave_batch_sizes.record(u64::from(s));
-                                }
-                            }
-                            for (b, clone) in outcome.banks.into_iter().enumerate() {
-                                if let Some(clone) = clone {
-                                    debug_assert!(
-                                        committed[b].is_none(),
-                                        "claim table kept bank sets disjoint"
-                                    );
-                                    committed[b] = Some(clone);
-                                }
-                            }
-                        }
-                        for (b, slot) in spec.banks.iter().enumerate() {
-                            let original =
-                                lock_recover(slot).take().expect("bank lent for the epoch");
-                            let (bank, ext) = committed[b].take().unwrap_or(original);
-                            banks.push(bank);
-                            exts.push(ext);
-                        }
-                    } else {
-                        // Abort: swap every core back to its pre-epoch
-                        // L1 and replay state, drop the clones, return
-                        // the (never-touched) originals. The serial
-                        // weave below then executes the whole epoch —
-                        // the residue — in its usual order.
-                        rt.spec_aborts += 1;
-                        spec_streak += 1;
-                        for (c, a) in attempts.iter_mut().enumerate() {
-                            if let Some(a) = a.take() {
-                                replays[c]
-                                    .as_mut()
-                                    .expect("replay present between quanta")
-                                    .rewind(a.snap);
-                                self.hierarchy.put_l1(c, a.l1_before);
-                            }
-                        }
-                        for slot in &spec.banks {
-                            let (bank, ext) =
-                                lock_recover(slot).take().expect("bank lent for the epoch");
-                            banks.push(bank);
-                            exts.push(ext);
-                        }
-                    }
-                    self.hierarchy.put_banks(banks, exts);
-                }
-
                 // Serial (weave) phase: deterministic round-robin. An
                 // engine panic here (e.g. an op that only ever reaches
                 // the weave, like a misaligned CFORM-NT) is part of the
                 // `try_run*` error contract too: catch it per turn,
                 // stop the barrier so the scope can join the parked
                 // workers, and surface it as the offending core's
-                // `WorkerPanic`. After a *committed* speculative epoch
-                // every core already sits at quantum end (or stream
-                // exhaustion), so the round below retires nothing and
-                // falls straight through.
-                let weave_txns_before = rt.weave_transactions;
+                // `WorkerPanic`.
                 let events_before = self.hierarchy.cross_core_events();
                 let mut quantum_weave_ns = 0u64;
                 loop {
@@ -2272,43 +1701,23 @@ impl MulticoreEngine {
                 }
                 let t4 = Instant::now();
 
-                // Transactions the serial phase executed after an
-                // aborted epoch are the residue — the re-executed work
-                // speculation failed to commit.
-                if spec_attempted && !spec_committed {
-                    rt.spec_residue_transactions += rt.weave_transactions - weave_txns_before;
-                }
-
-                timing.barrier_s += (t1 - t0).as_secs_f64() + (t3 - t2s).as_secs_f64();
+                timing.barrier_s += (t1 - t0).as_secs_f64() + (t3 - t2).as_secs_f64();
                 timing.bound_s += (t2 - t1).as_secs_f64();
-                timing.weave_s += (t2s - t2).as_secs_f64() + (t4 - t3).as_secs_f64();
+                timing.weave_s += (t4 - t3).as_secs_f64();
                 if let Some(t) = tel.as_mut() {
                     // Whole-machine phase spans on the `runtime` track,
                     // plus this quantum's weave sample.
                     let bound_ns = (t2 - t1).as_nanos() as u64;
-                    let spec_ns = (t2s - t2).as_nanos() as u64;
                     let weave_ns = (t4 - t3).as_nanos() as u64;
-                    let reclaim_ns = (t3 - t2s).as_nanos() as u64;
+                    let reclaim_ns = (t3 - t2).as_nanos() as u64;
                     t.runtime_track
                         .record(Phase::Bound, rt.quanta, t1n, bound_ns);
-                    if spec_attempted {
-                        t.runtime_track.record(
-                            Phase::SpecWeave,
-                            rt.quanta,
-                            t1n + bound_ns,
-                            spec_ns,
-                        );
-                    }
-                    t.runtime_track.record(
-                        Phase::Barrier,
-                        rt.quanta,
-                        t1n + bound_ns + spec_ns,
-                        reclaim_ns,
-                    );
+                    t.runtime_track
+                        .record(Phase::Barrier, rt.quanta, t1n + bound_ns, reclaim_ns);
                     t.runtime_track.record(
                         Phase::Weave,
                         rt.quanta,
-                        t1n + bound_ns + spec_ns + reclaim_ns,
+                        t1n + bound_ns + reclaim_ns,
                         weave_ns,
                     );
                     t.push_quantum_weave(quantum_weave_ns);
@@ -2357,13 +1766,7 @@ impl MulticoreEngine {
                 // model-checked in `califorms-analyze`.
                 if let Some((k, sink)) = checkpoint.as_mut() {
                     if rt.quanta % *k == 0 {
-                        sink(self.capture_checkpoint(
-                            &replays,
-                            &rt,
-                            quantum,
-                            quantum_end,
-                            spec_streak,
-                        ));
+                        sink(self.capture_checkpoint(&replays, &rt, quantum, quantum_end));
                     }
                 }
             }
@@ -2766,14 +2169,8 @@ mod tests {
         assert!(slot.is_poisoned());
         let panics: Mutex<Vec<WorkerPanic>> = Mutex::new(Vec::new());
         let fault = FaultPlan::default();
-        let spec = SpecShared::new(
-            1,
-            HierarchyConfig::westmere(),
-            CoherenceConfig::westmere(),
-            1,
-        );
         std::thread::scope(|scope| {
-            scope.spawn(|| worker_loop(0, &barrier, &slot, &panics, &fault, &spec));
+            scope.spawn(|| worker_loop(0, &barrier, &slot, &panics, &fault));
             barrier.release(1, 10_000.0);
             barrier.wait_all_done();
             barrier.stop();

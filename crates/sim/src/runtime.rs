@@ -89,17 +89,6 @@ pub struct RuntimeConfig {
     /// clock only — the deadline never perturbs simulated state, so runs
     /// that finish under it stay bit-identical to unwatched runs.
     pub watchdog: Option<Duration>,
-    /// Execute weave-phase coherence transactions speculatively in
-    /// parallel on the bound-phase workers (DESIGN.md §15): each worker
-    /// CAS-claims the banks its transactions touch, executes against
-    /// bank clones, and a single-threaded commit point installs the
-    /// epoch wholesale when every stream stayed private and the claims
-    /// were disjoint — otherwise the whole epoch is rolled back and
-    /// re-executed through the serial round-robin weave. Outcomes are
-    /// bit-identical to the serial weave either way (only the
-    /// `spec_*` counters in [`RuntimeStats`] record that speculation
-    /// happened); the knob exists so the oracle can diff the two paths.
-    pub speculative_weave: bool,
 }
 
 impl RuntimeConfig {
@@ -118,7 +107,6 @@ impl Default for RuntimeConfig {
             quantum_sizing: QuantumSizing::Fixed,
             weave_batch: Self::DEFAULT_WEAVE_BATCH,
             watchdog: Some(Self::DEFAULT_WATCHDOG),
-            speculative_weave: false,
         }
     }
 }
@@ -147,39 +135,6 @@ pub struct RuntimeStats {
     /// `weave_transactions − contended_transactions` is the private
     /// traffic the weave merely orders, rather than arbitrates.
     pub contended_transactions: u64,
-    /// Quanta in which the speculative weave was attempted
-    /// ([`RuntimeConfig::speculative_weave`]). Always
-    /// `spec_commits + spec_aborts`. Deterministic: whether an epoch is
-    /// attempted and whether it commits are functions of simulated state
-    /// only (claim disjointness and stream privacy are
-    /// schedule-independent — DESIGN.md §15).
-    pub spec_epochs: u64,
-    /// Speculative epochs committed wholesale (every stream private,
-    /// bank claims pairwise disjoint): the serial weave was skipped.
-    pub spec_commits: u64,
-    /// Speculative epochs rolled back to the serial round-robin weave.
-    pub spec_aborts: u64,
-    /// Weave transactions re-executed serially as the residue of an
-    /// aborted speculative epoch (a subset of `weave_transactions`).
-    pub spec_residue_transactions: u64,
-}
-
-impl RuntimeStats {
-    /// This stats block with the `spec_*` counters zeroed — the fields a
-    /// speculative and a serial run of the same workload must agree on.
-    /// The speculative weave changes *whether* epochs were attempted
-    /// (recorded in `spec_*`), never what the machine computed, so the
-    /// differential oracle compares `without_spec()` across the two
-    /// paths and the full struct within one path.
-    pub fn without_spec(&self) -> Self {
-        Self {
-            spec_epochs: 0,
-            spec_commits: 0,
-            spec_aborts: 0,
-            spec_residue_transactions: 0,
-            ..*self
-        }
-    }
 }
 
 /// Host wall-clock spent per phase — the breakdown the bench bins emit so
@@ -213,20 +168,6 @@ pub(crate) enum BarrierWaitError {
     TornDown,
 }
 
-/// Which phase a barrier release starts on the workers. One simulated
-/// quantum crosses the barrier once ([`BarrierPhase::Bound`]) on plain
-/// runs and twice (`Bound` then [`BarrierPhase::SpecWeave`]) when the
-/// speculative weave is on — the second release runs the optimistic
-/// weave streams on the same parked workers before the main thread's
-/// single-threaded commit point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BarrierPhase {
-    /// Parallel replay of local-completable ops against private L1s.
-    Bound,
-    /// Speculative parallel weave against per-bank claims.
-    SpecWeave,
-}
-
 /// State published through the quantum barrier.
 #[derive(Debug)]
 struct BarrierState {
@@ -235,8 +176,6 @@ struct BarrierState {
     epoch: u64,
     /// Quantum boundary (cycles) for the current epoch.
     quantum_end: f64,
-    /// Phase the current epoch runs on the workers.
-    phase: BarrierPhase,
     /// Per-worker flag: `true` while that worker is still executing the
     /// current bound phase. Tracking workers individually (rather than a
     /// bare count) lets a deadline expiry *name* the stalled cores, and
@@ -268,7 +207,6 @@ impl QuantumBarrier {
             state: Mutex::new(BarrierState {
                 epoch: 0,
                 quantum_end: 0.0,
-                phase: BarrierPhase::Bound,
                 pending: Vec::new(),
                 stop: false,
                 torn_down: false,
@@ -279,16 +217,15 @@ impl QuantumBarrier {
     }
 
     /// Worker side: parks until the main thread publishes an epoch newer
-    /// than `*seen` — returning that epoch's `quantum_end` and which
-    /// phase the release starts (bound replay or the speculative weave's
-    /// parallel leg) — or requests shutdown (returning `None`).
+    /// than `*seen` (returning that epoch's `quantum_end`) or requests
+    /// shutdown (returning `None`).
     ///
     /// All barrier methods recover from a poisoned state mutex via
     /// [`lock_recover`]: a poison flag here means another thread already
     /// panicked (and that panic is surfaced as a `WorkerPanic` by the
     /// engine), so a nested "barrier poisoned" panic would only obscure
     /// the root cause and wedge the surviving workers.
-    pub(crate) fn wait_for_phase(&self, seen: &mut u64) -> Option<(f64, BarrierPhase)> {
+    pub(crate) fn wait_for_quantum(&self, seen: &mut u64) -> Option<f64> {
         let mut g = lock_recover(&self.state);
         loop {
             if g.stop {
@@ -296,7 +233,7 @@ impl QuantumBarrier {
             }
             if g.epoch != *seen {
                 *seen = g.epoch;
-                return Some((g.quantum_end, g.phase));
+                return Some(g.quantum_end);
             }
             g = self.start.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
@@ -323,20 +260,12 @@ impl QuantumBarrier {
     /// by `quantum_end`. No-op after [`Self::tear_down`] — a retired
     /// barrier never starts another quantum.
     pub(crate) fn release(&self, workers: usize, quantum_end: f64) {
-        self.release_phase(workers, quantum_end, BarrierPhase::Bound);
-    }
-
-    /// Main side: [`Self::release`] with an explicit phase — the
-    /// speculative weave releases the same workers a second time per
-    /// quantum with [`BarrierPhase::SpecWeave`].
-    pub(crate) fn release_phase(&self, workers: usize, quantum_end: f64, phase: BarrierPhase) {
         let mut g = lock_recover(&self.state);
         if g.torn_down {
             return;
         }
         g.epoch += 1;
         g.quantum_end = quantum_end;
-        g.phase = phase;
         g.pending.clear();
         g.pending.resize(workers, true);
         drop(g);
@@ -455,7 +384,7 @@ mod tests {
         barrier.wait_all_done();
         barrier.stop();
         let mut seen = 0u64;
-        assert_eq!(barrier.wait_for_phase(&mut seen), None, "stop wins");
+        assert_eq!(barrier.wait_for_quantum(&mut seen), None, "stop wins");
     }
 
     #[test]
@@ -468,9 +397,8 @@ mod tests {
             for core in 0..workers {
                 scope.spawn(move || {
                     let mut seen = 0u64;
-                    while let Some((end, phase)) = barrier.wait_for_phase(&mut seen) {
+                    while let Some(end) = barrier.wait_for_quantum(&mut seen) {
                         assert!(end > 0.0);
-                        assert_eq!(phase, BarrierPhase::Bound);
                         ticks.fetch_add(1, Ordering::Relaxed);
                         barrier.worker_done(core);
                     }
@@ -535,7 +463,11 @@ mod tests {
         // Releasing a retired barrier is refused...
         barrier.release(2, 20_000.0);
         let mut seen = 0u64;
-        assert_eq!(barrier.wait_for_phase(&mut seen), None, "workers see stop");
+        assert_eq!(
+            barrier.wait_for_quantum(&mut seen),
+            None,
+            "workers see stop"
+        );
         // ...and both wait entry points return typed errors immediately
         // instead of blocking on workers that will never come back.
         assert_eq!(

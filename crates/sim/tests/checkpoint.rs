@@ -1,5 +1,5 @@
 //! Negative-path tests of the checkpoint format: every class of
-//! corruption — bad magic, future version, truncation at any byte,
+//! corruption — bad magic, wrong version, truncation at any byte,
 //! checksum mismatch, section-length lies, framing garbage, wrong
 //! engine kind, wrong pack — must surface as a typed
 //! [`CheckpointError`], never a panic, through **both** resume entry
@@ -123,13 +123,18 @@ fn corrupted_magic_is_bad_magic_on_both_engines() {
 
 #[test]
 fn future_version_is_rejected_with_the_version() {
+    // Any version but the current one is refused: older ones too, since
+    // checkpoints are run-local and never migrated.
     let pack = pack();
-    let mut bytes = single_checkpoint(&pack);
-    bytes[4] = VERSION + 3;
-    reseal(&mut bytes);
-    match single_err(&pack, &bytes) {
-        CheckpointError::UnsupportedVersion(v) => assert_eq!(v, VERSION + 3),
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    let valid = single_checkpoint(&pack);
+    for version in [0, VERSION - 1, VERSION + 3] {
+        let mut bytes = valid.clone();
+        bytes[4] = version;
+        reseal(&mut bytes);
+        match single_err(&pack, &bytes) {
+            CheckpointError::UnsupportedVersion(v) => assert_eq!(v, version),
+            other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
+        }
     }
 }
 

@@ -1,11 +1,12 @@
 //! Integration tests of the parallel replay runtime (DESIGN.md §10):
 //! bit-identical determinism across quantum sizes (fixed, short,
 //! adaptive) and weave batching depths, per-core pack replay
-//! equivalence, and the zero-cross-core-coherence guarantee for
-//! disjoint working sets.
+//! equivalence, the zero-cross-core-coherence guarantee for disjoint
+//! working sets, and recorded constants that pin the weave's simulated
+//! results across commits.
 
 use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine, MulticoreOutcome};
-use califorms_sim::{QuantumSizing, TraceOp, TracePack, LINE_BYTES};
+use califorms_sim::{CoherenceStats, QuantumSizing, TraceOp, TracePack, LINE_BYTES};
 
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
@@ -229,6 +230,149 @@ fn fast_forward_handles_a_trace_landing_exactly_on_the_boundary() {
     let out = MulticoreEngine::new(cfg).run(shards);
     assert_eq!(out.stats.runtime.quanta, 2);
     assert_eq!(out.stats.combined.cycles, 2_000.0);
+}
+
+/// Simulated numbers of one serial-weave replay of `chaotic_shards`.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    cycles_bits: u64,
+    core_cycles_bits: Vec<u64>,
+    /// `[quanta, barrier_waits, weave_turns, weave_transactions,
+    /// batched_transactions, contended_transactions]`.
+    runtime: [u64; 6],
+    coherence: CoherenceStats,
+    spills: u64,
+    fills: u64,
+    exceptions_delivered: u64,
+}
+
+impl Pinned {
+    fn of(out: &MulticoreOutcome) -> Self {
+        let rt = &out.stats.runtime;
+        Self {
+            cycles_bits: out.stats.combined.cycles.to_bits(),
+            core_cycles_bits: out
+                .stats
+                .per_core
+                .iter()
+                .map(|c| c.cycles.to_bits())
+                .collect(),
+            runtime: [
+                rt.quanta,
+                rt.barrier_waits,
+                rt.weave_turns,
+                rt.weave_transactions,
+                rt.batched_transactions,
+                rt.contended_transactions,
+            ],
+            coherence: out.stats.combined.coherence,
+            spills: out.stats.combined.spills,
+            fills: out.stats.combined.fills,
+            exceptions_delivered: out.stats.combined.exceptions_delivered,
+        }
+    }
+}
+
+/// Pins the serial weave's simulated results as constants, so they are
+/// compared across commits and not only between two runs of one build:
+/// a refactor of the runtime, the weave or the MESI machine that shifts
+/// a single cycle or counter fails here. The constants were recorded
+/// with the round-robin weave at 2 and 4 cores × weave batch {1, 64}.
+#[test]
+fn serial_weave_results_match_recorded_constants() {
+    let cases: [(u64, u32, Pinned); 4] = [
+        (
+            2,
+            1,
+            Pinned {
+                cycles_bits: 0x40ef_b184_cccc_cd51,
+                core_cycles_bits: vec![0x40ef_b184_cccc_cd51, 0x40ef_72cb_3333_33b0],
+                runtime: [7, 14, 3462, 3461, 0, 2625],
+                coherence: CoherenceStats {
+                    invalidations: 1577,
+                    upgrades_s_to_m: 939,
+                    cache_to_cache_transfers: 1686,
+                    califormed_transfers: 1246,
+                    directory_lookups: 3461,
+                },
+                spills: 1247,
+                fills: 1252,
+                exceptions_delivered: 1054,
+            },
+        ),
+        (
+            2,
+            64,
+            Pinned {
+                cycles_bits: 0x40ef_a7c4_cccc_cd3f,
+                core_cycles_bits: vec![0x40ef_a7c4_cccc_cd3f, 0x40ef_138b_3333_33ad],
+                runtime: [7, 14, 2506, 3326, 821, 2493],
+                coherence: CoherenceStats {
+                    invalidations: 1498,
+                    upgrades_s_to_m: 897,
+                    cache_to_cache_transfers: 1595,
+                    califormed_transfers: 1156,
+                    directory_lookups: 3326,
+                },
+                spills: 1157,
+                fills: 1161,
+                exceptions_delivered: 1054,
+            },
+        ),
+        (
+            4,
+            1,
+            Pinned {
+                cycles_bits: 0x40ee_3b11_9999_9a01,
+                core_cycles_bits: vec![
+                    0x40ed_8538_0000_004a,
+                    0x40ed_acb1_9999_9a0f,
+                    0x40ee_3b11_9999_9a01,
+                    0x40ed_d616_6666_66ca,
+                ],
+                runtime: [7, 28, 9767, 9767, 0, 6866],
+                coherence: CoherenceStats {
+                    invalidations: 6547,
+                    upgrades_s_to_m: 1603,
+                    cache_to_cache_transfers: 4316,
+                    califormed_transfers: 3650,
+                    directory_lookups: 9767,
+                },
+                spills: 3650,
+                fills: 5693,
+                exceptions_delivered: 3613,
+            },
+        ),
+        (
+            4,
+            64,
+            Pinned {
+                cycles_bits: 0x40ee_0ad1_9999_9a0a,
+                core_cycles_bits: vec![
+                    0x40ed_dc5e_6666_66bc,
+                    0x40ed_848b_3333_33a8,
+                    0x40ee_0ad1_9999_9a0a,
+                    0x40ed_8896_6666_66c1,
+                ],
+                runtime: [7, 28, 6816, 9639, 2825, 6792],
+                coherence: CoherenceStats {
+                    invalidations: 6464,
+                    upgrades_s_to_m: 1569,
+                    cache_to_cache_transfers: 4265,
+                    califormed_transfers: 3604,
+                    directory_lookups: 9639,
+                },
+                spills: 3604,
+                fills: 5611,
+                exceptions_delivered: 3608,
+            },
+        ),
+    ];
+    for (cores, batch, want) in cases {
+        let cfg = MulticoreConfig::westmere(cores as usize).with_weave_batch(batch);
+        let out = MulticoreEngine::new(cfg).run(chaotic_shards(cores, 0xC0FFEE, 4_000));
+        assert_eq!(Pinned::of(&out), want, "{cores} cores, batch {batch}");
+    }
 }
 
 #[test]

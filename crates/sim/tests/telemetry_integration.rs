@@ -193,8 +193,7 @@ fn weave_breakdown_sums_match_the_aggregate_runtime_counters() {
     );
 }
 
-/// The weave-turn accounting invariants (DESIGN.md §15), asserted on
-/// both the serial and the speculative weave:
+/// The weave-turn accounting invariants:
 ///
 /// 1. `rt.weave_turns == Σ core.weave.turns` — every turn is tallied on
 ///    exactly one core.
@@ -209,53 +208,38 @@ fn weave_breakdown_sums_match_the_aggregate_runtime_counters() {
 ///    (turns may progress local replay without committing a txn).
 #[test]
 fn weave_turn_accounting_reconciles_across_all_views() {
-    for speculative in [false, true] {
-        let mut cfg = instrumented(4);
-        if speculative {
-            cfg = cfg.with_speculative_weave();
-        }
-        let out = MulticoreEngine::new(cfg).run(contended_shards(4, 6_000));
-        let rt = &out.stats.runtime;
-        let wb = &out.stats.weave;
-        let hist = &out
-            .telemetry
-            .as_ref()
-            .expect("telemetry enabled")
-            .weave_batch_sizes;
+    let out = MulticoreEngine::new(instrumented(4)).run(contended_shards(4, 6_000));
+    let rt = &out.stats.runtime;
+    let wb = &out.stats.weave;
+    let hist = &out
+        .telemetry
+        .as_ref()
+        .expect("telemetry enabled")
+        .weave_batch_sizes;
 
-        let core_turns: u64 = wb.per_core.iter().map(|c| c.turns).sum();
-        let core_txns: u64 = wb.per_core.iter().map(|c| c.transactions).sum();
-        let shard_txns: u64 = wb.per_shard.iter().map(|s| s.transactions).sum();
-        assert_eq!(core_turns, rt.weave_turns, "speculative={speculative}");
-        assert_eq!(
-            core_txns, rt.weave_transactions,
-            "speculative={speculative}"
-        );
-        assert_eq!(
-            shard_txns, rt.weave_transactions,
-            "speculative={speculative}"
-        );
-        assert_eq!(
-            hist.sum(),
-            u128::from(rt.weave_transactions),
-            "speculative={speculative}: every transaction is in one sample"
-        );
+    let core_turns: u64 = wb.per_core.iter().map(|c| c.turns).sum();
+    let core_txns: u64 = wb.per_core.iter().map(|c| c.transactions).sum();
+    let shard_txns: u64 = wb.per_shard.iter().map(|s| s.transactions).sum();
+    assert_eq!(core_turns, rt.weave_turns);
+    assert_eq!(core_txns, rt.weave_transactions);
+    assert_eq!(shard_txns, rt.weave_transactions);
+    assert_eq!(
+        hist.sum(),
+        u128::from(rt.weave_transactions),
+        "every transaction is in one sample"
+    );
 
-        let nonempty_turns = rt.weave_transactions - rt.batched_transactions;
-        assert_eq!(
-            hist.count(),
-            nonempty_turns,
-            "speculative={speculative}: one sample per non-empty turn"
-        );
-        assert!(
-            nonempty_turns <= rt.weave_turns,
-            "speculative={speculative}: non-empty turns are a subset of turns"
-        );
-        assert!(
-            rt.weave_transactions > 0,
-            "speculative={speculative}: the workload must weave"
-        );
-    }
+    let nonempty_turns = rt.weave_transactions - rt.batched_transactions;
+    assert_eq!(
+        hist.count(),
+        nonempty_turns,
+        "one sample per non-empty turn"
+    );
+    assert!(
+        nonempty_turns <= rt.weave_turns,
+        "non-empty turns are a subset of turns"
+    );
+    assert!(rt.weave_transactions > 0, "the workload must weave");
 }
 
 #[test]

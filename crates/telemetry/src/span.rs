@@ -18,9 +18,6 @@ pub enum Phase {
     Bound,
     /// Serial weave phase: coherence transactions on the main thread.
     Weave,
-    /// Speculative weave epoch: optimistic parallel coherence
-    /// transactions on the workers (DESIGN.md §15).
-    SpecWeave,
     /// Barrier wait / quantum bookkeeping.
     Barrier,
     /// Trace-pack batch decode.
@@ -33,7 +30,6 @@ impl Phase {
         match self {
             Phase::Bound => "bound",
             Phase::Weave => "weave",
-            Phase::SpecWeave => "spec-weave",
             Phase::Barrier => "barrier",
             Phase::Decode => "decode",
         }

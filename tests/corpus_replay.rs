@@ -37,11 +37,11 @@ fn every_corpus_pack_agrees_with_the_oracle() {
     assert!(packs >= 5, "corpus is populated (found {packs} packs)");
 }
 
-/// The speculative-weave corpus matrix (DESIGN.md §15): every
-/// multi-core regression pack replays with the speculative weave at
-/// 2 and 4 cores × weave batches {1, 64}, each run required
-/// bit-identical to its serial twin *and* oracle-exact, including a
-/// checkpoint+resume replay at batch 64.
+/// The cross-core-count corpus matrix: every multi-core regression
+/// pack replays at 2 and 4 cores × weave batches {1, 64}, whatever core
+/// count it was generated for, each run oracle-exact, plus a
+/// checkpoint+resume replay at batch 64 that must be bit-identical to
+/// the straight-through run.
 ///
 /// Replaying a `-c4` pack at 2 cores is sound: the engine deals op `i`
 /// to core `i % cores` whatever the pack was generated for, the oracle
@@ -51,7 +51,7 @@ fn every_corpus_pack_agrees_with_the_oracle() {
 /// Single-core packs are excluded: their mask push/pop windows are not
 /// lane-balanced, so dealing them to lanes makes the stream invalid.
 #[test]
-fn multicore_corpus_packs_agree_speculatively_across_core_matrix() {
+fn multicore_corpus_packs_agree_across_core_matrix() {
     let mut checked = 0usize;
     for path in corpus_entries() {
         let Some(cores) = path
@@ -68,14 +68,13 @@ fn multicore_corpus_packs_agree_speculatively_across_core_matrix() {
         for replay_cores in [2usize, 4] {
             for batch in [1u32, 64] {
                 let cfg = DiffConfig {
-                    speculative: true,
                     resume_at: (batch == 64).then_some(2),
                     ..DiffConfig::multicore(replay_cores, batch)
                 };
                 let d = diff_pack(&pack, &[], &cfg);
                 assert!(
                     d.is_none(),
-                    "{} (speculative, {replay_cores} cores, batch {batch}): {}",
+                    "{} ({replay_cores} cores, batch {batch}): {}",
                     path.display(),
                     d.unwrap()
                 );

@@ -64,10 +64,10 @@ const RAND_IDENTS: &[&str] = &["thread_rng", "OsRng", "from_entropy", "getrandom
 /// (including the legacy name-heuristic hot-path scoping), apply
 /// suppressions.
 ///
-/// The workspace scan does NOT go through here: it calls [`lint_file`]
+/// The workspace scan does NOT go through here: it calls `lint_file`
 /// with `hot_heuristic = false` (the call-graph reachability pass owns
 /// hot-path lints there) and merges pass findings before
-/// [`apply_directives`].
+/// `apply_directives`.
 pub fn lint_source(ctx: &SourceContext<'_>, source: &str) -> LintOutcome {
     let toks = tokenize(source);
     let fl = lint_file(ctx, &toks, source, true);

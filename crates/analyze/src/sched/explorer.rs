@@ -2,7 +2,7 @@
 //!
 //! One execution = one set of real OS threads running the model closure
 //! under the baton protocol: a thread reaching a visible operation hands
-//! the decision to [`Controller::schedule_point`], which applies the
+//! the decision to `Controller::schedule_point`, which applies the
 //! operation's effects, consults the replay prefix / default policy /
 //! random stream for who runs next, and parks the caller until the baton
 //! comes back. The decision sequence of a finished execution is the DFS

@@ -52,7 +52,7 @@
 //!
 //! Usage:
 //! `cargo run --release --bin replay [--smoke] [--check] [--cores 2,4]
-//!  [--quantum N] [--adaptive] [--telemetry] [--metrics-out PATH]
+//!  [--quantum N] [--telemetry] [--metrics-out PATH]
 //!  [--trace-out PATH] [--telemetry-check] [steady_ops]`
 
 #![forbid(unsafe_code)]
@@ -110,7 +110,6 @@ struct ReplayReport {
     /// `size_of::<TraceOp>()`, computed at runtime.
     vec_bytes_per_op: f64,
     quantum: f64,
-    adaptive_quantum: bool,
     packed_vs_legacy_speedup: f64,
     rows: Vec<ReplayRow>,
 }
@@ -191,7 +190,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let check = args.iter().any(|a| a == "--check");
-    let adaptive = args.iter().any(|a| a == "--adaptive");
     let flag_value = |name: &str| -> Option<String> {
         args.iter()
             .position(|a| a == name)
@@ -214,14 +212,7 @@ fn main() {
     let telemetry_check = args.iter().any(|a| a == "--telemetry-check");
     let steady_ops = positional_number(&args).unwrap_or(if smoke { 100_000 } else { 2_000_000 });
 
-    let mc_config = |cores: usize| {
-        let cfg = MulticoreConfig::westmere(cores).with_quantum(quantum);
-        if adaptive {
-            cfg.with_adaptive_quantum()
-        } else {
-            cfg
-        }
-    };
+    let mc_config = |cores: usize| MulticoreConfig::westmere(cores).with_quantum(quantum);
 
     // The streaming workload: libquantum is the paper's most
     // stream-dominated benchmark, with spans installed so the califormed
@@ -238,13 +229,12 @@ fn main() {
     assert_eq!(pack.len_ops(), total_ops);
 
     println!(
-        "Replay throughput: {} ops ({} steady), pack {:.2} B/op vs {} B/op in Vec<TraceOp>, quantum {}{}",
+        "Replay throughput: {} ops ({} steady), pack {:.2} B/op vs {} B/op in Vec<TraceOp>, quantum {}",
         total_ops,
         steady_ops,
         pack.bytes_per_op(),
         std::mem::size_of::<TraceOp>(),
         quantum,
-        if adaptive { " (adaptive)" } else { "" },
     );
     println!();
     println!(
@@ -524,7 +514,6 @@ fn main() {
         pack_bytes_per_op: pack.bytes_per_op(),
         vec_bytes_per_op: std::mem::size_of::<TraceOp>() as f64,
         quantum,
-        adaptive_quantum: adaptive,
         packed_vs_legacy_speedup: packed_speedup,
         rows,
     };

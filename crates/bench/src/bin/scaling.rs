@@ -17,7 +17,7 @@
 //!
 //! Usage:
 //! `cargo run --release --bin scaling [--smoke] [--cores 1,2,4,8]
-//!  [--quantum N] [--adaptive] [ops_per_core]`
+//!  [--quantum N] [ops_per_core]`
 //!
 //! `--smoke` is the CI shape: fewer ops, 1/2/4 cores. The JSON lands in
 //! `target/experiment-results/scaling.json` and is uploaded as a CI
@@ -26,7 +26,7 @@
 #![forbid(unsafe_code)]
 
 use califorms_bench::{results_dir, write_json};
-use califorms_sim::{HierarchyConfig, QuantumSizing};
+use califorms_sim::HierarchyConfig;
 use califorms_workloads::{generate_mt, mt_config, run_mt_outcome, MtPattern, MtWorkloadConfig};
 use serde::Serialize;
 use std::time::Instant;
@@ -41,7 +41,6 @@ struct ScalingRow {
     /// Execution runtime identifier (`pool` = persistent worker pool).
     runtime: String,
     quantum: f64,
-    adaptive_quantum: bool,
     sim_ipc: f64,
     sim_cycles: f64,
     host_mops_per_s: f64,
@@ -87,7 +86,6 @@ fn positional_number(args: &[String]) -> Option<usize> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let adaptive = args.iter().any(|a| a == "--adaptive");
     let flag_value = |name: &str| -> Option<String> {
         args.iter()
             .position(|a| a == name)
@@ -142,9 +140,6 @@ fn main() {
             if let Some(q) = quantum {
                 cfg = cfg.with_quantum(q);
             }
-            if adaptive {
-                cfg = cfg.with_adaptive_quantum();
-            }
             let start = Instant::now();
             let out = run_mt_outcome(&w, cfg);
             let elapsed = start.elapsed().as_secs_f64();
@@ -155,10 +150,6 @@ fn main() {
                 threads: cores as u64,
                 runtime: "pool".to_string(),
                 quantum: cfg.quantum,
-                adaptive_quantum: matches!(
-                    cfg.runtime.quantum_sizing,
-                    QuantumSizing::Adaptive { .. }
-                ),
                 sim_ipc: stats.aggregate_ipc(),
                 sim_cycles: stats.combined.cycles,
                 host_mops_per_s: total_ops as f64 / elapsed / 1e6,

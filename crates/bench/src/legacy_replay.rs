@@ -24,10 +24,11 @@ use califorms_core::{
     fill, spill, AccessKind, CaliformsException, CformInstruction, CoreError, ExceptionKind,
     ExceptionMask, L1Line, L2Line,
 };
+use califorms_sim::cpu::MAX_RECORDED_EXCEPTIONS;
 use califorms_sim::engine::store_pattern;
 use califorms_sim::hierarchy::HierarchyConfig;
 use califorms_sim::stats::{CacheStats, SimStats};
-use califorms_sim::{line_base, line_offset, Engine, TraceOp, LINE_BYTES};
+use califorms_sim::{line_base, line_offset, TraceOp, LINE_BYTES};
 use std::collections::HashMap;
 
 // --- pre-overhaul set-associative cache (rotation LRU) ----------------
@@ -509,7 +510,7 @@ pub fn run_legacy(
         cycles += core.exec_cycles(1) + core.memory_stall(r.latency, l1_latency);
         if let Some(exc) = r.exception {
             if let Some(delivered) = mask.filter(exc) {
-                if exceptions.len() < Engine::MAX_RECORDED_EXCEPTIONS {
+                if exceptions.len() < MAX_RECORDED_EXCEPTIONS {
                     exceptions.push(delivered);
                 }
             }
@@ -533,6 +534,7 @@ pub fn run_legacy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use califorms_sim::Engine;
 
     /// The frozen baseline must stay semantically identical to the
     /// current engine — otherwise the throughput comparison is

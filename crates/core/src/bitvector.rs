@@ -116,7 +116,8 @@ impl L1Line {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::StoreToSecurityByte`] on a violation.
+    /// Returns [`CoreError::StoreToSecurityByte`](crate::CoreError::StoreToSecurityByte)
+    /// on a violation.
     ///
     /// # Panics
     ///

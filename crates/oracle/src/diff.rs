@@ -108,12 +108,6 @@ pub struct DiffConfig {
     /// require each resumed run to be bit-identical (stats, runtime and
     /// weave counters, exceptions) to the straight-through run.
     pub resume_at: Option<u64>,
-    /// Run the multi-core engine under the adaptive quantum controller
-    /// (`MulticoreConfig::with_adaptive_quantum`). Multi-core only.
-    /// Combined with [`Self::resume_at`] this pins that a checkpoint
-    /// restores the controller's *current* quantum, not the configured
-    /// one.
-    pub adaptive_quantum: bool,
 }
 
 impl Default for DiffConfig {
@@ -124,7 +118,6 @@ impl Default for DiffConfig {
             quantum: 10_000.0,
             fault: None,
             resume_at: None,
-            adaptive_quantum: false,
         }
     }
 }
@@ -150,13 +143,9 @@ impl DiffConfig {
 /// multi-core arm (straight-through, resume) builds its engine here so
 /// the knobs can never drift between arms.
 fn engine_config(cfg: &DiffConfig) -> MulticoreConfig {
-    let mut mc = MulticoreConfig::westmere(cfg.cores)
+    MulticoreConfig::westmere(cfg.cores)
         .with_weave_batch(cfg.weave_batch)
-        .with_quantum(cfg.quantum);
-    if cfg.adaptive_quantum {
-        mc = mc.with_adaptive_quantum();
-    }
-    mc
+        .with_quantum(cfg.quantum)
 }
 
 /// The first observed disagreement between the engine and the oracle.
@@ -934,23 +923,6 @@ mod tests {
                     "cores={cores} batch={batch}"
                 );
             }
-        }
-    }
-
-    /// Checkpoint+resume under the adaptive quantum controller: a
-    /// checkpoint taken mid-run must restore the controller's *current*
-    /// quantum (not the configured one), or every resumed run diverges
-    /// from the straight-through reference at the next boundary.
-    #[test]
-    fn resume_restores_adaptive_quantum_mid_run() {
-        let pack = TracePack::from_ops(sharing_ops(4));
-        for cores in [2usize, 4] {
-            let cfg = DiffConfig {
-                adaptive_quantum: true,
-                resume_at: Some(1),
-                ..DiffConfig::multicore(cores, 64)
-            };
-            assert_eq!(diff_pack(&pack, &[], &cfg), None, "cores={cores}");
         }
     }
 

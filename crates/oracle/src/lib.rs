@@ -21,11 +21,11 @@
 //! * [`model`] — [`FlatMemory`] + [`OracleCore`]: the reference
 //!   semantics (store/load/CFORM, zeroing invariant, exception at the
 //!   exact faulting byte, whitelist masks).
-//! * [`diff`] — [`diff_pack`](diff::diff_pack): replay a pack through
+//! * [`diff`] — [`diff_pack`]: replay a pack through
 //!   [`Engine`](califorms_sim::Engine) or
 //!   [`MulticoreEngine`](califorms_sim::MulticoreEngine) (any
 //!   quantum/weave-batch config) and the oracle, and report the first
-//!   [`Divergence`](diff::Divergence) in exceptions, final memory,
+//!   [`Divergence`] in exceptions, final memory,
 //!   blacklist state or counters. Supports mid-run DMA reads and page
 //!   swap cycles, and deliberate fault injection for testing the
 //!   harness itself.

@@ -158,7 +158,7 @@ impl OracleCore {
     }
 
     /// Delivered exceptions in program order, capped at
-    /// [`califorms_sim::Engine::MAX_RECORDED_EXCEPTIONS`] like the
+    /// [`califorms_sim::cpu::MAX_RECORDED_EXCEPTIONS`] like the
     /// engines' records.
     pub fn exceptions(&self) -> &[CaliformsException] {
         &self.exceptions
@@ -167,7 +167,7 @@ impl OracleCore {
     fn deliver(&mut self, exception: Option<CaliformsException>) {
         if let Some(exc) = exception {
             if let Some(delivered) = self.mask.filter(exc) {
-                if self.exceptions.len() < califorms_sim::Engine::MAX_RECORDED_EXCEPTIONS {
+                if self.exceptions.len() < califorms_sim::cpu::MAX_RECORDED_EXCEPTIONS {
                     self.exceptions.push(delivered);
                 }
             }

@@ -14,7 +14,7 @@
 //! The format follows the same discipline as `tracepack`:
 //!
 //! ```text
-//! header  := magic "CFCK" | version u8 (=2)
+//! header  := magic "CFCK" | version u8 (=3)
 //! section := tag u8 (!= 0xFF) | len u64 LE | payload[len]
 //! end     := 0xFF
 //! trailer := checksum u64 LE (FNV-1a over every preceding byte)
@@ -48,7 +48,7 @@ pub const MAGIC: [u8; 4] = *b"CFCK";
 /// Checkpoint format version. Checkpoints are run-local and never
 /// migrated, so the decoder reads exactly this version and rejects every
 /// other one, older or newer.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 /// End-of-sections marker tag.
 const TAG_END: u8 = 0xFF;
@@ -419,7 +419,7 @@ pub(crate) const SEC_CORE: u8 = 0x03;
 pub(crate) const SEC_HIERARCHY: u8 = 0x04;
 /// Multi-core coherent hierarchy state.
 pub(crate) const SEC_COHERENT: u8 = 0x05;
-/// Runtime counters + adaptive quantum state.
+/// Runtime counters + the end of the next quantum.
 pub(crate) const SEC_RUNTIME: u8 = 0x06;
 /// Replay cursor(s): one `ResumePoint` (+ ring leftovers) per lane.
 pub(crate) const SEC_CURSOR: u8 = 0x07;

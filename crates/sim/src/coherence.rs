@@ -208,42 +208,6 @@ impl CoreL1 {
         Some(MemResult::quiet(latency, exception))
     }
 
-    /// Completes a load entirely within this L1, or returns `None` if any
-    /// covered line is absent (the coherence path must run).
-    pub fn try_load(&mut self, addr: u64, len: usize, pc: u64) -> Option<MemResult> {
-        if !self.servable_locally(addr, len, false) {
-            return None;
-        }
-        let latency = self.cache.latency;
-        let mut data = Vec::with_capacity(len);
-        let mut exception = None;
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let e = self.cache.access(line_addr).expect("checked resident");
-            let r = e.line.load(offset, chunk);
-            data.extend_from_slice(&r.data);
-            if r.violation && exception.is_none() {
-                let first = r.violating_bytes.trailing_zeros() as u64;
-                exception = Some(CaliformsException {
-                    fault_addr: cur + first,
-                    access: AccessKind::Load,
-                    kind: ExceptionKind::SecurityByteAccess,
-                    pc,
-                });
-            }
-            cur += chunk as u64;
-        }
-        Some(MemResult {
-            latency,
-            data,
-            exception,
-        })
-    }
-
     /// Completes a store entirely within this L1, or returns `None` if any
     /// covered line is absent or lacks write permission.
     ///
@@ -516,9 +480,8 @@ impl CoherentHierarchy {
 
     /// Monotonic count of coherence events that involved more than one
     /// core (invalidations + cache-to-cache transfers). The weave uses
-    /// deltas of this to detect whether a transaction was contended, and
-    /// the adaptive quantum controller to measure a quantum's contention
-    /// — both purely simulated state.
+    /// deltas of this to detect whether a transaction was contended —
+    /// purely simulated state.
     pub(crate) fn cross_core_events(&self) -> u64 {
         self.coherence.invalidations + self.coherence.cache_to_cache_transfers
     }
@@ -657,7 +620,7 @@ impl CoherentHierarchy {
         if remote_owner.is_none() && remote_sharers == 0 {
             // No other core involved: the transaction touches only this
             // core's L1 and the line's own bank — the private case the
-            // weave batches and the adaptive quantum grows over.
+            // weave batches.
             entry.sharers = 1 << c;
             entry.owner = Some(c);
             let state = if write {
@@ -1292,13 +1255,13 @@ mod tests {
         let mut h = coh(2);
         h.load(0, 0x8000, 8, 0); // E in core 0
         let l1 = &mut h.l1s_mut()[0];
-        assert!(l1.try_load(0x8000, 8, 1).is_some());
+        assert!(l1.try_load_quiet(0x8000, 8, 1).is_some());
         assert!(l1.try_store(0x8000, &[1], 2).is_some(), "E is writable");
-        assert!(l1.try_load(0x9000, 8, 3).is_none(), "miss defers");
+        assert!(l1.try_load_quiet(0x9000, 8, 3).is_none(), "miss defers");
         // Demote to Shared via a second reader; local store must defer.
         h.load(1, 0x8000, 8, 4);
         let l1 = &mut h.l1s_mut()[0];
-        assert!(l1.try_load(0x8000, 8, 5).is_some());
+        assert!(l1.try_load_quiet(0x8000, 8, 5).is_some());
         assert!(l1.try_store(0x8000, &[2], 6).is_none(), "S is not writable");
     }
 

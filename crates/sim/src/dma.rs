@@ -7,7 +7,7 @@
 //!
 //! * a *califorms-aware* engine ([`DmaEngine::respecting`]) performs the
 //!   fill conversion and honours security bytes — the mitigation the
-//!   paper prescribes ("these mechanisms [must] always respect the
+//!   paper prescribes ("these mechanisms \[must\] always respect the
 //!   security byte semantics");
 //! * a *legacy* engine ([`DmaEngine::bypassing`]) copies raw bytes. The
 //!   tests demonstrate the two failure modes the paper warns about: the

@@ -2,14 +2,14 @@
 //! memory hierarchy, handling Califorms exceptions and whitelist masks.
 
 use crate::checkpoint::{self as ck, CheckpointError};
-use crate::cpu::CoreConfig;
+use crate::cpu::{CoreConfig, CoreState};
 use crate::hierarchy::{Hierarchy, HierarchyConfig};
 use crate::lsq::LoadStoreQueue;
 use crate::os::SwapManager;
 use crate::stats::SimStats;
 use crate::trace::TraceOp;
 use crate::tracepack::{self, ResumePoint, TracePack, TracePackReader, MAX_ACCESS_BYTES};
-use califorms_core::{CaliformsException, CformInstruction, ExceptionMask};
+use califorms_core::{CaliformsException, CformInstruction};
 
 /// Outcome of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,9 +17,7 @@ pub struct SimOutcome {
     /// Aggregate statistics.
     pub stats: SimStats,
     /// The delivered exceptions, in order, capped at
-    /// [`Engine::MAX_RECORDED_EXCEPTIONS`] (a real handler would have
-    /// terminated the program at the first one; attack experiments want a
-    /// few for inspection, not millions).
+    /// [`crate::cpu::MAX_RECORDED_EXCEPTIONS`].
     pub exceptions: Vec<CaliformsException>,
 }
 
@@ -29,36 +27,15 @@ pub struct Engine {
     /// The simulated memory hierarchy (public: attack simulations inspect
     /// and prod it directly).
     pub hierarchy: Hierarchy,
-    core: CoreConfig,
-    mask: ExceptionMask,
-    cycles: f64,
-    instructions: u64,
-    loads: u64,
-    stores: u64,
-    cforms: u64,
-    stores_suppressed: u64,
-    exceptions: Vec<CaliformsException>,
-    pc: u64,
+    core: CoreState,
 }
 
 impl Engine {
-    /// Exceptions recorded verbatim before only counting.
-    pub const MAX_RECORDED_EXCEPTIONS: usize = 1024;
-
     /// Builds an engine from hierarchy and core configurations.
     pub fn new(hcfg: HierarchyConfig, core: CoreConfig) -> Self {
         Self {
             hierarchy: Hierarchy::new(hcfg),
-            core,
-            mask: ExceptionMask::new(),
-            cycles: 0.0,
-            instructions: 0,
-            loads: 0,
-            stores: 0,
-            cforms: 0,
-            stores_suppressed: 0,
-            exceptions: Vec::new(),
-            pc: 0,
+            core: CoreState::new(core, hcfg.l1d_latency),
         }
     }
 
@@ -69,75 +46,32 @@ impl Engine {
 
     /// Executes one trace operation.
     pub fn step(&mut self, op: TraceOp) {
-        self.pc += 1;
-        self.instructions += op.instruction_count();
-        match op {
-            TraceOp::Exec(n) => {
-                self.cycles += self.core.exec_cycles(u64::from(n));
-            }
-            TraceOp::Load { addr, size } => {
-                self.loads += 1;
-                let r = self.hierarchy.load_quiet(addr, size as usize, self.pc);
-                self.account_memory(r.latency);
-                self.deliver(r.exception);
-            }
-            TraceOp::Store { addr, size } => {
-                self.stores += 1;
-                let (hierarchy, pc) = (&mut self.hierarchy, self.pc);
-                let r =
-                    with_store_data(addr, size as usize, |data| hierarchy.store(addr, data, pc));
-                self.account_memory(r.latency);
-                if r.exception.is_some() {
-                    self.stores_suppressed += 1;
-                }
-                self.deliver(r.exception);
-            }
+        let pc = self.core.pc + 1;
+        let r = match op {
+            TraceOp::Load { addr, size } => self.hierarchy.load_quiet(addr, size as usize, pc),
+            TraceOp::Store { addr, size } => with_store_data(addr, size as usize, |data| {
+                self.hierarchy.store(addr, data, pc)
+            }),
             TraceOp::Cform {
                 line_addr,
                 attrs,
                 mask,
-            } => {
-                self.cforms += 1;
-                let insn = CformInstruction::new(line_addr, attrs, mask);
-                let r = self.hierarchy.cform(&insn, self.pc);
-                self.account_memory(r.latency);
-                self.deliver(r.exception);
-            }
+            } => self
+                .hierarchy
+                .cform(&CformInstruction::new(line_addr, attrs, mask), pc),
             TraceOp::CformNt {
                 line_addr,
                 attrs,
                 mask,
-            } => {
-                self.cforms += 1;
-                let insn = CformInstruction::new(line_addr, attrs, mask);
-                let r = self.hierarchy.cform_nt(&insn, self.pc);
-                self.account_memory(r.latency);
-                self.deliver(r.exception);
+            } => self
+                .hierarchy
+                .cform_nt(&CformInstruction::new(line_addr, attrs, mask), pc),
+            TraceOp::Exec(..) | TraceOp::MaskPush | TraceOp::MaskPop => {
+                self.core.commit_local(op);
+                return;
             }
-            TraceOp::MaskPush => {
-                self.cycles += self.core.exec_cycles(1);
-                self.mask.push_allow_all();
-            }
-            TraceOp::MaskPop => {
-                self.cycles += self.core.exec_cycles(1);
-                self.mask.pop_window();
-            }
-        }
-    }
-
-    fn account_memory(&mut self, latency: u32) {
-        let l1 = self.hierarchy.config().l1d_latency;
-        self.cycles += self.core.exec_cycles(1) + self.core.memory_stall(latency, l1);
-    }
-
-    fn deliver(&mut self, exception: Option<CaliformsException>) {
-        if let Some(exc) = exception {
-            if let Some(delivered) = self.mask.filter(exc) {
-                if self.exceptions.len() < Self::MAX_RECORDED_EXCEPTIONS {
-                    self.exceptions.push(delivered);
-                }
-            }
-        }
+        };
+        self.core.commit_mem(&op, r);
     }
 
     /// Runs a whole trace to completion and returns the outcome.
@@ -259,32 +193,22 @@ impl Engine {
     /// Finalises the run (no flush: cache state is part of steady-state
     /// measurement, as with the paper's SimPoint regions).
     pub fn finish(self) -> SimOutcome {
-        let mut stats = SimStats {
-            cycles: self.cycles,
-            instructions: self.instructions,
-            loads: self.loads,
-            stores: self.stores,
-            cforms: self.cforms,
-            stores_suppressed: self.stores_suppressed,
-            exceptions_delivered: self.mask.delivered_count(),
-            exceptions_suppressed: self.mask.suppressed_count(),
-            ..SimStats::default()
-        };
+        let mut stats = self.core.stats();
         self.hierarchy.export_stats(&mut stats);
         SimOutcome {
             stats,
-            exceptions: self.exceptions,
+            exceptions: self.core.exceptions,
         }
     }
 
     /// Cycles accumulated so far (for incremental drivers).
     pub fn cycles(&self) -> f64 {
-        self.cycles
+        self.core.cycles
     }
 
     /// Exceptions delivered so far.
     pub fn delivered_exceptions(&self) -> &[CaliformsException] {
-        &self.exceptions
+        &self.core.exceptions
     }
 
     // --- checkpoint / resume ------------------------------------------
@@ -315,18 +239,10 @@ impl Engine {
         w.end_section(s);
         let s = w.begin_section(ck::SEC_CONFIG);
         ck::put_hier_config(&mut w, self.hierarchy.config());
-        ck::put_core_config(&mut w, &self.core);
+        ck::put_core_config(&mut w, &self.core.timing);
         w.end_section(s);
         let s = w.begin_section(ck::SEC_CORE);
-        w.u64(self.pc);
-        w.f64(self.cycles);
-        w.u64(self.instructions);
-        w.u64(self.loads);
-        w.u64(self.stores);
-        w.u64(self.cforms);
-        w.u64(self.stores_suppressed);
-        ck::put_mask(&mut w, &self.mask);
-        ck::put_exceptions(&mut w, &self.exceptions);
+        self.core.save(&mut w);
         w.end_section(s);
         let s = w.begin_section(ck::SEC_HIERARCHY);
         self.hierarchy.save_state(&mut w);
@@ -395,26 +311,15 @@ impl Engine {
         let core = ck::get_core_config(&mut r)?;
         ck::consumed(&r, ck::SEC_CONFIG)?;
 
-        let mut engine = Engine::new(hcfg, core);
         let mut r = ck::require(&sections, ck::SEC_CORE, "core")?;
-        engine.pc = r.u64()?;
-        engine.cycles = r.f64()?;
-        engine.instructions = r.u64()?;
-        engine.loads = r.u64()?;
-        engine.stores = r.u64()?;
-        engine.cforms = r.u64()?;
-        engine.stores_suppressed = r.u64()?;
-        engine.mask = ck::get_mask(&mut r)?;
-        engine.exceptions = ck::get_exceptions(&mut r)?;
-        if engine.exceptions.len() > Self::MAX_RECORDED_EXCEPTIONS {
-            return Err(CheckpointError::Corrupt(
-                "recorded exceptions exceed the engine cap",
-            ));
-        }
+        let core = CoreState::load(&mut r, core, hcfg.l1d_latency)?;
         ck::consumed(&r, ck::SEC_CORE)?;
 
         let mut r = ck::require(&sections, ck::SEC_HIERARCHY, "hierarchy")?;
-        engine.hierarchy = Hierarchy::restore_state(hcfg, &mut r)?;
+        let engine = Engine {
+            hierarchy: Hierarchy::restore_state(hcfg, &mut r)?,
+            core,
+        };
         ck::consumed(&r, ck::SEC_HIERARCHY)?;
 
         let mut r = ck::require(&sections, ck::SEC_CURSOR, "cursor")?;

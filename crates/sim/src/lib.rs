@@ -69,7 +69,7 @@ pub use multicore::{
     shard_ops, FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError,
     WorkerPanic, WorkerStall,
 };
-pub use runtime::{QuantumSizing, RuntimeConfig, RuntimeStats, RuntimeTiming};
+pub use runtime::{RuntimeConfig, RuntimeStats, RuntimeTiming};
 pub use stats::{CoherenceStats, MulticoreStats, SimStats};
 pub use trace::TraceOp;
 pub use tracepack::{TracePack, TracePackError, TracePackReader, TracePackWriter};

@@ -33,9 +33,7 @@
 //! `crates/sim/tests/multicore.rs` and
 //! `crates/sim/tests/parallel_runtime.rs`). The trade-off is unchanged
 //! from any bound-weave simulator: cross-core visibility is
-//! quantum-granular. The quantum length is fixed by default and may
-//! adapt to observed coherence traffic behind
-//! [`RuntimeConfig::quantum_sizing`].
+//! quantum-granular, at the fixed [`MulticoreConfig::quantum`].
 //!
 //! Packed traces replay without pre-sharding: [`MulticoreEngine::run_pack`]
 //! gives every worker its own [`PackDecoder`] lane over the same pack
@@ -46,19 +44,18 @@
 
 use crate::checkpoint::{self as ck, CheckpointError};
 use crate::coherence::{CoherenceConfig, CoherentHierarchy, CoreL1};
-use crate::cpu::CoreConfig;
+use crate::cpu::{CoreConfig, CoreState};
 use crate::engine::with_store_data;
 use crate::hierarchy::{HierarchyConfig, MemResult};
 use crate::runtime::{
-    lock_recover, BarrierWaitError, QuantumBarrier, QuantumSizing, RuntimeConfig, RuntimeStats,
-    RuntimeTiming, ADAPTIVE_SHRINK_THRESHOLD,
+    lock_recover, BarrierWaitError, QuantumBarrier, RuntimeConfig, RuntimeStats, RuntimeTiming,
 };
 use crate::stats::{
     CoreWeaveStats, MulticoreStats, ShardWeaveStats, SimStats, WeaveBreakdown, WeaveTimingBreakdown,
 };
 use crate::trace::TraceOp;
 use crate::tracepack::{PackDecoder, TracePack};
-use califorms_core::{CaliformsException, CformInstruction, ExceptionMask};
+use califorms_core::{CaliformsException, CformInstruction};
 use califorms_telemetry::{LogHistogram, Phase, TelemetryClock, TelemetryReport, TrackRecorder};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,8 +69,7 @@ pub struct MulticoreConfig {
     pub cores: usize,
     /// Quantum length in cycles. Coherence actions of one core become
     /// visible to the others' local fast paths at quantum boundaries;
-    /// shorter quanta interleave finer but synchronise more. Under
-    /// [`QuantumSizing::Adaptive`] this is the *initial* length.
+    /// shorter quanta interleave finer but synchronise more.
     pub quantum: f64,
     /// Geometry/latency of the shared hierarchy (per-core L1s use the
     /// L1D parameters; L2/L3/DRAM are shared). The `stream_prefetcher`
@@ -86,7 +82,7 @@ pub struct MulticoreConfig {
     pub coherence: CoherenceConfig,
     /// Core timing model, applied to every core.
     pub core: CoreConfig,
-    /// Parallel-runtime knobs (weave batching, quantum sizing).
+    /// Parallel-runtime knobs (weave batching, watchdog).
     pub runtime: RuntimeConfig,
     /// Record telemetry: per-core phase spans, latency histograms and the
     /// counter snapshot on [`MulticoreOutcome::telemetry`]. Off by
@@ -159,18 +155,9 @@ impl MulticoreConfig {
         self
     }
 
-    /// Same machine with a different (fixed) quantum length.
+    /// Same machine with a different quantum length.
     pub fn with_quantum(mut self, quantum: f64) -> Self {
         self.quantum = quantum;
-        self
-    }
-
-    /// Same machine with adaptive quantum sizing in `[quantum/8, 16·quantum]`.
-    pub fn with_adaptive_quantum(mut self) -> Self {
-        self.runtime.quantum_sizing = QuantumSizing::Adaptive {
-            min: self.quantum / 8.0,
-            max: self.quantum * 16.0,
-        };
         self
     }
 
@@ -210,7 +197,7 @@ pub struct MulticoreOutcome {
     /// including the [`RuntimeStats`] inside).
     pub stats: MulticoreStats,
     /// Delivered exceptions per core, in program order, capped at
-    /// [`crate::engine::Engine::MAX_RECORDED_EXCEPTIONS`] per core.
+    /// [`crate::cpu::MAX_RECORDED_EXCEPTIONS`] per core.
     pub exceptions: Vec<Vec<CaliformsException>>,
     /// Host wall-clock per phase — scheduling-dependent by nature, so
     /// deliberately *outside* [`Self::stats`] and every bit-identity
@@ -322,47 +309,25 @@ fn refill(
     }
 }
 
-/// Per-core replay state: the shard source, the core's clock and its
-/// architectural counters. Owned by exactly one worker thread during the
-/// parallel phase and by the main thread during the weave.
+/// Per-core replay state: the shard source, the core's architectural
+/// state and its weave counters. Owned by exactly one worker thread
+/// during the parallel phase and by the main thread during the weave.
 #[derive(Debug)]
 struct CoreReplay<'p> {
     id: usize,
     src: ShardSource<'p>,
-    core: CoreConfig,
-    l1d_latency: u32,
-    mask: ExceptionMask,
-    cycles: f64,
-    instructions: u64,
-    loads: u64,
-    stores: u64,
-    cforms: u64,
-    stores_suppressed: u64,
-    committed: u64,
-    exceptions: Vec<CaliformsException>,
-    pc: u64,
+    state: CoreState,
     /// Deterministic per-core weave counters (the per-core axis of
     /// [`WeaveBreakdown`]; bumped on the serial weave path only).
     weave: CoreWeaveStats,
 }
 
 impl<'p> CoreReplay<'p> {
-    fn new(id: usize, src: ShardSource<'p>, core: CoreConfig, l1d_latency: u32) -> Self {
+    fn new(id: usize, src: ShardSource<'p>, state: CoreState) -> Self {
         Self {
             id,
             src,
-            core,
-            l1d_latency,
-            mask: ExceptionMask::new(),
-            cycles: 0.0,
-            instructions: 0,
-            loads: 0,
-            stores: 0,
-            cforms: 0,
-            stores_suppressed: 0,
-            committed: 0,
-            exceptions: Vec::new(),
-            pc: 0,
+            state,
             weave: CoreWeaveStats::default(),
         }
     }
@@ -371,98 +336,35 @@ impl<'p> CoreReplay<'p> {
         self.src.peek().is_none()
     }
 
-    fn account_memory(&mut self, latency: u32) {
-        self.cycles += self.core.exec_cycles(1) + self.core.memory_stall(latency, self.l1d_latency);
-    }
-
-    fn deliver(&mut self, exception: Option<CaliformsException>) {
-        if let Some(exc) = exception {
-            if let Some(delivered) = self.mask.filter(exc) {
-                if self.exceptions.len() < crate::engine::Engine::MAX_RECORDED_EXCEPTIONS {
-                    self.exceptions.push(delivered);
-                }
-            }
-        }
-    }
-
-    fn commit(&mut self, op: &TraceOp, r: MemResult) {
-        match op {
-            TraceOp::Load { .. } => self.loads += 1,
-            TraceOp::Store { .. } => {
-                self.stores += 1;
-                if r.exception.is_some() {
-                    self.stores_suppressed += 1;
-                }
-            }
-            TraceOp::Cform { .. } | TraceOp::CformNt { .. } => self.cforms += 1,
-            _ => {}
-        }
-        self.pc += 1;
-        self.instructions += op.instruction_count();
-        self.account_memory(r.latency);
-        self.deliver(r.exception);
-        self.committed += 1;
-        self.src.advance();
-    }
-
-    fn commit_exec(&mut self, op: &TraceOp, cycles: f64) {
-        self.pc += 1;
-        self.instructions += op.instruction_count();
-        self.cycles += cycles;
-        self.committed += 1;
-        self.src.advance();
-    }
-
     /// Parallel ("bound") phase: replay ops the private L1 can complete
     /// until the first one needing a coherence transaction, or until
     /// `quantum_end`.
     fn run_quantum_local(&mut self, l1: &mut CoreL1, quantum_end: f64) {
-        while self.cycles < quantum_end {
+        while self.state.cycles < quantum_end {
             let Some(op) = self.src.peek() else { return };
-            // `pc + 1` mirrors the serial path, which increments before use.
-            let pc = self.pc + 1;
-            match op {
-                TraceOp::Exec(n) => {
-                    let c = self.core.exec_cycles(u64::from(n));
-                    self.commit_exec(&op, c);
-                }
-                TraceOp::MaskPush => {
-                    let c = self.core.exec_cycles(1);
-                    self.commit_exec(&op, c);
-                    self.mask.push_allow_all();
-                }
-                TraceOp::MaskPop => {
-                    let c = self.core.exec_cycles(1);
-                    self.commit_exec(&op, c);
-                    self.mask.pop_window();
-                }
-                TraceOp::Load { addr, size } => match l1.try_load_quiet(addr, size as usize, pc) {
-                    Some(r) => self.commit(&op, r),
-                    None => return,
-                },
+            let pc = self.state.pc + 1;
+            let r = match op {
+                TraceOp::Load { addr, size } => l1.try_load_quiet(addr, size as usize, pc),
                 TraceOp::Store { addr, size } => {
-                    let r =
-                        with_store_data(addr, size as usize, |data| l1.try_store(addr, data, pc));
-                    match r {
-                        Some(r) => self.commit(&op, r),
-                        None => return,
-                    }
+                    with_store_data(addr, size as usize, |data| l1.try_store(addr, data, pc))
                 }
                 TraceOp::Cform {
                     line_addr,
                     attrs,
                     mask,
-                } => {
-                    let insn = CformInstruction::new(line_addr, attrs, mask);
-                    match l1.try_cform(&insn, pc) {
-                        Some(r) => self.commit(&op, r),
-                        None => return,
-                    }
-                }
+                } => l1.try_cform(&CformInstruction::new(line_addr, attrs, mask), pc),
                 // Non-temporal CFORMs operate below the L1 across every
                 // core's copy: always a transaction.
-                TraceOp::CformNt { .. } => return,
-            }
+                TraceOp::CformNt { .. } => None,
+                TraceOp::Exec(..) | TraceOp::MaskPush | TraceOp::MaskPop => {
+                    self.state.commit_local(op);
+                    self.src.advance();
+                    continue;
+                }
+            };
+            let Some(r) = r else { return };
+            self.state.commit_mem(&op, r);
+            self.src.advance();
         }
     }
 }
@@ -507,13 +409,12 @@ struct WorkerTask<'p> {
 }
 
 /// Run-loop state restored from a checkpoint: the deterministic runtime
-/// counters and the quantum clock at the boundary the checkpoint was
-/// captured. Seeding these (plus the per-core replays and hierarchy)
+/// counters and the end of the quantum the checkpoint was captured
+/// before. Seeding these (plus the per-core replays and hierarchy)
 /// makes the resumed loop continue exactly where the original left off.
 #[derive(Debug, Clone, Copy)]
 struct ResumeSeed {
     rt: RuntimeStats,
-    quantum: f64,
     quantum_end: f64,
 }
 
@@ -721,7 +622,7 @@ fn run_task_caught(
     panics: &Mutex<Vec<WorkerPanic>>,
     fault: &FaultPlan,
 ) {
-    let committed_before = task.replay.committed;
+    let pc_before = task.replay.state.pc;
     let span_start = task.track.as_ref().map(TrackRecorder::start);
     let quantum = task.quantum;
     let result = catch_unwind(AssertUnwindSafe(|| {
@@ -732,7 +633,7 @@ fn run_task_caught(
         // Only quanta in which the core actually replayed something get a
         // bound span — an exhausted core's empty wake-ups would otherwise
         // bury the timeline in zero-length slices.
-        if task.replay.committed != committed_before {
+        if task.replay.state.pc != pc_before {
             track.record_since(Phase::Bound, task.quantum, start);
         }
     }
@@ -799,8 +700,7 @@ impl MulticoreEngine {
     /// # Panics
     ///
     /// Panics if `cfg.cores == 0`, `cfg.quantum` is not a positive finite
-    /// cycle count, `cfg.runtime.weave_batch == 0`, or an adaptive
-    /// quantum range is invalid (`0 < min ≤ quantum ≤ max`, all finite).
+    /// cycle count, or `cfg.runtime.weave_batch == 0`.
     pub fn new(cfg: MulticoreConfig) -> Self {
         assert!(cfg.cores >= 1, "need at least one core");
         assert!(
@@ -808,16 +708,6 @@ impl MulticoreEngine {
             "quantum must be a positive cycle count"
         );
         assert!(cfg.runtime.weave_batch >= 1, "weave batch must be ≥ 1");
-        if let QuantumSizing::Adaptive { min, max } = cfg.runtime.quantum_sizing {
-            assert!(
-                min.is_finite()
-                    && max.is_finite()
-                    && min > 0.0
-                    && min <= cfg.quantum
-                    && cfg.quantum <= max,
-                "adaptive quantum range must satisfy 0 < min ≤ quantum ≤ max"
-            );
-        }
         Self {
             hierarchy: CoherentHierarchy::new(cfg.hierarchy, cfg.coherence, cfg.cores),
             cfg,
@@ -870,21 +760,22 @@ impl MulticoreEngine {
         rt: &mut RuntimeStats,
         batch_sizes: Option<&mut LogHistogram>,
     ) -> bool {
-        if core.cycles >= quantum_end || core.done() {
+        if core.state.cycles >= quantum_end || core.done() {
             return false;
         }
-        let committed_before = core.committed;
+        let pc_before = core.state.pc;
         core.run_quantum_local(self.hierarchy.l1_mut(core.id), quantum_end);
-        let mut progressed = core.committed != committed_before;
+        let mut progressed = core.state.pc != pc_before;
         let batch = self.cfg.runtime.weave_batch;
         let mut txns = 0u32;
-        while txns < batch && core.cycles < quantum_end {
+        while txns < batch && core.state.cycles < quantum_end {
             // The op at the cursor (if any) needs the coherence machinery.
             let Some(op) = core.src.peek() else { break };
-            let pc = core.pc + 1;
+            let pc = core.state.pc + 1;
             let events_before = self.hierarchy.cross_core_events();
             let r = self.execute_op(core.id, op, pc);
-            core.commit(&op, r);
+            core.state.commit_mem(&op, r);
+            core.src.advance();
             progressed = true;
             txns += 1;
             rt.weave_transactions += 1;
@@ -1160,12 +1051,13 @@ impl MulticoreEngine {
 
     /// Builds the per-core replay states for a fresh (unseeded) run.
     fn seed_replays<'p>(&self, sources: Vec<ShardSource<'p>>) -> Vec<Option<CoreReplay<'p>>> {
-        let l1d_latency = self.cfg.hierarchy.l1d_latency;
-        let core_cfg = self.cfg.core;
         sources
             .into_iter()
             .enumerate()
-            .map(|(id, src)| Some(CoreReplay::new(id, src, core_cfg, l1d_latency)))
+            .map(|(id, src)| {
+                let state = CoreState::new(self.cfg.core, self.cfg.hierarchy.l1d_latency);
+                Some(CoreReplay::new(id, src, state))
+            })
             .collect()
     }
 
@@ -1178,7 +1070,6 @@ impl MulticoreEngine {
         &self,
         replays: &[Option<CoreReplay<'_>>],
         rt: &RuntimeStats,
-        quantum: f64,
         quantum_end: f64,
     ) -> Vec<u8> {
         let mut w = ck::Wr::checkpoint();
@@ -1194,14 +1085,6 @@ impl MulticoreEngine {
         w.u32(self.cfg.coherence.directory_latency);
         w.u32(self.cfg.coherence.cache_to_cache_latency);
         w.u32(self.cfg.coherence.upgrade_latency);
-        match self.cfg.runtime.quantum_sizing {
-            QuantumSizing::Fixed => w.u8(0),
-            QuantumSizing::Adaptive { min, max } => {
-                w.u8(1);
-                w.f64(min);
-                w.f64(max);
-            }
-        }
         w.u32(self.cfg.runtime.weave_batch);
         w.f64(self.cfg.quantum);
         w.end_section(s);
@@ -1210,16 +1093,7 @@ impl MulticoreEngine {
         w.u64(replays.len() as u64);
         for slot in replays {
             let c = slot.as_ref().expect("replay present at a quantum boundary");
-            w.u64(c.pc);
-            w.f64(c.cycles);
-            w.u64(c.instructions);
-            w.u64(c.loads);
-            w.u64(c.stores);
-            w.u64(c.cforms);
-            w.u64(c.stores_suppressed);
-            w.u64(c.committed);
-            ck::put_mask(&mut w, &c.mask);
-            ck::put_exceptions(&mut w, &c.exceptions);
+            c.state.save(&mut w);
             ck::put_core_weave(&mut w, &c.weave);
         }
         w.end_section(s);
@@ -1235,7 +1109,6 @@ impl MulticoreEngine {
         w.u64(rt.weave_transactions);
         w.u64(rt.batched_transactions);
         w.u64(rt.contended_transactions);
-        w.f64(quantum);
         w.f64(quantum_end);
         w.end_section(s);
 
@@ -1311,36 +1184,16 @@ impl MulticoreEngine {
             cache_to_cache_latency: r.u32()?,
             upgrade_latency: r.u32()?,
         };
-        let quantum_sizing = match r.u8()? {
-            0 => QuantumSizing::Fixed,
-            1 => QuantumSizing::Adaptive {
-                min: r.f64()?,
-                max: r.f64()?,
-            },
-            _ => return Err(CheckpointError::Corrupt("unknown quantum sizing tag")),
-        };
         let weave_batch = r.u32()?;
-        let quantum0 = r.f64()?;
+        let quantum = r.f64()?;
         ck::consumed(&r, ck::SEC_CONFIG)?;
         if weave_batch == 0 {
             return Err(CheckpointError::Corrupt("weave batch of zero"));
         }
-        if !quantum0.is_finite() || quantum0 <= 0.0 {
+        if !quantum.is_finite() || quantum <= 0.0 {
             return Err(CheckpointError::Corrupt(
                 "quantum is not a positive cycle count",
             ));
-        }
-        if let QuantumSizing::Adaptive { min, max } = quantum_sizing {
-            if !min.is_finite()
-                || !max.is_finite()
-                || min <= 0.0
-                || min > quantum0
-                || quantum0 > max
-            {
-                return Err(CheckpointError::Corrupt(
-                    "adaptive quantum range is invalid",
-                ));
-            }
         }
 
         let mut r = ck::require(&sections, ck::SEC_RUNTIME, "runtime counters")?;
@@ -1352,25 +1205,10 @@ impl MulticoreEngine {
             batched_transactions: r.u64()?,
             contended_transactions: r.u64()?,
         };
-        let quantum = r.f64()?;
         let quantum_end = r.f64()?;
         ck::consumed(&r, ck::SEC_RUNTIME)?;
-        if !quantum.is_finite() || quantum <= 0.0 || !quantum_end.is_finite() || quantum_end <= 0.0
-        {
+        if !quantum_end.is_finite() || quantum_end <= 0.0 {
             return Err(CheckpointError::Corrupt("runtime quantum clock is invalid"));
-        }
-        match quantum_sizing {
-            QuantumSizing::Fixed if quantum != quantum0 => {
-                return Err(CheckpointError::Corrupt(
-                    "fixed-sizing run drifted from its quantum",
-                ));
-            }
-            QuantumSizing::Adaptive { min, max } if !(min..=max).contains(&quantum) => {
-                return Err(CheckpointError::Corrupt(
-                    "adaptive quantum outside its range",
-                ));
-            }
-            _ => {}
         }
 
         // Lanes before cores: replays are built around their sources.
@@ -1418,41 +1256,22 @@ impl MulticoreEngine {
         if r.count()? != cores {
             return Err(CheckpointError::ConfigMismatch("per-core state count"));
         }
-        let l1d_latency = hierarchy.l1d_latency;
         let mut replays = Vec::with_capacity(cores);
         for (id, src) in sources.into_iter().enumerate() {
-            let mut c = CoreReplay::new(id, src, core, l1d_latency);
-            c.pc = r.u64()?;
-            c.cycles = r.f64()?;
-            c.instructions = r.u64()?;
-            c.loads = r.u64()?;
-            c.stores = r.u64()?;
-            c.cforms = r.u64()?;
-            c.stores_suppressed = r.u64()?;
-            c.committed = r.u64()?;
-            c.mask = ck::get_mask(&mut r)?;
-            c.exceptions = ck::get_exceptions(&mut r)?;
+            let state = CoreState::load(&mut r, core, hierarchy.l1d_latency)?;
+            let mut c = CoreReplay::new(id, src, state);
             c.weave = ck::get_core_weave(&mut r)?;
-            if !c.cycles.is_finite() || c.cycles < 0.0 {
-                return Err(CheckpointError::Corrupt("core cycle count is invalid"));
-            }
-            if c.exceptions.len() > crate::engine::Engine::MAX_RECORDED_EXCEPTIONS {
-                return Err(CheckpointError::Corrupt(
-                    "recorded exceptions exceed the engine cap",
-                ));
-            }
             replays.push(Some(c));
         }
         ck::consumed(&r, ck::SEC_CORE)?;
 
         let cfg = MulticoreConfig {
             cores,
-            quantum: quantum0,
+            quantum,
             hierarchy,
             coherence,
             core,
             runtime: RuntimeConfig {
-                quantum_sizing,
                 weave_batch,
                 ..RuntimeConfig::default()
             },
@@ -1465,20 +1284,11 @@ impl MulticoreEngine {
         engine.hierarchy = CoherentHierarchy::restore_state(hierarchy, coherence, cores, &mut r)?;
         ck::consumed(&r, ck::SEC_COHERENT)?;
 
-        Ok((
-            engine,
-            replays,
-            ResumeSeed {
-                rt,
-                quantum,
-                quantum_end,
-            },
-        ))
+        Ok((engine, replays, ResumeSeed { rt, quantum_end }))
     }
 
     /// The shared run loop entry for fresh runs: persistent workers
-    /// (multi-core only), quantum barrier, batched weave, optional
-    /// adaptive quantum.
+    /// (multi-core only), quantum barrier, batched weave.
     fn run_sources(
         self,
         sources: Vec<ShardSource<'_>>,
@@ -1522,14 +1332,10 @@ impl MulticoreEngine {
                 }
             }
 
-            let (mut quantum, qmin, qmax) = match self.cfg.runtime.quantum_sizing {
-                QuantumSizing::Fixed => (self.cfg.quantum, self.cfg.quantum, self.cfg.quantum),
-                QuantumSizing::Adaptive { min, max } => (self.cfg.quantum, min, max),
-            };
+            let quantum = self.cfg.quantum;
             let mut quantum_end = quantum;
             if let Some(s) = &seed {
                 rt = s.rt;
-                quantum = s.quantum;
                 quantum_end = s.quantum_end;
             }
 
@@ -1657,7 +1463,6 @@ impl MulticoreEngine {
                 // stop the barrier so the scope can join the parked
                 // workers, and surface it as the offending core's
                 // `WorkerPanic`.
-                let events_before = self.hierarchy.cross_core_events();
                 let mut quantum_weave_ns = 0u64;
                 loop {
                     let mut progressed = false;
@@ -1724,18 +1529,6 @@ impl MulticoreEngine {
                 }
                 rt.quanta += 1;
                 rt.barrier_waits += n as u64;
-
-                // Adaptive quantum: grow when a quantum saw no cross-core
-                // coherence, shrink under heavy contention. Reads only
-                // simulated state, so determinism is unaffected.
-                let delta = self.hierarchy.cross_core_events() - events_before;
-                if !matches!(self.cfg.runtime.quantum_sizing, QuantumSizing::Fixed) {
-                    if delta == 0 {
-                        quantum = (quantum * 2.0).min(qmax);
-                    } else if delta > ADAPTIVE_SHRINK_THRESHOLD {
-                        quantum = (quantum / 2.0).max(qmin);
-                    }
-                }
                 quantum_end += quantum;
 
                 // Fast-forward over empty quanta: if every unfinished core
@@ -1750,7 +1543,7 @@ impl MulticoreEngine {
                         if r.done() {
                             None
                         } else {
-                            Some(r.cycles)
+                            Some(r.state.cycles)
                         }
                     })
                     .fold(f64::INFINITY, f64::min);
@@ -1766,7 +1559,7 @@ impl MulticoreEngine {
                 // model-checked in `califorms-analyze`.
                 if let Some((k, sink)) = checkpoint.as_mut() {
                     if rt.quanta % *k == 0 {
-                        sink(self.capture_checkpoint(&replays, &rt, quantum, quantum_end));
+                        sink(self.capture_checkpoint(&replays, &rt, quantum_end));
                     }
                 }
             }
@@ -1808,16 +1601,8 @@ impl MulticoreEngine {
         let mut decode = Vec::new();
         for core in &cores {
             let stats = SimStats {
-                cycles: core.cycles,
-                instructions: core.instructions,
-                loads: core.loads,
-                stores: core.stores,
-                cforms: core.cforms,
-                stores_suppressed: core.stores_suppressed,
-                exceptions_delivered: core.mask.delivered_count(),
-                exceptions_suppressed: core.mask.suppressed_count(),
                 l1d: self.hierarchy.l1s()[core.id].stats(),
-                ..SimStats::default()
+                ..core.state.stats()
             };
             combined.cycles = combined.cycles.max(stats.cycles);
             combined.instructions += stats.instructions;
@@ -1828,7 +1613,7 @@ impl MulticoreEngine {
             combined.exceptions_delivered += stats.exceptions_delivered;
             combined.exceptions_suppressed += stats.exceptions_suppressed;
             per_core.push(stats);
-            exceptions.push(core.exceptions.clone());
+            exceptions.push(core.state.exceptions.clone());
             weave.per_core.push(core.weave);
             if let Some(progress) = core.src.decode_progress() {
                 decode.push(progress);
@@ -2268,23 +2053,6 @@ mod tests {
                     assert_eq!(resumed.exceptions, reference.exceptions);
                 }
             }
-        }
-    }
-
-    /// Adaptive quantum sizing is part of the checkpointed state: the
-    /// resumed run continues with the adapted quantum, not the initial
-    /// one.
-    #[test]
-    fn checkpoint_resume_preserves_adaptive_quantum() {
-        let pack = TracePack::from_ops(crash_test_ops());
-        let cfg = MulticoreConfig::westmere(2).with_adaptive_quantum();
-        let reference = MulticoreEngine::new(cfg).try_run_pack(&pack).unwrap();
-        let (_, checkpoints) = MulticoreEngine::new(cfg)
-            .try_run_pack_checkpointed(&pack, 3)
-            .unwrap();
-        for bytes in &checkpoints {
-            let resumed = MulticoreEngine::try_resume_pack(&pack, bytes).unwrap();
-            assert_eq!(resumed.stats, reference.stats);
         }
     }
 

@@ -6,7 +6,7 @@
 //! quantum; this module provides the pieces that replace that with one
 //! long-lived worker per core:
 //!
-//! * [`RuntimeConfig`] — weave batching and quantum sizing knobs.
+//! * [`RuntimeConfig`] — weave batching and watchdog knobs.
 //! * [`RuntimeStats`] — counters derived purely from simulated state
 //!   (quanta, weave turns, batched/contended transactions). They are
 //!   **bit-identical** across runs and
@@ -16,7 +16,7 @@
 //!   barrier+bookkeeping). Host timing is scheduling-dependent by nature,
 //!   so it lives on [`crate::multicore::MulticoreOutcome`], *outside* the
 //!   stats that must compare equal.
-//! * [`QuantumBarrier`] — a Mutex/Condvar epoch barrier: the main thread
+//! * `QuantumBarrier` — a Mutex/Condvar epoch barrier: the main thread
 //!   publishes `(epoch, quantum_end)` to release the workers, each worker
 //!   runs its bound phase and reports done; nobody creates or joins a
 //!   thread between quanta.
@@ -42,38 +42,10 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How the cycle-quantum length evolves over a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QuantumSizing {
-    /// The quantum stays at [`crate::multicore::MulticoreConfig::quantum`]
-    /// for the whole run — the reproducible default.
-    Fixed,
-    /// The quantum adapts to observed coherence traffic, within
-    /// `[min, max]` cycles: it doubles after a quantum with **zero**
-    /// cross-core coherence events (disjoint working sets barely
-    /// synchronise) and halves after a quantum with more than
-    /// [`ADAPTIVE_SHRINK_THRESHOLD`] of them (contended lines interleave
-    /// finely). Decisions read only simulated state, so adaptive runs are
-    /// still bit-identical for a given seed and configuration.
-    Adaptive {
-        /// Smallest quantum the controller may shrink to (cycles).
-        min: f64,
-        /// Largest quantum the controller may grow to (cycles).
-        max: f64,
-    },
-}
-
-/// Cross-core coherence events per quantum above which an
-/// [`QuantumSizing::Adaptive`] quantum halves.
-pub const ADAPTIVE_SHRINK_THRESHOLD: u64 = 32;
-
 /// Knobs of the parallel runtime, carried by
 /// [`crate::multicore::MulticoreConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeConfig {
-    /// Quantum sizing policy (default: [`QuantumSizing::Fixed`], the
-    /// pre-existing behaviour, for reproducibility).
-    pub quantum_sizing: QuantumSizing,
     /// Most coherence transactions one core may retire in a single weave
     /// turn. A run of *private* transactions (no other core involved)
     /// costs one turn instead of one turn each; a contended transaction
@@ -104,7 +76,6 @@ impl RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
-            quantum_sizing: QuantumSizing::Fixed,
             weave_batch: Self::DEFAULT_WEAVE_BATCH,
             watchdog: Some(Self::DEFAULT_WATCHDOG),
         }
@@ -348,7 +319,6 @@ mod tests {
     #[test]
     fn default_runtime_is_fixed_quantum() {
         let cfg = RuntimeConfig::default();
-        assert_eq!(cfg.quantum_sizing, QuantumSizing::Fixed);
         assert_eq!(cfg.weave_batch, RuntimeConfig::DEFAULT_WEAVE_BATCH);
         assert_eq!(cfg.watchdog, Some(RuntimeConfig::DEFAULT_WATCHDOG));
     }

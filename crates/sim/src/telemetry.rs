@@ -4,7 +4,8 @@
 //! Everything in here is a pure function of already-deterministic inputs
 //! ([`SimStats`], [`MulticoreStats`], the per-shard snapshots), so the
 //! snapshots it produces are **bit-identical across runs** — two replays
-//! of the same trace yield byte-equal [`CounterSnapshot::to_bytes`]
+//! of the same trace yield byte-equal
+//! [`CounterSnapshot::to_bytes`](califorms_telemetry::CounterSnapshot::to_bytes)
 //! buffers, which is exactly what the cross-run determinism tests and the
 //! oracle diff.
 //!

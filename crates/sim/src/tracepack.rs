@@ -414,7 +414,7 @@ impl<R: Read> TracePackReader<R> {
         if header[..4] != MAGIC {
             return Err(TracePackError::BadMagic);
         }
-        if header[4] > VERSION {
+        if header[4] != VERSION {
             return Err(TracePackError::UnsupportedVersion(header[4]));
         }
         Ok(Self {
@@ -556,7 +556,7 @@ impl TracePack {
         if bytes.len() < 5 || bytes[..4] != MAGIC {
             return Err(TracePackError::BadMagic);
         }
-        if bytes[4] > VERSION {
+        if bytes[4] != VERSION {
             return Err(TracePackError::UnsupportedVersion(bytes[4]));
         }
         let mut cur = Cursor {

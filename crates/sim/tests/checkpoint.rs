@@ -138,6 +138,48 @@ fn future_version_is_rejected_with_the_version() {
     }
 }
 
+/// Byte offset of the CORE section's payload, found by walking the
+/// section framing (tag u8, length u64, payload) from the header.
+fn core_payload_at(bytes: &[u8]) -> usize {
+    const SEC_CORE: u8 = 0x03;
+    let mut at = MAGIC.len() + 1;
+    while at + 9 <= bytes.len() {
+        let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+        if bytes[at] == SEC_CORE {
+            return at + 9;
+        }
+        at += 9 + len;
+    }
+    panic!("checkpoint has no CORE section");
+}
+
+#[test]
+fn impossible_cycle_counts_are_rejected_on_both_engines() {
+    // The first core's `cycles` follows its u64 `pc`; the multicore CORE
+    // section leads with a u64 core count.
+    let pack = pack();
+    for (bytes, cycles_off, which) in [
+        (single_checkpoint(&pack), 8, "single"),
+        (multicore_checkpoint(&pack), 16, "multi"),
+    ] {
+        let at = core_payload_at(&bytes) + cycles_off;
+        for cycles in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&cycles.to_bits().to_le_bytes());
+            reseal(&mut b);
+            let err = if which == "single" {
+                single_err(&pack, &b)
+            } else {
+                multicore_err(&pack, &b)
+            };
+            assert!(
+                matches!(err, CheckpointError::Corrupt(_)),
+                "{which}: cycles {cycles} gave {err:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn truncation_at_every_byte_errors_typed() {
     // Cutting the checkpoint at *any* length short of the full stream

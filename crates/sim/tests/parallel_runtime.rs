@@ -1,12 +1,11 @@
 //! Integration tests of the parallel replay runtime (DESIGN.md §10):
-//! bit-identical determinism across quantum sizes (fixed, short,
-//! adaptive) and weave batching depths, per-core pack replay
-//! equivalence, the zero-cross-core-coherence guarantee for disjoint
-//! working sets, and recorded constants that pin the weave's simulated
-//! results across commits.
+//! bit-identical determinism across quantum sizes and weave batching
+//! depths, per-core pack replay equivalence, the zero-cross-core-coherence
+//! guarantee for disjoint working sets, and recorded constants that pin
+//! the weave's simulated results across commits.
 
 use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine, MulticoreOutcome};
-use califorms_sim::{CoherenceStats, QuantumSizing, TraceOp, TracePack, LINE_BYTES};
+use califorms_sim::{CoherenceStats, TraceOp, TracePack, LINE_BYTES};
 
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
@@ -80,16 +79,9 @@ fn assert_identical(a: &MulticoreOutcome, b: &MulticoreOutcome) {
 
 #[test]
 fn determinism_holds_across_quantum_sizings() {
-    let configs: [(&str, MulticoreConfig); 3] = [
-        (
-            "1k fixed",
-            MulticoreConfig::westmere(4).with_quantum(1_000.0),
-        ),
-        ("10k fixed", MulticoreConfig::westmere(4)),
-        (
-            "adaptive",
-            MulticoreConfig::westmere(4).with_adaptive_quantum(),
-        ),
+    let configs: [(&str, MulticoreConfig); 2] = [
+        ("1k", MulticoreConfig::westmere(4).with_quantum(1_000.0)),
+        ("10k", MulticoreConfig::westmere(4)),
     ];
     for (name, cfg) in configs {
         let run = || MulticoreEngine::new(cfg).run(chaotic_shards(4, 0xDEAD_BEEF, 3_000));
@@ -156,31 +148,6 @@ fn per_core_packs_replay_bit_identically() {
         let packed = MulticoreEngine::new(MulticoreConfig::westmere(cores)).run_packs(&packs);
         assert_identical(&unpacked, &packed);
     }
-}
-
-#[test]
-fn adaptive_quantum_grows_over_coherence_free_runs() {
-    let fixed_cfg = MulticoreConfig::westmere(2);
-    let adaptive_cfg = MulticoreConfig::westmere(2).with_adaptive_quantum();
-    assert!(matches!(
-        adaptive_cfg.runtime.quantum_sizing,
-        QuantumSizing::Adaptive { .. }
-    ));
-    let shards = || (0..2).map(|c| disjoint_shard(c, 4_000)).collect::<Vec<_>>();
-    let fixed = MulticoreEngine::new(fixed_cfg).run(shards());
-    let adaptive = MulticoreEngine::new(adaptive_cfg).run(shards());
-    // No coherence traffic → the quantum doubles up to 16x → far fewer
-    // barriers for the same simulated work.
-    assert!(
-        adaptive.stats.runtime.quanta < fixed.stats.runtime.quanta,
-        "adaptive ({}) must cross fewer barriers than fixed ({})",
-        adaptive.stats.runtime.quanta,
-        fixed.stats.runtime.quanta
-    );
-    // Architectural results are unaffected by quantum sizing here: with
-    // no cross-core traffic, per-core replay is quantum-invariant.
-    assert_eq!(adaptive.stats.combined.loads, fixed.stats.combined.loads);
-    assert_eq!(adaptive.stats.combined.cycles, fixed.stats.combined.cycles);
 }
 
 /// Regression: the empty-quantum fast-forward must handle a core whose

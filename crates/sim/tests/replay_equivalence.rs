@@ -131,6 +131,72 @@ fn packed_multicore_replay_is_bit_identical() {
     }
 }
 
+/// Pins the single-core engine's simulated results as constants, so they
+/// are compared across commits and not only between two runs of one
+/// build: a change to `Engine::step`, the core timing model or the
+/// hierarchy that shifts a single cycle or counter fails here. Recorded
+/// on `mixed_trace(20_000, 7)` under the Westmere hierarchy and its
+/// one-extra-cycle variant.
+#[test]
+fn engine_results_match_recorded_constants() {
+    use califorms_sim::stats::{CacheStats, CoherenceStats, SimStats};
+    use califorms_sim::{CoreConfig, HierarchyConfig};
+    // Both hierarchies see the same accesses; only the cycle count moves.
+    let counters = SimStats {
+        cycles: 0.0,
+        instructions: 58_307,
+        loads: 8_598,
+        stores: 5_913,
+        cforms: 2_469,
+        l1d: CacheStats {
+            hits: 8_217,
+            misses: 8_515,
+            evictions: 7_489,
+            writebacks: 4_264,
+        },
+        l2: CacheStats {
+            hits: 8_540,
+            misses: 1_024,
+            evictions: 0,
+            writebacks: 0,
+        },
+        l3: CacheStats {
+            hits: 0,
+            misses: 1_024,
+            evictions: 0,
+            writebacks: 0,
+        },
+        dram_accesses: 1_024,
+        spills: 1_952,
+        fills: 2_618,
+        exceptions_delivered: 61,
+        exceptions_suppressed: 2_116,
+        stores_suppressed: 340,
+        coherence: CoherenceStats::default(),
+    };
+    let trace = mixed_trace(20_000, 7);
+    for (name, hcfg, cycles_bits) in [
+        (
+            "westmere",
+            HierarchyConfig::westmere(),
+            0x4104_a5f5_ffff_f508,
+        ),
+        (
+            "westmere_plus_one_cycle",
+            HierarchyConfig::westmere_plus_one_cycle(),
+            0x4105_2699_3333_3e2f,
+        ),
+    ] {
+        let out = Engine::new(hcfg, CoreConfig::westmere()).run(trace.iter().copied());
+        let want = SimStats {
+            cycles: f64::from_bits(cycles_bits),
+            ..counters.clone()
+        };
+        assert_eq!(out.stats, want, "{name}");
+        assert_eq!(out.exceptions.len(), 61, "{name}");
+    }
+}
+
 #[test]
 fn shard_ops_round_robin_is_deterministic_and_complete() {
     let trace = mixed_trace(1_000, 3);

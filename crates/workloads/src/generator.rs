@@ -95,8 +95,8 @@ pub struct Workload {
 
 impl Workload {
     /// Encodes the whole trace (warmup + steady state) into a
-    /// [`TracePack`] for the batch-decoding replay path
-    /// ([`califorms_sim::Engine::run_pack`]).
+    /// [`TracePack`](califorms_sim::TracePack) for the batch-decoding
+    /// replay path ([`califorms_sim::Engine::run_pack`]).
     pub fn to_pack(&self) -> califorms_sim::TracePack {
         califorms_sim::TracePack::from_ops(self.ops.iter().copied())
     }

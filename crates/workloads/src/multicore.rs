@@ -125,7 +125,8 @@ impl MtWorkload {
         self.shards.len()
     }
 
-    /// Encodes each per-core shard into its own [`TracePack`] (shards are
+    /// Encodes each per-core shard into its own
+    /// [`TracePack`](califorms_sim::TracePack) (shards are
     /// replayed independently per core, so they pack independently too).
     pub fn to_packs(&self) -> Vec<califorms_sim::TracePack> {
         self.shards

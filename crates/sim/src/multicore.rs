@@ -224,12 +224,12 @@ enum ShardSource<'p> {
     /// the ops with global index ≡ `lane` (mod `stride`), batching them
     /// through a fixed ring. `stride == 1` consumes a whole (per-core)
     /// pack; `stride == cores` round-robin-shards one shared pack,
-    /// bit-identical to [`shard_ops`].
+    /// bit-identical to [`shard_ops`]. The global index of the next op
+    /// is the decoder's `ops_read`.
     Pack {
         dec: PackDecoder<'p>,
         lane: u64,
         stride: u64,
-        next_idx: u64,
         ring: Vec<TraceOp>,
         head: usize,
     },
@@ -250,12 +250,11 @@ impl ShardSource<'_> {
                 dec,
                 lane,
                 stride,
-                next_idx,
                 ring,
                 head,
             } => {
                 if *head == ring.len() {
-                    refill(dec, *lane, *stride, next_idx, ring);
+                    refill(dec, *lane, *stride, ring);
                     *head = 0;
                 }
                 ring.get(*head).copied()
@@ -282,31 +281,42 @@ impl ShardSource<'_> {
     }
 }
 
-/// Refills a decoder lane's ring: decode ops, keep those on this lane
-/// (global index ≡ `lane` mod `stride`). Out of line — it runs once per
-/// [`SOURCE_RING`] committed ops, and keeping it out of `peek` lets the
-/// per-op path inline.
+/// Refills a decoder lane's ring with up to [`SOURCE_RING`] of its ops,
+/// one [`PackDecoder::next_batch`] call per chunk. A stride-1 lane
+/// decodes straight into the ring. A strided lane decodes into a stack
+/// batch and keeps every `stride`-th op from its phase; each batch ends
+/// at the op that fills the ring, so the lane never decodes an op it
+/// cannot keep. Out of line — it runs once per [`SOURCE_RING`] committed
+/// ops, and keeping it out of `peek` lets the per-op path inline.
 #[cold]
-fn refill(
-    dec: &mut PackDecoder<'_>,
-    lane: u64,
-    stride: u64,
-    next_idx: &mut u64,
-    ring: &mut Vec<TraceOp>,
-) {
+fn refill(dec: &mut PackDecoder<'_>, lane: u64, stride: u64, ring: &mut Vec<TraceOp>) {
+    if stride == 1 {
+        ring.resize(SOURCE_RING, TraceOp::Exec(0));
+        let n = decode_batch(dec, ring);
+        ring.truncate(n);
+        return;
+    }
     ring.clear();
+    let mut batch = [TraceOp::Exec(0); SOURCE_RING];
+    let step = stride as usize;
     while ring.len() < SOURCE_RING {
-        // analyze::allow(hot-path-unwrap): the pack was validated by from_bytes before replay started
-        match dec.next_op().expect("validated pack is well-formed") {
-            None => break,
-            Some(op) => {
-                if *next_idx % stride == lane {
-                    ring.push(op);
-                }
-                *next_idx += 1;
-            }
+        // Ops to pass over before the next one on this lane.
+        let phase = ((lane + stride - dec.ops_read() % stride) % stride) as usize;
+        let want = (phase + (SOURCE_RING - ring.len() - 1) * step + 1).min(SOURCE_RING);
+        let n = decode_batch(dec, &mut batch[..want]);
+        ring.extend(batch[..n].iter().skip(phase).step_by(step));
+        if n < want {
+            break;
         }
     }
+}
+
+/// One batch from a lane's decoder.
+#[inline(always)]
+fn decode_batch(dec: &mut PackDecoder<'_>, out: &mut [TraceOp]) -> usize {
+    let decoded = dec.next_batch(out);
+    // analyze::allow(hot-path-unwrap): the pack was validated by from_bytes before replay started
+    decoded.expect("validated pack is well-formed")
 }
 
 /// Per-core replay state: the shard source, the core's architectural
@@ -900,7 +910,6 @@ impl MulticoreEngine {
                 dec: pack.decoder(),
                 lane,
                 stride,
-                next_idx: 0,
                 ring: Vec::with_capacity(SOURCE_RING),
                 head: 0,
             })
@@ -1041,7 +1050,6 @@ impl MulticoreEngine {
                 dec: pack.decoder(),
                 lane: 0,
                 stride: 1,
-                next_idx: 0,
                 ring: Vec::with_capacity(SOURCE_RING),
                 head: 0,
             })
@@ -1121,14 +1129,15 @@ impl MulticoreEngine {
                     dec,
                     lane,
                     stride,
-                    next_idx,
                     ring,
                     head,
                 } => {
                     ck::put_resume_point(&mut w, &dec.resume_point());
                     w.u64(*lane);
                     w.u64(*stride);
-                    w.u64(*next_idx);
+                    // The lane's global op index, kept in the format
+                    // though it always equals the decoder's `ops_read`.
+                    w.u64(dec.ops_read());
                     // Decoded-but-uncommitted ops: the ring tail survives
                     // the seam verbatim so the resumed lane replays the
                     // exact op sequence.
@@ -1237,15 +1246,14 @@ impl MulticoreEngine {
             for _ in 0..n {
                 ring.push(ck::get_trace_op(&mut r)?);
             }
-            // `resume_from` re-validates the byte offset against this
-            // pack, so a checkpoint from a different (shorter) pack
-            // fails typed instead of decoding garbage.
+            // `resume_from` re-derives the cursor from this pack, so a
+            // checkpoint from a different pack, or one whose cursor was
+            // edited, fails typed instead of decoding garbage.
             let dec = pack.resume_from(point)?;
             sources.push(ShardSource::Pack {
                 dec,
                 lane,
                 stride,
-                next_idx,
                 ring,
                 head: 0,
             });

@@ -31,6 +31,19 @@
 //! refills a fixed internal buffer); [`TracePack`] is the owned in-memory
 //! form the replay hot path batch-decodes from (see
 //! [`crate::engine::Engine::run_pack`]).
+//!
+//! **One op decoder.** The per-op rules (tags, varint limits, access
+//! sizes, the address context) are written once, as an inlined decoder
+//! generic over where its bytes come from. [`PackDecoder::next_batch`]
+//! feeds it a fixed [`MAX_OP_BYTES`] window while a worst-case op still
+//! fits in what is left of the pack, so no read inside an op can fail
+//! and the cursor and address context live in registers; only the last
+//! few bytes before the end go through checked reads, which is where a
+//! truncated stream is caught. Every in-memory consumer drains that one
+//! loop: [`TracePack::from_bytes`] validates through it, so the code that
+//! accepted a pack is the code that replays it, and the engines' replay
+//! rings and the multicore decoder lanes fill from it. The streaming
+//! reader uses the same decoder over checked reads.
 
 use crate::trace::TraceOp;
 use std::io::{self, Read, Write};
@@ -60,7 +73,8 @@ pub enum TracePackError {
     Io(io::Error),
     /// The stream does not start with [`MAGIC`].
     BadMagic,
-    /// The stream's version is newer than this decoder.
+    /// The stream's version is not [`VERSION`] (older and newer ones
+    /// alike are refused).
     UnsupportedVersion(u8),
     /// An op carried an unknown tag byte.
     BadTag(u8),
@@ -73,6 +87,11 @@ pub enum TracePackError {
     VarintOverflow,
     /// A `Load`/`Store` size outside `1..=`[`MAX_ACCESS_BYTES`].
     BadSize(u8),
+    /// A resume cursor that is not an op boundary of this pack: decoding
+    /// its `ops_read` ops from the start does not end at its byte offset,
+    /// address context and end-of-stream flag. The payload is the
+    /// rejected cursor.
+    CursorMismatch(ResumePoint),
 }
 
 impl std::fmt::Display for TracePackError {
@@ -98,6 +117,11 @@ impl std::fmt::Display for TracePackError {
                     "trace pack access size {s} outside 1..={MAX_ACCESS_BYTES}"
                 )
             }
+            TracePackError::CursorMismatch(p) => write!(
+                f,
+                "resume cursor (byte {}, op {}) is not an op boundary of this trace pack",
+                p.byte_offset, p.ops_read
+            ),
         }
     }
 }
@@ -145,91 +169,107 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// A cursor over an encoded byte slice: the shared decoding core of the
-/// streaming reader and the in-memory batch decoder.
-#[derive(Debug, Clone)]
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Where the op decoder reads its bytes: a fixed window that holds a
+/// whole worst-case op, so no read can fail, or a checked slice whose
+/// end is the end of the available stream.
+trait OpBytes {
+    /// The byte at `pos`; [`TracePackError::Truncated`] past the end.
+    fn at(&self, pos: usize) -> Result<u8>;
 }
 
-impl<'a> Cursor<'a> {
-    #[inline]
-    fn byte(&mut self) -> Result<u8> {
-        let b = *self.buf.get(self.pos).ok_or(TracePackError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
+impl OpBytes for [u8; MAX_OP_BYTES] {
+    #[inline(always)]
+    fn at(&self, pos: usize) -> Result<u8> {
+        Ok(self[pos])
     }
+}
 
-    #[inline]
-    fn varint(&mut self) -> Result<u64> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.byte()?;
-            if shift >= 63 && b > if shift == 63 { 1 } else { 0 } {
-                return Err(TracePackError::VarintOverflow);
-            }
-            v |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(TracePackError::VarintOverflow);
-            }
+impl OpBytes for [u8] {
+    #[inline(always)]
+    fn at(&self, pos: usize) -> Result<u8> {
+        self.get(pos).copied().ok_or(TracePackError::Truncated)
+    }
+}
+
+/// Reads the varint at `*pos` and advances past it. At most 10 bytes:
+/// the tenth may only carry the top bit of a `u64`. The fixed trip count
+/// bounds every read, which lets the compiler prove the window reads of
+/// [`decode_op`] in range and drop their bounds checks.
+#[inline(always)]
+fn varint<B: OpBytes + ?Sized>(src: &B, pos: &mut usize) -> Result<u64> {
+    let mut v = 0;
+    for shift in [0, 7, 14, 21, 28, 35, 42, 49, 56] {
+        let b = src.at(*pos)?;
+        *pos += 1;
+        v |= u64::from(b & 0x7F) << shift;
+        if b < 0x80 {
+            return Ok(v);
         }
     }
-
-    /// Decodes one op (or the end marker → `None`), updating `last_addr`.
-    #[inline]
-    fn op(&mut self, last_addr: &mut u64) -> Result<Option<TraceOp>> {
-        let tag = self.byte()?;
-        let op = match tag {
-            0 => TraceOp::Exec(
-                u32::try_from(self.varint()?).map_err(|_| TracePackError::VarintOverflow)?,
-            ),
-            1 | 2 => {
-                let delta = unzigzag(self.varint()?);
-                let addr = last_addr.wrapping_add(delta as u64);
-                *last_addr = addr;
-                let size = self.byte()?;
-                if size == 0 || size as usize > MAX_ACCESS_BYTES {
-                    return Err(TracePackError::BadSize(size));
-                }
-                if tag == 1 {
-                    TraceOp::Load { addr, size }
-                } else {
-                    TraceOp::Store { addr, size }
-                }
-            }
-            3 | 4 => {
-                let delta = unzigzag(self.varint()?);
-                let line_addr = last_addr.wrapping_add(delta as u64);
-                *last_addr = line_addr;
-                let attrs = self.varint()?;
-                let mask = self.varint()?;
-                if tag == 3 {
-                    TraceOp::Cform {
-                        line_addr,
-                        attrs,
-                        mask,
-                    }
-                } else {
-                    TraceOp::CformNt {
-                        line_addr,
-                        attrs,
-                        mask,
-                    }
-                }
-            }
-            5 => TraceOp::MaskPush,
-            6 => TraceOp::MaskPop,
-            TAG_END => return Ok(None),
-            other => return Err(TracePackError::BadTag(other)),
-        };
-        Ok(Some(op))
+    let b = src.at(*pos)?;
+    *pos += 1;
+    if b > 1 {
+        return Err(TracePackError::VarintOverflow);
     }
+    Ok(v | u64::from(b) << 63)
+}
+
+/// The format's per-op decode rules, shared by every decode path: decodes
+/// the op at `*pos` (or the end marker → `None`) and advances past it.
+/// `last_addr` moves to the op's address only when the op decodes; on an
+/// error `*pos` stops inside the op, so callers decode on a copy of their
+/// cursor and keep it at the op's start.
+#[inline(always)]
+fn decode_op<B: OpBytes + ?Sized>(
+    src: &B,
+    pos: &mut usize,
+    last_addr: &mut u64,
+) -> Result<Option<TraceOp>> {
+    let tag = src.at(*pos)?;
+    *pos += 1;
+    let op = match tag {
+        0 => TraceOp::Exec(
+            u32::try_from(varint(src, pos)?).map_err(|_| TracePackError::VarintOverflow)?,
+        ),
+        1 | 2 => {
+            let addr = last_addr.wrapping_add(unzigzag(varint(src, pos)?) as u64);
+            let size = src.at(*pos)?;
+            *pos += 1;
+            if size == 0 || size as usize > MAX_ACCESS_BYTES {
+                return Err(TracePackError::BadSize(size));
+            }
+            *last_addr = addr;
+            if tag == 1 {
+                TraceOp::Load { addr, size }
+            } else {
+                TraceOp::Store { addr, size }
+            }
+        }
+        3 | 4 => {
+            let line_addr = last_addr.wrapping_add(unzigzag(varint(src, pos)?) as u64);
+            let attrs = varint(src, pos)?;
+            let mask = varint(src, pos)?;
+            *last_addr = line_addr;
+            if tag == 3 {
+                TraceOp::Cform {
+                    line_addr,
+                    attrs,
+                    mask,
+                }
+            } else {
+                TraceOp::CformNt {
+                    line_addr,
+                    attrs,
+                    mask,
+                }
+            }
+        }
+        5 => TraceOp::MaskPush,
+        6 => TraceOp::MaskPop,
+        TAG_END => return Ok(None),
+        other => return Err(TracePackError::BadTag(other)),
+    };
+    Ok(Some(op))
 }
 
 // --- encoding ---------------------------------------------------------
@@ -460,12 +500,9 @@ impl<R: Read> TracePackReader<R> {
             return Ok(None);
         }
         self.refill()?;
-        let mut cur = Cursor {
-            buf: &self.buf[self.start..self.end],
-            pos: 0,
-        };
-        let op = cur.op(&mut self.last_addr)?;
-        self.start += cur.pos;
+        let mut pos = self.start;
+        let op = decode_op(&self.buf[..self.end], &mut pos, &mut self.last_addr)?;
+        self.start = pos;
         match op {
             Some(op) => {
                 self.ops_read += 1;
@@ -546,8 +583,9 @@ impl TracePack {
     }
 
     /// Parses a pack from its serialised bytes (e.g. read back from disk),
-    /// validating the header and walking the stream once to count ops and
-    /// reject corruption up front.
+    /// validating the header and draining the stream once through
+    /// [`PackDecoder::next_batch`] — the loop that replays it — to count
+    /// ops and reject corruption up front.
     ///
     /// # Errors
     ///
@@ -559,18 +597,14 @@ impl TracePack {
         if bytes[4] != VERSION {
             return Err(TracePackError::UnsupportedVersion(bytes[4]));
         }
-        let mut cur = Cursor {
-            buf: &bytes[5..],
-            pos: 0,
-        };
-        let mut last_addr = 0u64;
-        let mut ops = 0u64;
-        while cur.op(&mut last_addr)?.is_some() {
-            ops += 1;
+        let mut dec = PackDecoder::new(&bytes[5..]);
+        let mut batch = [TraceOp::Exec(0); DECODE_BATCH];
+        while dec.next_batch(&mut batch)? > 0 {}
+        let trailing = dec.body.len() - dec.pos;
+        if trailing > 0 {
+            return Err(TracePackError::TrailingBytes(trailing));
         }
-        if cur.pos != cur.buf.len() {
-            return Err(TracePackError::TrailingBytes(cur.buf.len() - cur.pos));
-        }
+        let ops = dec.ops_read;
         Ok(Self { bytes, ops })
     }
 
@@ -600,44 +634,46 @@ impl TracePack {
 
     /// A zero-I/O batch decoder over this pack.
     pub fn decoder(&self) -> PackDecoder<'_> {
-        PackDecoder {
-            cur: Cursor {
-                buf: &self.bytes[5..],
-                pos: 0,
-            },
-            last_addr: 0,
-            done: false,
-            ops_read: 0,
-        }
+        PackDecoder::new(&self.bytes[5..])
     }
 
     /// A decoder positioned at `point`, as captured by
     /// [`PackDecoder::resume_point`] against this same pack: decoding
     /// from here is byte-for-byte identical to decoding from the start
     /// and skipping `point.ops_read` ops (the resume seam of
-    /// `crate::checkpoint`).
+    /// `crate::checkpoint`). The point is re-derived, not trusted: the
+    /// pack's first `point.ops_read` ops are decoded and must end exactly
+    /// at its byte offset, address context and end-of-stream flag. A
+    /// checkpoint's checksum does not vouch for its cursor (anyone can
+    /// reseal edited bytes), and an offset inside an op would otherwise
+    /// replay garbage.
     ///
     /// # Errors
     ///
     /// [`TracePackError::Truncated`] when the offset runs past the
-    /// encoded stream — a resume point can only be *too far*, never
-    /// misaligned, because the checkpoint reader validates its own
-    /// checksum first; a lying offset on a shorter pack must surface as
-    /// a typed error, not a panic.
+    /// encoded stream (a cursor taken on a longer pack);
+    /// [`TracePackError::CursorMismatch`] when it is not an op boundary
+    /// of this pack.
     pub fn resume_from(&self, point: ResumePoint) -> Result<PackDecoder<'_>> {
-        let body = &self.bytes[5..];
-        if point.byte_offset > body.len() as u64 {
+        let mut dec = self.decoder();
+        if point.byte_offset > dec.body.len() as u64 {
             return Err(TracePackError::Truncated);
         }
-        Ok(PackDecoder {
-            cur: Cursor {
-                buf: body,
-                pos: point.byte_offset as usize,
-            },
-            last_addr: point.last_addr,
-            done: point.done,
-            ops_read: point.ops_read,
-        })
+        let mut batch = [TraceOp::Exec(0); DECODE_BATCH];
+        while dec.ops_read < point.ops_read {
+            let want = (point.ops_read - dec.ops_read).min(DECODE_BATCH as u64) as usize;
+            if dec.next_batch(&mut batch[..want])? == 0 {
+                break;
+            }
+        }
+        if point.done {
+            // Consumes the end marker, or decodes one op too many.
+            dec.next_batch(&mut batch[..1])?;
+        }
+        if dec.resume_point() != point {
+            return Err(TracePackError::CursorMismatch(point));
+        }
+        Ok(dec)
     }
 
     /// Iterates the decoded ops.
@@ -679,17 +715,33 @@ pub struct ResumePoint {
     pub done: bool,
 }
 
+/// Ops decoded per batch when validating or re-deriving a resume point.
+const DECODE_BATCH: usize = 256;
+
 /// Zero-I/O decoder over an in-memory [`TracePack`]; the replay engines
 /// drive it a batch at a time.
 #[derive(Debug, Clone)]
 pub struct PackDecoder<'a> {
-    cur: Cursor<'a>,
+    /// The encoded op stream (the pack past its header).
+    body: &'a [u8],
+    /// Encoded bytes consumed.
+    pos: usize,
     last_addr: u64,
     done: bool,
     ops_read: u64,
 }
 
-impl PackDecoder<'_> {
+impl<'a> PackDecoder<'a> {
+    fn new(body: &'a [u8]) -> Self {
+        Self {
+            body,
+            pos: 0,
+            last_addr: 0,
+            done: false,
+            ops_read: 0,
+        }
+    }
+
     /// Decodes the next op; `Ok(None)` at end of stream.
     ///
     /// # Errors
@@ -697,16 +749,11 @@ impl PackDecoder<'_> {
     /// Any [`TracePackError`] on a corrupt stream.
     #[inline]
     pub fn next_op(&mut self) -> Result<Option<TraceOp>> {
-        if self.done {
-            return Ok(None);
-        }
-        let op = self.cur.op(&mut self.last_addr)?;
-        if op.is_none() {
-            self.done = true;
-        } else {
-            self.ops_read += 1;
-        }
-        Ok(op)
+        let mut one = [TraceOp::Exec(0)];
+        Ok(match self.next_batch(&mut one)? {
+            0 => None,
+            _ => Some(one[0]),
+        })
     }
 
     /// Ops decoded so far (deterministic decode-progress counter).
@@ -717,7 +764,7 @@ impl PackDecoder<'_> {
     /// Encoded bytes consumed so far, including the end marker once the
     /// stream is drained.
     pub fn bytes_consumed(&self) -> u64 {
-        self.cur.pos as u64
+        self.pos as u64
     }
 
     /// Captures the decoder's current position as a seekable
@@ -725,32 +772,67 @@ impl PackDecoder<'_> {
     /// equivalent decoder from it.
     pub fn resume_point(&self) -> ResumePoint {
         ResumePoint {
-            byte_offset: self.cur.pos as u64,
+            byte_offset: self.pos as u64,
             ops_read: self.ops_read,
             last_addr: self.last_addr,
             done: self.done,
         }
     }
 
-    /// Decodes up to `out.len()` ops into `out`, returning the count
-    /// (0 at end of stream).
+    /// Decodes up to `out.len()` ops into `out`, returning the count;
+    /// fewer than `out.len()` only at end of stream (0 once drained).
+    ///
+    /// While a worst-case [`MAX_OP_BYTES`] op still fits in the rest of
+    /// the pack, each op decodes from a fixed window that no read can
+    /// overrun, with the cursor and address context held in locals; the
+    /// last bytes before the end go through checked reads. On an error
+    /// the decoder stays at the start of the op that failed.
     ///
     /// # Errors
     ///
     /// Any [`TracePackError`] on a corrupt stream.
     #[inline]
     pub fn next_batch(&mut self, out: &mut [TraceOp]) -> Result<usize> {
+        let body = self.body;
+        let mut pos = self.pos;
+        let mut last_addr = self.last_addr;
+        let mut done = self.done;
         let mut n = 0;
-        while n < out.len() {
-            match self.next_op()? {
-                Some(op) => {
-                    out[n] = op;
-                    n += 1;
+        let status = 'batch: {
+            while n < out.len() && !done {
+                let Some(window) = body.get(pos..).and_then(<[u8]>::first_chunk) else {
+                    break;
+                };
+                let mut len = 0;
+                match decode_op::<[u8; MAX_OP_BYTES]>(window, &mut len, &mut last_addr) {
+                    Ok(Some(op)) => {
+                        out[n] = op;
+                        n += 1;
+                    }
+                    Ok(None) => done = true,
+                    Err(e) => break 'batch Err(e),
                 }
-                None => break,
+                pos += len;
             }
-        }
-        Ok(n)
+            while n < out.len() && !done {
+                let mut at = pos;
+                match decode_op(body, &mut at, &mut last_addr) {
+                    Ok(Some(op)) => {
+                        out[n] = op;
+                        n += 1;
+                    }
+                    Ok(None) => done = true,
+                    Err(e) => break 'batch Err(e),
+                }
+                pos = at;
+            }
+            Ok(n)
+        };
+        self.pos = pos;
+        self.last_addr = last_addr;
+        self.done = done;
+        self.ops_read += n as u64;
+        status
     }
 }
 
@@ -965,6 +1047,27 @@ mod tests {
                 dec.next_op().unwrap().unwrap();
             }
             let point = dec.resume_point();
+            // One byte off, or with a wrong address context or end flag,
+            // the point is not an op boundary of this pack.
+            for bad in [
+                ResumePoint {
+                    byte_offset: point.byte_offset + 1,
+                    ..point
+                },
+                ResumePoint {
+                    last_addr: point.last_addr ^ 0x40,
+                    ..point
+                },
+                ResumePoint {
+                    done: true,
+                    ..point
+                },
+            ] {
+                assert!(
+                    matches!(pack.resume_from(bad), Err(TracePackError::CursorMismatch(p)) if p == bad),
+                    "{bad:?} accepted after skipping {skip}"
+                );
+            }
             let mut resumed = pack.resume_from(point).unwrap();
             assert_eq!(resumed.ops_read(), skip as u64);
             assert_eq!(resumed.bytes_consumed(), dec.bytes_consumed());

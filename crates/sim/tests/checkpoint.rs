@@ -9,7 +9,9 @@
 //! rejection really is the corruption being caught.
 
 use califorms_sim::checkpoint::{CheckpointError, MAGIC, VERSION};
-use califorms_sim::{Engine, MulticoreConfig, MulticoreEngine, RunError, TraceOp, TracePack};
+use califorms_sim::{
+    Engine, MulticoreConfig, MulticoreEngine, RunError, TraceOp, TracePack, TracePackError,
+};
 
 /// A small deterministic workload: enough ops to cross several decode
 /// batches / quanta, touching loads, stores and CFORMs.
@@ -138,19 +140,23 @@ fn future_version_is_rejected_with_the_version() {
     }
 }
 
-/// Byte offset of the CORE section's payload, found by walking the
-/// section framing (tag u8, length u64, payload) from the header.
-fn core_payload_at(bytes: &[u8]) -> usize {
-    const SEC_CORE: u8 = 0x03;
+/// CORE section tag (per-core architectural state).
+const SEC_CORE: u8 = 0x03;
+/// CURSOR section tag (one pack resume point per replay lane).
+const SEC_CURSOR: u8 = 0x07;
+
+/// Byte offset of section `tag`'s payload, found by walking the section
+/// framing (tag u8, length u64, payload) from the header.
+fn payload_at(bytes: &[u8], tag: u8) -> usize {
     let mut at = MAGIC.len() + 1;
     while at + 9 <= bytes.len() {
         let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
-        if bytes[at] == SEC_CORE {
+        if bytes[at] == tag {
             return at + 9;
         }
         at += 9 + len;
     }
-    panic!("checkpoint has no CORE section");
+    panic!("checkpoint has no section {tag:#04x}");
 }
 
 #[test]
@@ -162,7 +168,7 @@ fn impossible_cycle_counts_are_rejected_on_both_engines() {
         (single_checkpoint(&pack), 8, "single"),
         (multicore_checkpoint(&pack), 16, "multi"),
     ] {
-        let at = core_payload_at(&bytes) + cycles_off;
+        let at = payload_at(&bytes, SEC_CORE) + cycles_off;
         for cycles in [f64::NAN, -1.0, f64::INFINITY] {
             let mut b = bytes.clone();
             b[at..at + 8].copy_from_slice(&cycles.to_bits().to_le_bytes());
@@ -365,6 +371,51 @@ fn resume_against_a_shorter_pack_fails_typed() {
     match multicore_err(&short, &mc) {
         CheckpointError::Pack(_) | CheckpointError::Corrupt(_) => {}
         other => panic!("expected a cursor error, got {other:?}"),
+    }
+}
+
+#[test]
+fn cursor_off_an_op_boundary_fails_typed() {
+    // The checksum does not vouch for the cursor: a resealed edit of the
+    // first lane's resume point (byte offset moved into or past an op,
+    // or a wrong address context) must be caught by re-deriving the
+    // point from the pack, never replayed and never a panic. The CURSOR
+    // payload leads with a u64 lane count, then u64 byte_offset, u64
+    // ops_read, u64 last_addr and a bool done.
+    let pack = pack();
+    for (bytes, which) in [
+        (single_checkpoint(&pack), "single"),
+        (multicore_checkpoint(&pack), "multi"),
+    ] {
+        let cursor = payload_at(&bytes, SEC_CURSOR);
+        let field = |b: &[u8], off: usize| {
+            u64::from_le_bytes(b[cursor + off..cursor + off + 8].try_into().unwrap())
+        };
+        let edits = [(8, 1u64), (8, 2), (8, 3), (24, 0x40)];
+        for (off, delta) in edits {
+            let mut b = bytes.clone();
+            let edited = field(&b, off).wrapping_add(delta);
+            b[cursor + off..cursor + off + 8].copy_from_slice(&edited.to_le_bytes());
+            reseal(&mut b);
+            let err = if which == "single" {
+                single_err(&pack, &b)
+            } else {
+                multicore_err(&pack, &b)
+            };
+            let msg = err.to_string();
+            match err {
+                CheckpointError::Pack(TracePackError::CursorMismatch(p)) => assert_eq!(
+                    (p.byte_offset, p.ops_read, p.last_addr),
+                    (field(&b, 8), field(&b, 16), field(&b, 24)),
+                    "{which}: the error carries the edited cursor"
+                ),
+                other => panic!("{which}: field +{off} edited by {delta:#x} gave {other:?}"),
+            }
+            assert!(
+                msg.contains("cursor") && !msg.contains("truncated"),
+                "{which}: {msg}"
+            );
+        }
     }
 }
 

@@ -115,7 +115,7 @@ fn streamed_reader_replay_is_bit_identical() {
 
 #[test]
 fn packed_multicore_replay_is_bit_identical() {
-    for cores in [1usize, 2, 4] {
+    for cores in [1usize, 2, 3, 4] {
         let trace = mixed_trace_with(8_000, 13, false);
         let pack = TracePack::from_ops(trace.iter().copied());
 

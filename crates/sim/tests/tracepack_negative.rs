@@ -3,7 +3,9 @@
 //! never a silent truncation — through **both** decode entry points
 //! (`TracePack::from_bytes` and the streaming `TracePackReader`).
 
-use califorms_sim::tracepack::{TracePack, TracePackError, TracePackReader, MAGIC, VERSION};
+use califorms_sim::tracepack::{
+    TracePack, TracePackError, TracePackReader, MAGIC, MAX_OP_BYTES, VERSION,
+};
 use califorms_sim::TraceOp;
 
 /// A small valid pack to corrupt.
@@ -28,6 +30,25 @@ fn valid_bytes() -> Vec<u8> {
     ])
     .bytes()
     .to_vec()
+}
+
+/// A pack whose corrupt op sits deep in the stream: it follows 64 valid
+/// ops and is itself followed by more than [`MAX_OP_BYTES`] bytes, so
+/// the in-memory decoder meets it on its fixed-window fast path rather
+/// than in the checked tail that short corrupt packs exercise.
+fn embedded(corrupt_op: &[u8]) -> Vec<u8> {
+    let valid: Vec<TraceOp> = (0..64u64)
+        .map(|i| TraceOp::Load {
+            addr: 0x1000 + i * 8,
+            size: 8,
+        })
+        .collect();
+    let mut bytes = TracePack::from_ops(valid).bytes().to_vec();
+    bytes.pop(); // the end marker
+    bytes.extend_from_slice(corrupt_op);
+    bytes.extend_from_slice(&[5; MAX_OP_BYTES + 1]); // MaskPush ops
+    bytes.push(0xFF);
+    bytes
 }
 
 /// Drains a reader, returning the first error (panics on clean EOF).
@@ -94,11 +115,16 @@ fn unknown_op_tag_is_rejected() {
         bytes.push(VERSION);
         bytes.push(tag);
         bytes.push(0xFF); // end marker the decoder must never reach
-        match TracePack::from_bytes(bytes.clone()) {
-            Err(TracePackError::BadTag(t)) => assert_eq!(t, tag),
-            other => panic!("expected BadTag({tag:#x}), got {other:?}"),
+        for bytes in [bytes, embedded(&[tag])] {
+            match TracePack::from_bytes(bytes.clone()) {
+                Err(TracePackError::BadTag(t)) => assert_eq!(t, tag),
+                other => panic!("expected BadTag({tag:#x}), got {other:?}"),
+            }
+            match reader_error(&bytes) {
+                TracePackError::BadTag(t) => assert_eq!(t, tag),
+                other => panic!("reader: expected BadTag({tag:#x}), got {other:?}"),
+            }
         }
-        assert!(matches!(reader_error(&bytes), TracePackError::BadTag(_)));
     }
 }
 
@@ -166,35 +192,42 @@ fn oversized_varint_is_rejected() {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&MAGIC);
     bytes.push(VERSION);
-    bytes.push(0); // Exec
-    bytes.extend_from_slice(&[0xFF; 10]);
-    bytes.push(0x01);
+    let mut exec = vec![0]; // Exec
+    exec.extend_from_slice(&[0xFF; 10]);
+    exec.push(0x01);
+    bytes.extend_from_slice(&exec);
     bytes.push(0xFF);
-    assert!(matches!(
-        TracePack::from_bytes(bytes.clone()),
-        Err(TracePackError::VarintOverflow)
-    ));
-    assert!(matches!(
-        reader_error(&bytes),
-        TracePackError::VarintOverflow
-    ));
+    for bytes in [bytes, embedded(&exec)] {
+        assert!(matches!(
+            TracePack::from_bytes(bytes.clone()),
+            Err(TracePackError::VarintOverflow)
+        ));
+        assert!(matches!(
+            reader_error(&bytes),
+            TracePackError::VarintOverflow
+        ));
+    }
 }
 
 #[test]
 fn zero_and_oversized_access_sizes_are_rejected() {
     for size in [0u8, 65, 0xFF] {
+        let store = [2, 0, size]; // Store, delta 0, size
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.push(VERSION);
-        bytes.push(2); // Store
-        bytes.push(0); // delta 0
-        bytes.push(size);
+        bytes.extend_from_slice(&store);
         bytes.push(0xFF);
-        match TracePack::from_bytes(bytes.clone()) {
-            Err(TracePackError::BadSize(s)) => assert_eq!(s, size),
-            other => panic!("expected BadSize({size}), got {other:?}"),
+        for bytes in [bytes, embedded(&store)] {
+            match TracePack::from_bytes(bytes.clone()) {
+                Err(TracePackError::BadSize(s)) => assert_eq!(s, size),
+                other => panic!("expected BadSize({size}), got {other:?}"),
+            }
+            match reader_error(&bytes) {
+                TracePackError::BadSize(s) => assert_eq!(s, size),
+                other => panic!("reader: expected BadSize({size}), got {other:?}"),
+            }
         }
-        assert!(matches!(reader_error(&bytes), TracePackError::BadSize(_)));
     }
 }
 

@@ -2,7 +2,7 @@
 //! identity for arbitrary valid traces, through both the in-memory pack
 //! and the streaming writer/reader, one op at a time and in batches.
 
-use califorms_sim::tracepack::{TracePack, TracePackReader, TracePackWriter};
+use califorms_sim::tracepack::{TracePack, TracePackReader, TracePackWriter, MAX_OP_BYTES};
 use califorms_sim::TraceOp;
 use proptest::prelude::*;
 
@@ -68,16 +68,71 @@ proptest! {
         batch in 1usize..17,
     ) {
         let pack = TracePack::from_ops(ops.iter().copied());
-        let mut dec = pack.decoder();
-        let mut buf = vec![TraceOp::Exec(0); batch];
-        let mut got = Vec::new();
-        loop {
-            let n = dec.next_batch(&mut buf).unwrap();
-            if n == 0 {
-                break;
-            }
-            got.extend_from_slice(&buf[..n]);
+        prop_assert_eq!(drain_batches(&pack, batch), ops);
+    }
+}
+
+/// Decodes `pack` through `next_batch` at batch size `batch`, checking
+/// that the drained decoder consumed every byte after the header.
+fn drain_batches(pack: &TracePack, batch: usize) -> Vec<TraceOp> {
+    let mut dec = pack.decoder();
+    let mut buf = vec![TraceOp::Exec(0); batch];
+    let mut got = Vec::new();
+    loop {
+        let n = dec.next_batch(&mut buf).unwrap();
+        if n == 0 {
+            break;
         }
-        prop_assert_eq!(got, ops);
+        got.extend_from_slice(&buf[..n]);
+    }
+    assert_eq!(dec.bytes_consumed() as usize, pack.bytes().len() - 5);
+    got
+}
+
+/// The worst-case op — a `Cform` whose address delta, attrs and mask are
+/// all 10-byte varints, `MAX_OP_BYTES` in all — at the edge of the
+/// in-memory decoder's fixed window. Being `MAX_OP_BYTES` long it starts
+/// at least `MAX_OP_BYTES` bytes before the end marker, where the window
+/// holds it with no byte to spare; the sweep moves it outwards one byte
+/// at a time, so the op after it starts `MAX_OP_BYTES - 1`,
+/// `MAX_OP_BYTES` and `MAX_OP_BYTES + 1` bytes (and every other distance
+/// up to twice that) before the marker, and the switch from the window
+/// to the checked tail lands on and around every op boundary.
+#[test]
+fn worst_case_op_decodes_identically_at_the_window_edge() {
+    let worst = TraceOp::Cform {
+        line_addr: 1 << 63, // delta i64::MIN from address 0: zigzag u64::MAX
+        attrs: u64::MAX,
+        mask: u64::MAX,
+    };
+    let one = TracePack::from_ops([worst]);
+    assert_eq!(one.bytes().len(), 5 + MAX_OP_BYTES + 1, "a 31-byte op");
+    for lead in [0usize, 1, 40] {
+        for tail in 0..=2 * MAX_OP_BYTES + 2 {
+            let mut ops = vec![TraceOp::MaskPush; lead];
+            ops.push(worst);
+            ops.extend(std::iter::repeat_n(TraceOp::MaskPop, tail));
+            let pack = TracePack::from_ops(ops.iter().copied());
+            let marker = pack.bytes().len() - 1;
+            assert_eq!(marker - (5 + lead), MAX_OP_BYTES + tail, "the op's start");
+
+            let mut dec = pack.decoder();
+            let mut one_at_a_time = Vec::new();
+            while let Some(op) = dec.next_op().unwrap() {
+                one_at_a_time.push(op);
+            }
+            assert_eq!(one_at_a_time, ops, "next_op, lead {lead}, tail {tail}");
+            for batch in [1, 7, 256] {
+                assert_eq!(
+                    drain_batches(&pack, batch),
+                    one_at_a_time,
+                    "next_batch({batch}), lead {lead}, tail {tail}"
+                );
+            }
+            let mut r = TracePackReader::new(pack.bytes()).unwrap();
+            let streamed: Vec<TraceOp> = r.by_ref().map(Result::unwrap).collect();
+            assert_eq!(streamed, ops, "reader, lead {lead}, tail {tail}");
+            assert_eq!(TracePack::from_bytes(pack.bytes().to_vec()).unwrap(), pack);
+        }
     }
 }

@@ -87,7 +87,7 @@ fn bench_hierarchy(c: &mut Criterion) {
             addr: 0x1000,
             size: 8,
         });
-        b.iter(|| engine.hierarchy.load(black_box(0x1000), 8, 0).latency)
+        b.iter(|| engine.hierarchy.load(black_box(0x1000), 8, 0, None).latency)
     });
 }
 

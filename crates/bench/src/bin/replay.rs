@@ -492,10 +492,7 @@ fn main() {
         push(row);
         let report = tel_out.telemetry.as_ref().expect("telemetry was enabled");
         println!();
-        print!(
-            "{}",
-            render_telemetry_summary(report, &tel_out.stats, &tel_out.timing)
-        );
+        print!("{}", render_telemetry_summary(report, &tel_out.timing));
         if let Some(path) = &metrics_out {
             std::fs::write(path, report.metrics_json()).expect("write --metrics-out");
             println!("metrics JSON written to {path}");

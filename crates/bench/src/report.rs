@@ -58,12 +58,10 @@ pub fn render_policy_rows(title: &str, rows: &[PolicyRow]) -> String {
 }
 
 /// Renders one instrumented multicore run for bench stdout: the
-/// telemetry counter/latency summary, the per-core weave wall-clock
-/// breakdown that replaces the old aggregate `weave_s`, and the
-/// batched/contended transaction split per directory shard.
+/// telemetry counter/latency summary and the per-core weave wall-clock
+/// breakdown that replaces the old aggregate `weave_s`.
 pub fn render_telemetry_summary(
     report: &califorms_telemetry::TelemetryReport,
-    stats: &califorms_sim::MulticoreStats,
     timing: &califorms_sim::RuntimeTiming,
 ) -> String {
     let mut out = report.summary();
@@ -86,14 +84,6 @@ pub fn render_telemetry_summary(
                 String::new()
             },
         ));
-    }
-    for (b, sh) in stats.weave.per_shard.iter().enumerate() {
-        if sh.transactions > 0 {
-            out.push_str(&format!(
-                "  shard {b}: {} weave txns ({} batched, {} contended)\n",
-                sh.transactions, sh.batched, sh.contended,
-            ));
-        }
     }
     out
 }

@@ -334,8 +334,9 @@ pub fn speculative_probe(seed: u64) -> AttackReport {
     // Attacker speculatively loads the freed secret's address. The
     // architectural value must be zero (no stale data), and the exception
     // is deferred — exactly what breaks the Spectre-style gadget.
-    let r = engine.hierarchy.load(base, 1, u64::MAX);
-    let leaked = r.data[0] != 0;
+    let mut loaded = Vec::new();
+    engine.hierarchy.load(base, 1, u64::MAX, Some(&mut loaded));
+    let leaked = loaded[0] != 0;
 
     // LSQ leg: a load younger than an in-flight CFORM gets zeros too.
     let mut lsq = LoadStoreQueue::new();

@@ -49,7 +49,7 @@ pub struct SetAssocCache<V> {
     pub stats: CacheStats,
 }
 
-/// A line found by [`SetAssocCache::access_entry`]: the payload plus its
+/// A line found by `SetAssocCache::probe_entry`: the payload plus its
 /// dirty bit, so read-modify-write accesses (the store hot path) can set
 /// dirtiness without a second set scan.
 #[derive(Debug)]
@@ -141,13 +141,6 @@ impl<V> SetAssocCache<V> {
     ///
     /// Returns a mutable reference to the payload on a hit.
     pub fn access(&mut self, line_addr: u64) -> Option<&mut V> {
-        Some(self.access_entry(line_addr)?.value)
-    }
-
-    /// Looks up a line, updating LRU and hit/miss counters, exposing the
-    /// dirty bit alongside the payload — the store hot path marks lines
-    /// dirty through this without a second set scan.
-    pub fn access_entry(&mut self, line_addr: u64) -> Option<AccessedLine<'_, V>> {
         let (set_idx, tag) = self.index(line_addr);
         self.clock += 1;
         let clock = self.clock;
@@ -156,10 +149,7 @@ impl<V> SetAssocCache<V> {
             Some(e) => {
                 self.stats.hits += 1;
                 e.stamp = clock;
-                Some(AccessedLine {
-                    value: &mut e.value,
-                    dirty: &mut e.dirty,
-                })
+                Some(&mut e.value)
             }
             None => {
                 self.stats.misses += 1;
@@ -170,10 +160,10 @@ impl<V> SetAssocCache<V> {
 
     /// Looks up a line, updating LRU but **not** the hit/miss counters,
     /// exposing the dirty bit alongside the payload. The caller decides
-    /// whether (and how) to count the access — the multi-core L1 fast
-    /// paths use this to probe once and count a hit only when the access
-    /// actually completes locally, leaving the miss count to whichever
-    /// phase services it.
+    /// whether (and how) to count the access — the L1 access path
+    /// (`crate::coherence`) probes once, counts a hit only when the line
+    /// serves the access as it stands, and leaves the miss count to the
+    /// miss path that makes the line resident.
     pub(crate) fn probe_entry(&mut self, line_addr: u64) -> Option<AccessedLine<'_, V>> {
         let (set_idx, tag) = self.index(line_addr);
         self.clock += 1;

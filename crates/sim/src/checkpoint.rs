@@ -3,8 +3,8 @@
 //!
 //! A checkpoint captures everything that feeds the bit-identity contract
 //! — core state (pc, exception masks, counters), the full hierarchy
-//! (L1 lines with dirty/recency state, banked shared levels, the sharded
-//! MESI directory), optional OS swap maps and LSQ state, the runtime
+//! (L1 lines with their MESI state and dirty/recency state, the shared
+//! levels, the MESI directory), optional OS swap maps and LSQ state, the runtime
 //! counters, and the replay cursor ([`crate::tracepack::ResumePoint`]
 //! per lane) — so a run killed at any quantum boundary can be resumed
 //! from its last checkpoint and produce results byte-identical to a
@@ -14,7 +14,7 @@
 //! The format follows the same discipline as `tracepack`:
 //!
 //! ```text
-//! header  := magic "CFCK" | version u8 (=3)
+//! header  := magic "CFCK" | version u8 (=4)
 //! section := tag u8 (!= 0xFF) | len u64 LE | payload[len]
 //! end     := 0xFF
 //! trailer := checksum u64 LE (FNV-1a over every preceding byte)
@@ -36,7 +36,7 @@
 //! needed, so serialization itself is plain single-threaded code.
 
 use crate::trace::TraceOp;
-use crate::tracepack::{ResumePoint, TracePackError, MAX_ACCESS_BYTES};
+use crate::tracepack::{access_wraps, ResumePoint, TracePackError, MAX_ACCESS_BYTES};
 use califorms_core::{
     AccessKind, CaliformedLine, CaliformsException, ExceptionKind, ExceptionMask, L1Line, L2Line,
     LINE_BYTES,
@@ -48,7 +48,7 @@ pub const MAGIC: [u8; 4] = *b"CFCK";
 /// Checkpoint format version. Checkpoints are run-local and never
 /// migrated, so the decoder reads exactly this version and rejects every
 /// other one, older or newer.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 
 /// End-of-sections marker tag.
 const TAG_END: u8 = 0xFF;
@@ -625,13 +625,11 @@ pub(crate) fn get_trace_op(r: &mut Rd<'_>) -> Result<TraceOp> {
     Ok(match r.u8()? {
         0 => TraceOp::Exec(r.u32()?),
         1 => {
-            let addr = r.u64()?;
-            let size = checked_size(r.u8()?)?;
+            let (addr, size) = checked_access(r)?;
             TraceOp::Load { addr, size }
         }
         2 => {
-            let addr = r.u64()?;
-            let size = checked_size(r.u8()?)?;
+            let (addr, size) = checked_access(r)?;
             TraceOp::Store { addr, size }
         }
         3 => TraceOp::Cform {
@@ -666,14 +664,22 @@ pub(crate) fn get_core_weave(r: &mut Rd<'_>) -> Result<crate::stats::CoreWeaveSt
     })
 }
 
-/// Guard shared by the load/store arms of [`get_trace_op`].
-fn checked_size(size: u8) -> Result<u8> {
+/// The address and size of a load/store in [`get_trace_op`], held to the
+/// trace pack's access contract.
+fn checked_access(r: &mut Rd<'_>) -> Result<(u64, u8)> {
+    let addr = r.u64()?;
+    let size = r.u8()?;
     if size == 0 || size as usize > MAX_ACCESS_BYTES {
         return Err(CheckpointError::Corrupt(
             "trace op access size out of range",
         ));
     }
-    Ok(size)
+    if access_wraps(addr, size) {
+        return Err(CheckpointError::Corrupt(
+            "trace op access wraps past the address space",
+        ));
+    }
+    Ok((addr, size))
 }
 
 // --- cache + config serializers ---------------------------------------

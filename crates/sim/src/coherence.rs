@@ -1,13 +1,28 @@
-//! MESI directory coherence over per-core califormed L1 data caches.
+//! The L1 data cache of both engines, and MESI directory coherence over
+//! per-core L1s.
 //!
-//! Multi-core layout of the Califorms hierarchy (DESIGN.md §7): every core
-//! owns a private L1D holding lines in the *califorms-bitvector* format,
-//! and all cores share the sentinel-format L2/L3/DRAM levels
-//! ([`SharedLevels`]). A full-map directory (conceptually co-located with
-//! the shared L2 tags) tracks, per line, which cores cache it and whether
-//! one of them holds it exclusively.
+//! **One L1.** [`CoreL1`] is a core's private L1D: lines in the
+//! *califorms-bitvector* format, each with a MESI state. Every L1 access
+//! of either engine runs through `access`, which splits it at line
+//! boundaries; per line it does the hit check, the Califorms checker's
+//! security-byte AND, store suppression with the silent E→M upgrade, and
+//! the `CFORM` K-map faults. Accesses differ only in how a line the L1
+//! lacks (or holds only Shared, for a write) is made resident — their
+//! `MissPath`:
 //!
-//! The protocol is MESI:
+//! * the single-core [`crate::hierarchy::Hierarchy`] fetches it from the
+//!   shared levels through its stream prefetcher, so its lines are always
+//!   E or M;
+//! * [`CoherentHierarchy`] runs the MESI directory below;
+//! * a bound-phase worker ([`crate::multicore::MulticoreEngine`]) does not
+//!   make it resident at all: it defers the access to the weave without
+//!   counting a hit or miss.
+//!
+//! **Coherence** (DESIGN.md §7). Every core owns a `CoreL1`, and all cores
+//! share the sentinel-format L2/L3/DRAM levels ([`SharedLevels`]). A
+//! full-map directory (conceptually co-located with the shared L2 tags)
+//! tracks, per line, which cores cache it and whether one of them holds it
+//! exclusively. The protocol is MESI:
 //!
 //! * **M**odified — sole copy, dirty; the directory records the owner.
 //! * **E**xclusive — sole copy, clean; a silent local E→M upgrade on the
@@ -27,16 +42,15 @@
 //! and cache-to-cache transfer (property-tested in
 //! `crates/sim/tests/multicore.rs`).
 
-use crate::cache::SetAssocCache;
-use crate::hierarchy::{
-    kmap_exception, load_violation, HierarchyConfig, LevelBank, LineMap, MemResult, SharedLevels,
-};
+use crate::cache::{AccessedLine, Eviction, SetAssocCache};
+use crate::hierarchy::{HierarchyConfig, LineMap, MemResult, SharedLevels};
 use crate::stats::{CacheStats, CoherenceStats, SimStats};
 use crate::{line_base, line_offset, LINE_BYTES};
 use califorms_core::{
     fill_canonical, range_mask, spill_canonical, AccessKind, CaliformsException, CformInstruction,
-    CoreError, ExceptionKind, L1Line,
+    CoreError, ExceptionKind, L1Line, L2Line,
 };
+use std::convert::Infallible;
 
 /// MESI residency state of a line in one core's L1 (absence = Invalid).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,33 +110,25 @@ impl Default for CoherenceConfig {
     }
 }
 
-/// Full-map directory entry for one line.
-#[derive(Debug, Clone, Copy, Default)]
-struct DirEntry {
-    /// Bit `c` set ⇒ core `c` has a copy.
-    sharers: u64,
-    /// `Some(c)` ⇒ core `c` holds the line in M or E (then
-    /// `sharers == 1 << c`).
-    owner: Option<usize>,
-}
+// ---------------------------------------------------------------------------
+// The L1 and its access rules.
+// ---------------------------------------------------------------------------
 
-/// One core's private L1D with its MESI states — the per-core slice of the
-/// L1 boundary.
+/// One core's private L1D with its MESI states.
 ///
-/// This type owns everything a core may touch **without** synchronisation:
-/// during the parallel phase of a quantum
+/// During the parallel phase of a quantum
 /// ([`crate::multicore::MulticoreEngine`]) each worker thread holds `&mut`
-/// to exactly one `CoreL1`, and the `try_*` methods below complete only
+/// to exactly one `CoreL1` and completes through `try_access` only
 /// the accesses that need no directory transaction (hits with sufficient
-/// MESI permission). Everything else returns `None` and is replayed
-/// through [`CoherentHierarchy`] in the deterministic serial phase.
+/// MESI permission). Everything else is deferred and replayed through
+/// [`CoherentHierarchy`] in the deterministic serial phase.
 #[derive(Debug)]
 pub struct CoreL1 {
-    cache: SetAssocCache<CoherentLine>,
+    pub(crate) cache: SetAssocCache<CoherentLine>,
 }
 
 impl CoreL1 {
-    fn new(cfg: &HierarchyConfig) -> Self {
+    pub(crate) fn new(cfg: &HierarchyConfig) -> Self {
         Self {
             cache: SetAssocCache::new(cfg.l1d_size, cfg.l1d_ways, cfg.l1d_latency),
         }
@@ -133,31 +139,6 @@ impl CoreL1 {
         self.cache.stats
     }
 
-    /// Lines currently resident (telemetry occupancy numerator).
-    pub fn resident_lines(&self) -> usize {
-        self.cache.resident_lines()
-    }
-
-    /// Line-slot capacity (telemetry occupancy denominator).
-    pub fn capacity_lines(&self) -> usize {
-        self.cache.capacity_lines()
-    }
-
-    /// Whether all lines covered by `[addr, addr + len)` are resident
-    /// (`write` additionally requires M or E on each).
-    fn servable_locally(&self, addr: u64, len: usize, write: bool) -> bool {
-        let mut line_addr = line_base(addr);
-        let end = addr + len as u64;
-        while line_addr < end {
-            match self.cache.peek(line_addr) {
-                Some(e) if !write || e.state.writable() => {}
-                _ => return false,
-            }
-            line_addr += LINE_BYTES;
-        }
-        true
-    }
-
     /// A structurally empty stand-in left behind while the real L1 is
     /// lent to a bound-phase worker. Never accessed.
     pub(crate) fn detached() -> Self {
@@ -166,234 +147,325 @@ impl CoreL1 {
         }
     }
 
-    /// Completes a load entirely within this L1 **without materialising
-    /// the data** — the replay hot path only needs latency and exception.
-    /// Returns `None` if any covered line is absent.
-    ///
-    /// Single-line accesses (the trace-pack common case) take a one-scan
-    /// fast path: probe once, count the hit only if the access completes
-    /// locally, one bit-vector AND for the security check.
-    pub fn try_load_quiet(&mut self, addr: u64, len: usize, pc: u64) -> Option<MemResult> {
-        let offset = line_offset(addr);
-        if len != 0 && offset + len <= LINE_BYTES as usize {
-            let line_addr = line_base(addr);
-            let latency = self.cache.latency;
-            let hit = self.cache.probe_entry(line_addr)?;
-            let bv = hit.value.line.bitvector();
-            self.cache.stats.hits += 1;
-            return Some(MemResult::quiet(
-                latency,
-                load_violation(bv & range_mask(offset, len), line_addr, pc),
-            ));
-        }
-        if !self.servable_locally(addr, len, false) {
-            return None;
-        }
-        let latency = self.cache.latency;
-        let mut exception = None;
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            // analyze::allow(hot-path-unwrap): residency checked by the enclosing probe
-            let e = self.cache.access(line_addr).expect("checked resident");
-            let bv = e.line.bitvector();
-            if exception.is_none() {
-                exception = load_violation(bv & range_mask(offset, chunk), line_addr, pc);
+    /// Whether every line of `[addr, end)` is resident (`write`
+    /// additionally requires M or E on each). `end` is past `addr`.
+    fn servable_locally(&self, addr: u64, end: u64, write: bool) -> bool {
+        let last = line_base(end - 1);
+        let mut line_addr = line_base(addr);
+        loop {
+            match self.cache.peek(line_addr) {
+                Some(e) if !write || e.state.writable() => {}
+                _ => return false,
             }
-            cur += chunk as u64;
+            if line_addr == last {
+                return true;
+            }
+            line_addr += LINE_BYTES;
         }
-        Some(MemResult::quiet(latency, exception))
     }
 
-    /// Completes a store entirely within this L1, or returns `None` if any
-    /// covered line is absent or lacks write permission.
-    ///
-    /// Single-line stores take a one-scan fast path: probe once, check
-    /// MESI write permission, write and mark dirty through the same
-    /// entry handle.
-    pub fn try_store(&mut self, addr: u64, bytes: &[u8], pc: u64) -> Option<MemResult> {
-        let offset = line_offset(addr);
-        if !bytes.is_empty() && offset + bytes.len() <= LINE_BYTES as usize {
-            let line_addr = line_base(addr);
-            let latency = self.cache.latency;
-            let hit = self.cache.probe_entry(line_addr)?;
-            if !hit.value.state.writable() {
-                // S-state store: the upgrade (and its hit count) belongs
-                // to whichever phase runs the directory transaction.
-                return None;
-            }
-            let exception = match hit.value.line.store(offset, bytes) {
-                Ok(()) => {
-                    hit.value.state = Mesi::Modified; // silent E→M
-                    *hit.dirty = true;
-                    None
+    /// Completes an access entirely within this L1 — the bound phase.
+    /// Returns `None`, counting no hit or miss, if a covered line is
+    /// absent or a write finds a line held Shared.
+    #[inline(always)]
+    pub(crate) fn try_access(&mut self, addr: u64, a: Access<'_>, pc: u64) -> Option<MemResult> {
+        access(self, addr, a, pc).ok()
+    }
+}
+
+/// The bound phase's miss path: it never makes a line resident, and it
+/// starts a line-crossing access only if it can finish it.
+impl MissPath for CoreL1 {
+    type Defer = ();
+
+    fn l1(&mut self) -> &mut CoreL1 {
+        self
+    }
+
+    fn make_resident(&mut self, _line_addr: u64, _write: bool, _held: bool) -> Result<u32, ()> {
+        Err(())
+    }
+
+    fn admits(&mut self, addr: u64, end: u64, write: bool) -> Result<(), ()> {
+        if self.servable_locally(addr, end, write) {
+            Ok(())
+        } else {
+            Err(())
+        }
+    }
+}
+
+/// How an L1 access gets a line its L1 lacks, or holds only Shared for a
+/// write: the one step in which the engines differ.
+pub(crate) trait MissPath {
+    /// Why the path may refuse an access: [`Infallible`] for the paths
+    /// that always make the line resident, `()` for the bound phase,
+    /// which defers the access to the weave.
+    type Defer;
+
+    /// The L1 the access runs against.
+    fn l1(&mut self) -> &mut CoreL1;
+
+    /// Makes `line_addr` resident in [`Self::l1`], with write permission
+    /// when `write`, counting the access as an L1 hit (`held`: the L1 has
+    /// the line, Shared) or miss. Returns the latency beyond the L1 hit.
+    fn make_resident(
+        &mut self,
+        line_addr: u64,
+        write: bool,
+        held: bool,
+    ) -> Result<u32, Self::Defer>;
+
+    /// Whether a line-crossing access over `[addr, end)` may start. A path
+    /// that defers must not commit half of one.
+    fn admits(&mut self, _addr: u64, _end: u64, _write: bool) -> Result<(), Self::Defer> {
+        Ok(())
+    }
+}
+
+/// What an L1 access does to each line it covers.
+#[derive(Debug)]
+pub(crate) enum Access<'a> {
+    /// A load of `len` bytes; the bytes are appended to `sink` when there
+    /// is one (security bytes read as zero).
+    Load {
+        /// Bytes loaded.
+        len: usize,
+        /// Where the loaded bytes go, if anywhere.
+        sink: Option<&'a mut Vec<u8>>,
+    },
+    /// A store of these bytes.
+    Store(&'a [u8]),
+    /// A `CFORM` of one line (write-allocate, like a store).
+    Cform(&'a CformInstruction),
+}
+
+impl Access<'_> {
+    fn writes(&self) -> bool {
+        !matches!(self, Access::Load { .. })
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Access::Load { len, .. } => *len,
+            Access::Store(bytes) => bytes.len(),
+            Access::Cform(_) => LINE_BYTES as usize,
+        }
+    }
+
+    /// Applies this access to `chunk` bytes at `offset` of the resident
+    /// `line` (`done` bytes into the access), returning the fault it
+    /// raised. A load's fault is the first security byte it touched; a
+    /// faulting store or `CFORM` leaves the line untouched, and one that
+    /// commits makes it Modified and dirty (the silent E→M upgrade).
+    #[inline(always)]
+    fn apply(
+        &mut self,
+        line: AccessedLine<'_, CoherentLine>,
+        line_addr: u64,
+        offset: usize,
+        chunk: usize,
+        done: usize,
+        pc: u64,
+    ) -> Option<CaliformsException> {
+        let l1 = &mut line.value.line;
+        let written = match self {
+            Access::Load { sink, .. } => {
+                if let Some(sink) = sink {
+                    // Canonical-line invariant: security bytes hold zero,
+                    // so the loaded bytes are a straight copy.
+                    sink.extend_from_slice(&l1.line().data()[offset..offset + chunk]);
                 }
-                Err(CoreError::StoreToSecurityByte { index }) => Some(CaliformsException {
-                    fault_addr: line_addr + index as u64,
-                    access: AccessKind::Store,
+                let violating = l1.bitvector() & range_mask(offset, chunk);
+                return (violating != 0).then(|| CaliformsException {
+                    fault_addr: line_addr + u64::from(violating.trailing_zeros()),
+                    access: AccessKind::Load,
                     kind: ExceptionKind::SecurityByteAccess,
                     pc,
-                }),
-                Err(other) => unreachable!("store can only fault on security bytes: {other}"),
-            };
-            self.cache.stats.hits += 1;
-            return Some(MemResult::quiet(latency, exception));
-        }
-        if !self.servable_locally(addr, bytes.len(), true) {
-            return None;
-        }
-        let latency = self.cache.latency;
-        let mut exception = None;
-        let mut cur = addr;
-        let end = addr + bytes.len() as u64;
-        let mut consumed = 0usize;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            // analyze::allow(hot-path-unwrap): residency checked by the enclosing probe
-            let e = self.cache.access(line_addr).expect("checked resident");
-            match e.line.store(offset, &bytes[consumed..consumed + chunk]) {
-                Ok(()) => {
-                    e.state = Mesi::Modified; // silent E→M
-                    self.cache.mark_dirty(line_addr);
-                }
-                Err(CoreError::StoreToSecurityByte { index }) => {
-                    if exception.is_none() {
-                        exception = Some(CaliformsException {
-                            fault_addr: line_addr + index as u64,
-                            access: AccessKind::Store,
-                            kind: ExceptionKind::SecurityByteAccess,
-                            pc,
-                        });
-                    }
-                }
-                Err(other) => unreachable!("store can only fault on security bytes: {other}"),
+                });
             }
-            cur += chunk as u64;
-            consumed += chunk;
-        }
-        Some(MemResult::quiet(latency, exception))
-    }
-
-    /// Completes a `CFORM` entirely within this L1 (the line must be held
-    /// M or E), or returns `None`. One probe scan, like the store path.
-    pub fn try_cform(&mut self, insn: &CformInstruction, pc: u64) -> Option<MemResult> {
-        let latency = self.cache.latency;
-        let hit = self.cache.probe_entry(insn.line_addr)?;
-        if !hit.value.state.writable() {
-            return None;
-        }
-        let exception = match insn.execute(hit.value.line.line_mut()) {
-            Ok(_) => {
-                hit.value.state = Mesi::Modified;
-                *hit.dirty = true;
+            Access::Store(bytes) => l1.store(offset, &bytes[done..done + chunk]),
+            Access::Cform(insn) => insn.execute(l1.line_mut()).map(drop),
+        };
+        match written {
+            Ok(()) => {
+                line.value.state = Mesi::Modified;
+                *line.dirty = true;
                 None
             }
-            Err(err) => Some(kmap_exception(err, insn.line_addr, pc)),
-        };
-        self.cache.stats.hits += 1;
-        Some(MemResult::quiet(latency, exception))
+            Err(e) => Some(write_fault(e, line_addr, pc)),
+        }
     }
 }
 
-/// Per-bank coherence-side state: the directory shard covering one
-/// [`LevelBank`]'s lines, plus the counters whose events are attributable
-/// to a single bank (and may therefore be bumped by a bound-phase worker
-/// that owns the bank, without any synchronisation).
-#[derive(Debug, Default)]
-pub(crate) struct BankExt {
-    /// Directory shard: full-map entries for this bank's lines.
-    dir: LineMap<DirEntry>,
-    /// Directory consultations against this shard.
-    lookups: u64,
-    /// S→M upgrades resolved through this shard.
-    upgrades: u64,
-    /// L1→L2 spill conversions of califormed lines into this bank.
-    spills: u64,
-    /// L2→L1 fill conversions of califormed lines out of this bank.
-    fills: u64,
-    /// Weave transactions whose line lives in this shard.
-    weave_transactions: u64,
-    /// Of those, transactions that rode an earlier transaction's turn.
-    weave_batched: u64,
-    /// Of those, transactions that involved another core.
-    weave_contended: u64,
+/// The exception a refused line write raises: a store that touched a
+/// security byte, or a `CFORM` K-map fault (Table 1 semantics).
+pub(crate) fn write_fault(e: CoreError, line_addr: u64, pc: u64) -> CaliformsException {
+    let (access, kind, index) = match e {
+        CoreError::StoreToSecurityByte { index } => {
+            (AccessKind::Store, ExceptionKind::SecurityByteAccess, index)
+        }
+        CoreError::CformSetOnSecurityByte { index } => {
+            (AccessKind::Cform, ExceptionKind::CformDoubleSet, index)
+        }
+        CoreError::CformUnsetOnNormalByte { index } => {
+            (AccessKind::Cform, ExceptionKind::CformUnsetNormal, index)
+        }
+        other => unreachable!("line writes fault only on security bytes or the K-map: {other}"),
+    };
+    CaliformsException {
+        fault_addr: line_addr + index as u64,
+        access,
+        kind,
+        pc,
+    }
 }
 
-/// Public snapshot of one directory shard's counters — the per-shard
-/// telemetry lanes ([`CoherentHierarchy::coherence_totals`] sums the
-/// lookup/upgrade columns away; the weave split used to be one global
-/// total in [`crate::runtime::RuntimeStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirectoryShardStats {
-    /// Directory consultations against this shard.
-    pub lookups: u64,
-    /// S→M upgrades resolved through this shard.
-    pub upgrades: u64,
-    /// L1→L2 spill conversions of califormed lines into this shard's bank.
-    pub spills: u64,
-    /// L2→L1 fill conversions of califormed lines out of this shard's bank.
-    pub fills: u64,
-    /// Weave transactions whose line lives in this shard.
-    pub weave_transactions: u64,
-    /// Of those, transactions that rode an earlier transaction's turn.
-    pub weave_batched: u64,
-    /// Of those, transactions that involved another core.
-    pub weave_contended: u64,
+/// Exclusive end of a line-crossing access, faulting loudly on a range
+/// that wraps past the address space instead of letting debug builds
+/// panic on overflow and release builds silently turn the access into a
+/// no-op. (An access of at most a line whose last byte is the top of the
+/// address space is single-line, so it never needs `end == 2^64`.)
+#[inline]
+fn access_end(addr: u64, len: usize) -> u64 {
+    addr.checked_add(len as u64).unwrap_or_else(|| {
+        panic!("memory access [{addr:#x}, {addr:#x} + {len:#x}) wraps past the address space")
+    })
+}
+
+/// The L1 access rules, written once for both engines. Every line an
+/// access covers goes through [`access_line`]; a line-crossing access is
+/// split at line boundaries, as the cache controller would, and takes the
+/// slowest line's latency and the first line's fault. Only a deferring
+/// `path` returns `Err`, and then before anything was counted or written.
+#[inline(always)]
+pub(crate) fn access<P: MissPath>(
+    path: &mut P,
+    addr: u64,
+    mut a: Access<'_>,
+    pc: u64,
+) -> Result<MemResult, P::Defer> {
+    let len = a.len();
+    let hit_latency = path.l1().cache.latency;
+    if line_offset(addr) + len > LINE_BYTES as usize {
+        path.admits(addr, access_end(addr, len), a.writes())?;
+    } else if len != 0 {
+        let (extra, exception) = access_line(path, &mut a, addr, len, 0, pc)?;
+        return Ok(MemResult {
+            latency: hit_latency + extra,
+            exception,
+        });
+    }
+    // A line-crossing access (an empty one touches no line).
+    let mut latency = 0;
+    let mut exception = None;
+    let mut cur = addr;
+    let mut done = 0;
+    while done < len {
+        let chunk = (len - done).min(LINE_BYTES as usize - line_offset(cur));
+        let (extra, fault) = access_line(path, &mut a, cur, chunk, done, pc)?;
+        latency = latency.max(hit_latency + extra);
+        exception = exception.or(fault);
+        done += chunk;
+        cur += chunk as u64;
+    }
+    Ok(MemResult { latency, exception })
+}
+
+/// One line of an access: `chunk` bytes at `addr`, `done` bytes into it.
+/// A hit with sufficient permission is served in one set scan and counted;
+/// otherwise `path` makes the line resident first. Returns the latency
+/// beyond the L1 hit and the line's fault.
+#[inline(always)]
+fn access_line<P: MissPath>(
+    path: &mut P,
+    a: &mut Access<'_>,
+    addr: u64,
+    chunk: usize,
+    done: usize,
+    pc: u64,
+) -> Result<(u32, Option<CaliformsException>), P::Defer> {
+    let (line_addr, offset) = (line_base(addr), line_offset(addr));
+    let write = a.writes();
+    let l1 = path.l1();
+    match l1.cache.probe_entry(line_addr) {
+        Some(hit) if !write || hit.value.state.writable() => {
+            let fault = a.apply(hit, line_addr, offset, chunk, done, pc);
+            l1.cache.stats.hits += 1;
+            Ok((0, fault))
+        }
+        held => {
+            let held = held.is_some();
+            let extra = path.make_resident(line_addr, write, held)?;
+            let line = path
+                .l1()
+                .cache
+                .probe_entry(line_addr)
+                // analyze::allow(hot-path-unwrap): make_resident has just made the line resident
+                .expect("make_resident made the line resident");
+            Ok((extra, a.apply(line, line_addr, offset, chunk, done, pc)))
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The directory.
+// ---------------------------------------------------------------------------
+
+/// Full-map directory entry for one line.
+#[derive(Debug, Clone, Copy, Default)]
+struct DirEntry {
+    /// Bit `c` set ⇒ core `c` has a copy.
+    sharers: u64,
+    /// `Some(c)` ⇒ core `c` holds the line in M or E (then
+    /// `sharers == 1 << c`).
+    owner: Option<usize>,
 }
 
 /// The multi-core hierarchy: N per-core L1Ds kept coherent by a MESI
-/// directory over the shared sentinel-format L2/L3/DRAM. The shared
-/// levels and the directory are sharded into banks (see [`LevelBank`])
-/// so the bound phase of [`crate::multicore::MulticoreEngine`] can lend
-/// each worker exclusive ownership of a slice.
+/// directory over the shared sentinel-format L2/L3/DRAM.
 #[derive(Debug)]
 pub struct CoherentHierarchy {
     cfg: HierarchyConfig,
     ccfg: CoherenceConfig,
     l1s: Vec<CoreL1>,
     shared: SharedLevels,
-    /// Per-bank directory shards + bank-attributable counters.
-    exts: Vec<BankExt>,
-    /// Cross-core coherence-traffic counters (weave-phase only; the
-    /// per-bank `lookups`/`upgrades`/`spills`/`fills` are merged in by
-    /// [`Self::coherence_totals`]).
+    /// Full-map entries of every line some L1 holds.
+    dir: LineMap<DirEntry>,
+    /// L1→L2 spill conversions of califormed lines (all cores).
+    spills: u64,
+    /// L2→L1 fill conversions of califormed lines (all cores).
+    fills: u64,
+    /// Coherence-traffic counters.
     coherence: CoherenceStats,
 }
 
-/// Largest bank count the coherent hierarchy shards into.
-const MAX_BANKS: usize = 8;
-
-/// Largest power-of-two divisor of `n` (1 for odd `n`).
-fn pow2_divisor(n: usize) -> usize {
-    if n == 0 {
-        1
-    } else {
-        1 << n.trailing_zeros()
-    }
+/// Core `c`'s port into a [`CoherentHierarchy`]: its L1, with misses and
+/// upgrades resolved by the directory.
+struct CorePort<'a> {
+    h: &'a mut CoherentHierarchy,
+    c: usize,
 }
 
-/// Bank count for a configuration: the largest power of two ≤
-/// [`MAX_BANKS`] **dividing** the L1, L2 and L3 set counts (for the
-/// power-of-two set counts `SetAssocCache` enforces this is just their
-/// minimum, capped). Dividing the **L1** set count is what guarantees
-/// an L1 victim always lives in the same bank as the line that evicted
-/// it (same L1 set ⇒ same line index modulo the bank count), so a
-/// private-miss transaction never has to touch a foreign bank to
-/// retire a victim.
-fn bank_count(cfg: &HierarchyConfig) -> usize {
-    let line = LINE_BYTES as usize;
-    let l1_sets = cfg.l1d_size / (cfg.l1d_ways * line);
-    let l2_sets = cfg.l2_size / (cfg.l2_ways * line);
-    let l3_sets = cfg.l3_size / (cfg.l3_ways * line);
-    MAX_BANKS
-        .min(pow2_divisor(l1_sets))
-        .min(pow2_divisor(l2_sets))
-        .min(pow2_divisor(l3_sets))
+impl MissPath for CorePort<'_> {
+    type Defer = Infallible;
+
+    fn l1(&mut self) -> &mut CoreL1 {
+        &mut self.h.l1s[self.c]
+    }
+
+    fn make_resident(
+        &mut self,
+        line_addr: u64,
+        write: bool,
+        held: bool,
+    ) -> Result<u32, Infallible> {
+        Ok(if held {
+            self.h.upgrade(self.c, line_addr)
+        } else {
+            self.h.fetch_line(self.c, line_addr, write)
+        })
+    }
 }
 
 impl CoherentHierarchy {
@@ -411,11 +483,12 @@ impl CoherentHierarchy {
             (1..=64).contains(&cores),
             "directory supports 1..=64 cores, got {cores}"
         );
-        let banks = bank_count(&cfg);
         Self {
             l1s: (0..cores).map(|_| CoreL1::new(&cfg)).collect(),
-            shared: SharedLevels::banked(cfg, banks),
-            exts: (0..banks).map(|_| BankExt::default()).collect(),
+            shared: SharedLevels::new(cfg),
+            dir: LineMap::default(),
+            spills: 0,
+            fills: 0,
             cfg,
             ccfg,
             coherence: CoherenceStats::default(),
@@ -430,12 +503,6 @@ impl CoherentHierarchy {
     /// The hierarchy configuration.
     pub fn config(&self) -> &HierarchyConfig {
         &self.cfg
-    }
-
-    /// Mutable access to the per-core L1 slices — the multicore engine
-    /// hands each worker thread exactly one during the parallel phase.
-    pub fn l1s_mut(&mut self) -> &mut [CoreL1] {
-        &mut self.l1s
     }
 
     /// Read-only view of the per-core L1 slices.
@@ -459,23 +526,19 @@ impl CoherentHierarchy {
         self.l1s[c] = l1;
     }
 
-    /// L1→L2 spill conversions of califormed lines (all cores, all banks).
+    /// L1→L2 spill conversions of califormed lines (all cores).
     pub fn spills(&self) -> u64 {
-        self.exts.iter().map(|e| e.spills).sum()
+        self.spills
     }
 
-    /// L2→L1 fill conversions of califormed lines (all cores, all banks).
+    /// L2→L1 fill conversions of califormed lines (all cores).
     pub fn fills(&self) -> u64 {
-        self.exts.iter().map(|e| e.fills).sum()
+        self.fills
     }
 
-    /// The full coherence-traffic counters: the weave-phase cross-core
-    /// events plus the per-bank directory lookup and upgrade counts.
+    /// The coherence-traffic counters.
     pub fn coherence_totals(&self) -> CoherenceStats {
-        let mut c = self.coherence;
-        c.directory_lookups += self.exts.iter().map(|e| e.lookups).sum::<u64>();
-        c.upgrades_s_to_m += self.exts.iter().map(|e| e.upgrades).sum::<u64>();
-        c
+        self.coherence
     }
 
     /// Monotonic count of coherence events that involved more than one
@@ -486,72 +549,27 @@ impl CoherentHierarchy {
         self.coherence.invalidations + self.coherence.cache_to_cache_transfers
     }
 
-    /// Attributes one weave transaction on `line_addr` to the directory
-    /// shard holding the line (called by the weave after each committed
-    /// transaction; purely simulated state, so the split is
-    /// deterministic).
-    pub(crate) fn note_weave_txn(&mut self, line_addr: u64, batched: bool, contended: bool) {
-        let ext = &mut self.exts[self.shared.bank_of(line_addr)];
-        ext.weave_transactions += 1;
-        ext.weave_batched += u64::from(batched);
-        ext.weave_contended += u64::from(contended);
-    }
-
-    /// Per-shard directory counters (telemetry and the weave breakdown).
-    pub fn shard_stats(&self) -> Vec<DirectoryShardStats> {
-        self.exts
-            .iter()
-            .map(|e| DirectoryShardStats {
-                lookups: e.lookups,
-                upgrades: e.upgrades,
-                spills: e.spills,
-                fills: e.fills,
-                weave_transactions: e.weave_transactions,
-                weave_batched: e.weave_batched,
-                weave_contended: e.weave_contended,
-            })
-            .collect()
-    }
-
-    /// Per-bank shared-level counters (delegates to
-    /// [`SharedLevels::bank_stats`]).
-    pub fn bank_level_stats(&self) -> Vec<crate::hierarchy::BankLevelStats> {
-        self.shared.bank_stats()
-    }
-
-    /// Spills `line` back into `bank` (running the real
-    /// bitvector→sentinel conversion). `dirty` decides whether the L2
-    /// copy is marked dirty.
-    fn writeback_into(
-        bank: &mut LevelBank,
-        ext: &mut BankExt,
-        line_addr: u64,
-        line: &L1Line,
-        dirty: bool,
-    ) {
+    /// Spills `line` into the L2 (running the real bitvector→sentinel
+    /// conversion) and returns the sentinel-format copy. `dirty` decides
+    /// whether the L2 copy is marked dirty.
+    fn write_back(&mut self, line_addr: u64, line: &L1Line, dirty: bool) -> L2Line {
         let spilled = spill_canonical(line);
         if spilled.califormed {
-            ext.spills += 1;
+            self.spills += 1;
         }
-        bank.insert_l2(line_addr, spilled, dirty);
+        self.shared.insert_l2(line_addr, spilled, dirty);
+        spilled
     }
 
     /// Removes core `c` from a victim line's directory entry (L1 capacity
-    /// eviction), writing a dirty victim back through the spill path. The
-    /// caller supplies the victim's own bank. One hash operation in the
-    /// common case (sole resident core evicts → entry removed); the entry
-    /// is reinserted only when other cores still share the line.
-    fn retire_victim(
-        bank: &mut LevelBank,
-        ext: &mut BankExt,
-        c: usize,
-        line_addr: u64,
-        victim: CoherentLine,
-        dirty: bool,
-    ) {
-        let mut entry = ext
+    /// eviction), writing a dirty victim back through the spill path. One
+    /// hash operation in the common case (sole resident core evicts →
+    /// entry removed); the entry is reinserted only when other cores
+    /// still share the line.
+    fn retire_victim(&mut self, c: usize, victim: Eviction<CoherentLine>) {
+        let mut entry = self
             .dir
-            .remove(&line_addr)
+            .remove(&victim.line_addr)
             // analyze::allow(hot-path-unwrap): coherence invariant: every resident line has a directory entry
             .expect("resident lines are in the directory");
         entry.sharers &= !(1u64 << c);
@@ -559,304 +577,184 @@ impl CoherentHierarchy {
             if entry.owner == Some(c) {
                 entry.owner = None;
             }
-            ext.dir.insert(line_addr, entry);
+            self.dir.insert(victim.line_addr, entry);
         }
-        if dirty {
-            Self::writeback_into(bank, ext, line_addr, &victim.line, true);
+        if victim.dirty {
+            self.write_back(victim.line_addr, &victim.value.line, true);
         }
     }
 
-    /// The MESI state machine: makes `line_addr` resident in core `c`'s
-    /// L1 with read (`write == false`) or write permission, returning the
-    /// latency beyond the L1 hit latency.
-    fn ensure_state(&mut self, c: usize, line_addr: u64, write: bool) -> u32 {
-        let b = self.shared.bank_of(line_addr);
-        // Fast path: already resident with sufficient permission.
-        if let Some(e) = self.l1s[c].cache.access(line_addr) {
-            match (e.state, write) {
-                (_, false) | (Mesi::Modified, true) | (Mesi::Exclusive, true) => return 0,
-                (Mesi::Shared, true) => {
-                    // S→M upgrade: invalidate every other sharer.
-                    let ext = &mut self.exts[b];
-                    ext.lookups += 1;
-                    ext.upgrades += 1;
-                    let entry = ext
-                        .dir
-                        .get_mut(&line_addr)
-                        // analyze::allow(hot-path-unwrap): coherence invariant: shared lines keep their directory entry
-                        .expect("shared lines are in the directory");
-                    let others = entry.sharers & !(1u64 << c);
-                    entry.sharers = 1 << c;
-                    entry.owner = Some(c);
-                    let mut latency = self.ccfg.directory_latency;
-                    if others != 0 {
-                        latency += self.ccfg.upgrade_latency;
-                        for o in 0..self.l1s.len() {
-                            if others >> o & 1 == 1 {
-                                // Shared copies are clean: drop silently.
-                                self.l1s[o].cache.invalidate(line_addr);
-                                self.coherence.invalidations += 1;
-                            }
-                        }
-                    }
-                    let e = self.l1s[c]
-                        .cache
-                        .peek_mut(line_addr)
-                        // analyze::allow(hot-path-unwrap): the line was pinned resident earlier in this transaction
-                        .expect("still resident");
-                    e.state = Mesi::Modified;
-                    return latency;
-                }
+    /// S→M upgrade of a line core `c` holds Shared: the directory makes
+    /// `c` the owner and invalidates every other sharer. Counts an L1 hit
+    /// and returns the latency beyond it.
+    fn upgrade(&mut self, c: usize, line_addr: u64) -> u32 {
+        self.l1s[c].cache.stats.hits += 1;
+        self.coherence.directory_lookups += 1;
+        self.coherence.upgrades_s_to_m += 1;
+        let entry = self
+            .dir
+            .get_mut(&line_addr)
+            // analyze::allow(hot-path-unwrap): coherence invariant: shared lines keep their directory entry
+            .expect("shared lines are in the directory");
+        let others = entry.sharers & !(1u64 << c);
+        entry.sharers = 1 << c;
+        entry.owner = Some(c);
+        let mut latency = self.ccfg.directory_latency;
+        if others != 0 {
+            latency += self.ccfg.upgrade_latency;
+            self.invalidate_sharers(others, line_addr);
+        }
+        let e = self.l1s[c]
+            .cache
+            .peek_mut(line_addr)
+            // analyze::allow(hot-path-unwrap): the upgrading core holds the line; only other cores' copies were dropped
+            .expect("still resident");
+        e.state = Mesi::Modified;
+        latency
+    }
+
+    /// Drops the clean Shared copies of `line_addr` in every core of
+    /// `sharers`.
+    fn invalidate_sharers(&mut self, sharers: u64, line_addr: u64) {
+        for o in 0..self.l1s.len() {
+            if sharers >> o & 1 == 1 {
+                self.l1s[o].cache.invalidate(line_addr);
+                self.coherence.invalidations += 1;
             }
         }
+    }
 
-        // Miss: consult the directory shard (one hash op for the whole
-        // transaction — the entry is created and updated in place).
-        self.exts[b].lookups += 1;
-        let entry = self.exts[b].dir.entry(line_addr).or_default();
+    /// The MESI miss: makes `line_addr`, absent from core `c`'s L1,
+    /// resident there with read (`write == false`) or write permission.
+    /// Counts an L1 miss and returns the latency beyond the L1 hit.
+    fn fetch_line(&mut self, c: usize, line_addr: u64, write: bool) -> u32 {
+        self.l1s[c].cache.stats.misses += 1;
+        // One hash op for a private miss: the entry is created and
+        // updated in place.
+        self.coherence.directory_lookups += 1;
+        let entry = self.dir.entry(line_addr).or_default();
         let remote_owner = entry.owner.filter(|&o| o != c);
         let remote_sharers = entry.sharers & !(1u64 << c);
+        let mut latency = self.ccfg.directory_latency;
 
-        if remote_owner.is_none() && remote_sharers == 0 {
-            // No other core involved: the transaction touches only this
-            // core's L1 and the line's own bank — the private case the
-            // weave batches.
+        let (l2line, state) = if remote_owner.is_none() && remote_sharers == 0 {
+            // No other core involved: the private case the weave batches.
             entry.sharers = 1 << c;
             entry.owner = Some(c);
+            let (line, fetch_latency) = self.shared.fetch(line_addr);
+            latency += fetch_latency;
             let state = if write {
                 Mesi::Modified
             } else {
                 Mesi::Exclusive
             };
-            let mut latency = self.ccfg.directory_latency;
-            let bank = self.shared.bank_mut(line_addr);
-            let (l2line, fetch_latency) = bank.fetch(line_addr);
-            latency += fetch_latency;
-            let ext = &mut self.exts[b];
-            if l2line.califormed {
-                ext.fills += 1;
-            }
-            let l1line = fill_canonical(&l2line);
-            if let Some(victim) = self.l1s[c].cache.insert(
-                line_addr,
-                CoherentLine {
-                    line: l1line,
-                    state,
-                },
-                false,
-            ) {
-                // NB divides the L1 set count, so the victim (same L1
-                // set) provably lives in the same bank as the line.
-                Self::retire_victim(bank, ext, c, victim.line_addr, victim.value, victim.dirty);
-            }
-            return latency;
-        }
-
-        let mut latency = self.ccfg.directory_latency;
-        let l2line = if let Some(o) = remote_owner {
-            // Cache-to-cache: recall the line from the remote owner's L1.
-            // The spill conversion runs in the source L1 either way; on a
-            // read the owner keeps a Shared copy, on a write it is
-            // invalidated.
-            latency += self.ccfg.cache_to_cache_latency;
-            self.coherence.cache_to_cache_transfers += 1;
-            let (owner_line, owner_dirty) = if write {
-                let (victim, dirty) = self.l1s[o]
-                    .cache
-                    .invalidate(line_addr)
-                    // analyze::allow(hot-path-unwrap): directory owner state implies the line is in that L1
-                    .expect("directory says owner has the line");
-                self.coherence.invalidations += 1;
-                (victim.line, dirty)
-            } else {
-                let e = self.l1s[o]
-                    .cache
-                    .peek_mut(line_addr)
-                    // analyze::allow(hot-path-unwrap): directory owner state implies the line is in that L1
-                    .expect("directory says owner has the line");
-                e.state = Mesi::Shared;
-                let line = e.line;
-                let dirty = self.l1s[o].cache.is_dirty(line_addr).unwrap_or(false);
-                self.l1s[o].cache.clear_dirty(line_addr);
-                (line, dirty)
-            };
-            let spilled = spill_canonical(&owner_line);
-            if spilled.califormed {
-                self.exts[b].spills += 1;
-                self.coherence.califormed_transfers += 1;
-            }
-            self.shared.insert_l2(line_addr, spilled, owner_dirty);
-            spilled
+            (line, state)
         } else {
-            if write {
-                // Write to a line shared (clean) by others: invalidate.
-                latency += self.ccfg.upgrade_latency;
-                for o in 0..self.l1s.len() {
-                    if remote_sharers >> o & 1 == 1 {
-                        self.l1s[o].cache.invalidate(line_addr);
-                        self.coherence.invalidations += 1;
-                    }
+            let line = if let Some(o) = remote_owner {
+                self.recall(o, line_addr, write, &mut latency)
+            } else {
+                if write {
+                    // Write to a line shared (clean) by others: invalidate.
+                    latency += self.ccfg.upgrade_latency;
+                    self.invalidate_sharers(remote_sharers, line_addr);
                 }
-            }
-            let (line, fetch_latency) = self.shared.fetch(line_addr);
-            latency += fetch_latency;
-            line
+                let (line, fetch_latency) = self.shared.fetch(line_addr);
+                latency += fetch_latency;
+                line
+            };
+            let entry = self.dir.entry(line_addr).or_default();
+            let state = if write {
+                entry.sharers = 1 << c;
+                entry.owner = Some(c);
+                Mesi::Modified
+            } else {
+                entry.sharers |= 1 << c;
+                entry.owner = None;
+                Mesi::Shared
+            };
+            (line, state)
         };
 
         if l2line.califormed {
-            self.exts[b].fills += 1;
+            self.fills += 1;
         }
-        let l1line = fill_canonical(&l2line);
-        let entry = self.exts[b].dir.entry(line_addr).or_default();
-        let state = if write {
-            entry.sharers = 1 << c;
-            entry.owner = Some(c);
-            Mesi::Modified
-        } else {
-            entry.sharers |= 1 << c;
-            entry.owner = None;
-            Mesi::Shared
+        let line = CoherentLine {
+            line: fill_canonical(&l2line),
+            state,
         };
-        if let Some(victim) = self.l1s[c].cache.insert(
-            line_addr,
-            CoherentLine {
-                line: l1line,
-                state,
-            },
-            false,
-        ) {
-            let vb = self.shared.bank_of(victim.line_addr);
-            Self::retire_victim(
-                self.shared.bank_mut(victim.line_addr),
-                &mut self.exts[vb],
-                c,
-                victim.line_addr,
-                victim.value,
-                victim.dirty,
-            );
+        if let Some(victim) = self.l1s[c].cache.insert(line_addr, line, false) {
+            self.retire_victim(c, victim);
         }
         latency
     }
 
-    fn l1_line_mut(&mut self, c: usize, line_addr: u64) -> &mut CoherentLine {
-        // `ensure_state` has run and already counted the access.
-        self.l1s[c]
-            .cache
-            .access_uncounted(line_addr)
-            // analyze::allow(hot-path-unwrap): ensure_resident on the line above pinned it
-            .expect("line was just ensured resident")
+    /// Cache-to-cache transfer: recalls `line_addr` from the remote
+    /// owner `o`'s L1. The spill conversion runs in the source L1 either
+    /// way; on a read the owner keeps a Shared copy, on a write it is
+    /// invalidated. Returns the sentinel-format line in flight.
+    fn recall(&mut self, o: usize, line_addr: u64, write: bool, latency: &mut u32) -> L2Line {
+        *latency += self.ccfg.cache_to_cache_latency;
+        self.coherence.cache_to_cache_transfers += 1;
+        let (owner_line, owner_dirty) = if write {
+            let (victim, dirty) = self.l1s[o]
+                .cache
+                .invalidate(line_addr)
+                // analyze::allow(hot-path-unwrap): directory owner state implies the line is in that L1
+                .expect("directory says owner has the line");
+            self.coherence.invalidations += 1;
+            (victim.line, dirty)
+        } else {
+            let e = self.l1s[o]
+                .cache
+                .peek_mut(line_addr)
+                // analyze::allow(hot-path-unwrap): directory owner state implies the line is in that L1
+                .expect("directory says owner has the line");
+            e.state = Mesi::Shared;
+            let line = e.line;
+            let dirty = self.l1s[o].cache.is_dirty(line_addr).unwrap_or(false);
+            self.l1s[o].cache.clear_dirty(line_addr);
+            (line, dirty)
+        };
+        let spilled = self.write_back(line_addr, &owner_line, owner_dirty);
+        if spilled.califormed {
+            self.coherence.califormed_transfers += 1;
+        }
+        spilled
     }
 
-    /// Performs a load by core `c` **without materialising the data** —
-    /// the replay hot path only needs latency and exception. Timing, LRU,
-    /// stats and exception behaviour are identical to [`Self::load`].
-    pub fn load_quiet(&mut self, c: usize, addr: u64, len: usize, pc: u64) -> MemResult {
-        let mut latency = 0u32;
-        let mut exception = None;
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let extra = self.ensure_state(c, line_addr, false);
-            latency = latency.max(self.cfg.l1d_latency + extra);
-            let bv = self.l1_line_mut(c, line_addr).line.bitvector();
-            if exception.is_none() {
-                exception = load_violation(bv & range_mask(offset, chunk), line_addr, pc);
-            }
-            cur += chunk as u64;
-        }
-        MemResult::quiet(latency, exception)
+    /// Runs one access by core `c` through the shared L1 access rules.
+    #[inline(always)]
+    fn serve(&mut self, c: usize, addr: u64, a: Access<'_>, pc: u64) -> MemResult {
+        let Ok(r) = access(&mut CorePort { h: self, c }, addr, a, pc);
+        r
     }
 
-    /// Performs a load by core `c` (line-crossing loads are split).
-    pub fn load(&mut self, c: usize, addr: u64, len: usize, pc: u64) -> MemResult {
-        let mut latency = 0u32;
-        let mut data = Vec::with_capacity(len);
-        let mut exception = None;
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let extra = self.ensure_state(c, line_addr, false);
-            latency = latency.max(self.cfg.l1d_latency + extra);
-            let e = self.l1_line_mut(c, line_addr);
-            let r = e.line.load(offset, chunk);
-            data.extend_from_slice(&r.data);
-            if r.violation && exception.is_none() {
-                let first = r.violating_bytes.trailing_zeros() as u64;
-                exception = Some(CaliformsException {
-                    fault_addr: cur + first,
-                    access: AccessKind::Load,
-                    kind: ExceptionKind::SecurityByteAccess,
-                    pc,
-                });
-            }
-            cur += chunk as u64;
-        }
-        MemResult {
-            latency,
-            data,
-            exception,
-        }
+    /// Performs a load of `len` bytes at `addr` by core `c`
+    /// (line-crossing loads are split), appending the loaded bytes to
+    /// `data` when given (security bytes read as zero).
+    #[inline]
+    pub fn load(
+        &mut self,
+        c: usize,
+        addr: u64,
+        len: usize,
+        pc: u64,
+        data: Option<&mut Vec<u8>>,
+    ) -> MemResult {
+        self.serve(c, addr, Access::Load { len, sink: data }, pc)
     }
 
     /// Performs a store by core `c`; on a security-byte violation the
     /// store to that line is suppressed and the exception reported.
+    #[inline]
     pub fn store(&mut self, c: usize, addr: u64, bytes: &[u8], pc: u64) -> MemResult {
-        let mut latency = 0u32;
-        let mut exception = None;
-        let mut cur = addr;
-        let end = addr + bytes.len() as u64;
-        let mut consumed = 0usize;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let extra = self.ensure_state(c, line_addr, true);
-            latency = latency.max(self.cfg.l1d_latency + extra);
-            let e = self.l1_line_mut(c, line_addr);
-            match e.line.store(offset, &bytes[consumed..consumed + chunk]) {
-                Ok(()) => {
-                    e.state = Mesi::Modified;
-                    self.l1s[c].cache.mark_dirty(line_addr);
-                }
-                Err(CoreError::StoreToSecurityByte { index }) => {
-                    if exception.is_none() {
-                        exception = Some(CaliformsException {
-                            fault_addr: line_addr + index as u64,
-                            access: AccessKind::Store,
-                            kind: ExceptionKind::SecurityByteAccess,
-                            pc,
-                        });
-                    }
-                }
-                Err(other) => unreachable!("store can only fault on security bytes: {other}"),
-            }
-            cur += chunk as u64;
-            consumed += chunk;
-        }
-        MemResult::quiet(latency, exception)
+        self.serve(c, addr, Access::Store(bytes), pc)
     }
 
     /// Executes a `CFORM` by core `c` (write-allocate: the line is pulled
     /// into the core's L1 in M state first, like a store).
     pub fn cform(&mut self, c: usize, insn: &CformInstruction, pc: u64) -> MemResult {
-        let extra = self.ensure_state(c, insn.line_addr, true);
-        let latency = self.cfg.l1d_latency + extra;
-        let e = self.l1_line_mut(c, insn.line_addr);
-        let exception = match insn.execute(e.line.line_mut()) {
-            Ok(_) => {
-                e.state = Mesi::Modified;
-                self.l1s[c].cache.mark_dirty(insn.line_addr);
-                None
-            }
-            Err(err) => Some(kmap_exception(err, insn.line_addr, pc)),
-        };
-        MemResult::quiet(latency, exception)
+        self.serve(c, insn.line_addr, Access::Cform(insn), pc)
     }
 
     /// Executes a **non-temporal** `CFORM` by core `c`: every L1 copy is
@@ -867,22 +765,15 @@ impl CoherentHierarchy {
     /// variant never allocates into any L1, so it does not use it.)
     pub fn cform_nt(&mut self, _c: usize, insn: &CformInstruction, pc: u64) -> MemResult {
         let line_addr = insn.line_addr;
-        let b = self.shared.bank_of(line_addr);
-        self.exts[b].lookups += 1;
+        self.coherence.directory_lookups += 1;
         let mut latency = self.ccfg.directory_latency;
-        if let Some(entry) = self.exts[b].dir.remove(&line_addr) {
+        if let Some(entry) = self.dir.remove(&line_addr) {
             for o in 0..self.l1s.len() {
                 if entry.sharers >> o & 1 == 1 {
                     if let Some((victim, dirty)) = self.l1s[o].cache.invalidate(line_addr) {
                         self.coherence.invalidations += 1;
                         if dirty {
-                            Self::writeback_into(
-                                self.shared.bank_mut(line_addr),
-                                &mut self.exts[b],
-                                line_addr,
-                                &victim.line,
-                                true,
-                            );
+                            self.write_back(line_addr, &victim.line, true);
                             latency += self.ccfg.cache_to_cache_latency;
                         }
                     }
@@ -898,9 +789,12 @@ impl CoherentHierarchy {
                 self.shared.insert_l2(line_addr, spilled, true);
                 None
             }
-            Err(err) => Some(kmap_exception(err, line_addr, pc)),
+            Err(err) => Some(write_fault(err, line_addr, pc)),
         };
-        MemResult::quiet(self.cfg.l1d_latency + latency, exception)
+        MemResult {
+            latency: self.cfg.l1d_latency + latency,
+            exception,
+        }
     }
 
     /// Functional view of the line holding `addr`: the authoritative copy
@@ -908,10 +802,7 @@ impl CoherentHierarchy {
     /// shared levels. No timing, LRU or counter effects.
     fn peek_line(&self, addr: u64) -> L1Line {
         let line_addr = line_base(addr);
-        if let Some(entry) = self.exts[self.shared.bank_of(line_addr)]
-            .dir
-            .get(&line_addr)
-        {
+        if let Some(entry) = self.dir.get(&line_addr) {
             for o in 0..self.l1s.len() {
                 if entry.sharers >> o & 1 == 1 {
                     if let Some(e) = self.l1s[o].cache.peek(line_addr) {
@@ -968,9 +859,9 @@ impl CoherentHierarchy {
             l1d.writebacks += s.writebacks;
         }
         stats.l1d = l1d;
-        stats.spills = self.spills();
-        stats.fills = self.fills();
-        stats.coherence = self.coherence_totals();
+        stats.spills = self.spills;
+        stats.fills = self.fills;
+        stats.coherence = self.coherence;
     }
 }
 
@@ -990,12 +881,12 @@ fn mesi_tag(state: Mesi) -> u8 {
     }
 }
 
-fn put_coherent_line(w: &mut ck::Wr, line: &CoherentLine) {
+pub(crate) fn put_coherent_line(w: &mut ck::Wr, line: &CoherentLine) {
     ck::put_l1_line(w, &line.line);
     w.u8(mesi_tag(line.state));
 }
 
-fn get_coherent_line(r: &mut ck::Rd<'_>) -> ck::Result<CoherentLine> {
+pub(crate) fn get_coherent_line(r: &mut ck::Rd<'_>) -> ck::Result<CoherentLine> {
     let line = ck::get_l1_line(r)?;
     let state = match r.u8()? {
         0 => Mesi::Modified,
@@ -1006,8 +897,17 @@ fn get_coherent_line(r: &mut ck::Rd<'_>) -> ck::Result<CoherentLine> {
     Ok(CoherentLine { line, state })
 }
 
-impl BankExt {
-    fn save_state(&self, w: &mut ck::Wr) {
+impl CoherentHierarchy {
+    /// Serializes the full mutable coherent-machine state (the
+    /// `SEC_COHERENT` payload): per-core L1s with their MESI states, the
+    /// shared levels, the directory and the conversion and coherence
+    /// counters. The configuration travels separately in `SEC_CONFIG`.
+    pub(crate) fn save_state(&self, w: &mut ck::Wr) {
+        w.u64(self.l1s.len() as u64);
+        for l1 in &self.l1s {
+            ck::put_cache(w, &l1.cache, put_coherent_line);
+        }
+        self.shared.save_state(w);
         // Directory entries in canonical form: sorted by line address
         // (`LineMap` iteration order is insertion-history-dependent, the
         // sort buys byte-identical checkpoints for equal states).
@@ -1025,18 +925,33 @@ impl BankExt {
                 None => w.bool(false),
             }
         }
-        w.u64(self.lookups);
-        w.u64(self.upgrades);
         w.u64(self.spills);
         w.u64(self.fills);
-        w.u64(self.weave_transactions);
-        w.u64(self.weave_batched);
-        w.u64(self.weave_contended);
+        w.u64(self.coherence.invalidations);
+        w.u64(self.coherence.upgrades_s_to_m);
+        w.u64(self.coherence.cache_to_cache_transfers);
+        w.u64(self.coherence.califormed_transfers);
+        w.u64(self.coherence.directory_lookups);
     }
 
-    fn restore_state(r: &mut ck::Rd<'_>, cores: usize) -> ck::Result<Self> {
+    /// Rebuilds a coherent hierarchy from a `SEC_COHERENT` payload
+    /// against `cfg`/`ccfg`/`cores` (already decoded from `SEC_CONFIG` /
+    /// `SEC_META`).
+    pub(crate) fn restore_state(
+        cfg: HierarchyConfig,
+        ccfg: CoherenceConfig,
+        cores: usize,
+        r: &mut ck::Rd<'_>,
+    ) -> ck::Result<Self> {
+        let mut h = CoherentHierarchy::new(cfg, ccfg, cores);
+        if r.count()? != cores {
+            return Err(CheckpointError::ConfigMismatch("per-core L1 count"));
+        }
+        for l1 in &mut h.l1s {
+            ck::get_cache(r, &mut l1.cache, get_coherent_line)?;
+        }
+        h.shared.restore_state(r)?;
         let n = r.count()?;
-        let mut dir = LineMap::default();
         let mut prev = None;
         for _ in 0..n {
             let addr = r.u64()?;
@@ -1069,66 +984,10 @@ impl BankExt {
             } else {
                 None
             };
-            dir.insert(addr, DirEntry { sharers, owner });
+            h.dir.insert(addr, DirEntry { sharers, owner });
         }
-        Ok(Self {
-            dir,
-            lookups: r.u64()?,
-            upgrades: r.u64()?,
-            spills: r.u64()?,
-            fills: r.u64()?,
-            weave_transactions: r.u64()?,
-            weave_batched: r.u64()?,
-            weave_contended: r.u64()?,
-        })
-    }
-}
-
-impl CoherentHierarchy {
-    /// Serializes the full mutable coherent-machine state (the
-    /// `SEC_COHERENT` payload): per-core L1s with their MESI states, the
-    /// shared levels, every directory shard, and the coherence counters.
-    /// The configuration travels separately in `SEC_CONFIG`.
-    pub(crate) fn save_state(&self, w: &mut ck::Wr) {
-        w.u64(self.l1s.len() as u64);
-        for l1 in &self.l1s {
-            ck::put_cache(w, &l1.cache, put_coherent_line);
-        }
-        self.shared.save_state(w);
-        w.u64(self.exts.len() as u64);
-        for ext in &self.exts {
-            ext.save_state(w);
-        }
-        w.u64(self.coherence.invalidations);
-        w.u64(self.coherence.upgrades_s_to_m);
-        w.u64(self.coherence.cache_to_cache_transfers);
-        w.u64(self.coherence.califormed_transfers);
-        w.u64(self.coherence.directory_lookups);
-    }
-
-    /// Rebuilds a coherent hierarchy from a `SEC_COHERENT` payload
-    /// against `cfg`/`ccfg`/`cores` (already decoded from `SEC_CONFIG` /
-    /// `SEC_META`).
-    pub(crate) fn restore_state(
-        cfg: HierarchyConfig,
-        ccfg: CoherenceConfig,
-        cores: usize,
-        r: &mut ck::Rd<'_>,
-    ) -> ck::Result<Self> {
-        let mut h = CoherentHierarchy::new(cfg, ccfg, cores);
-        if r.count()? != cores {
-            return Err(CheckpointError::ConfigMismatch("per-core L1 count"));
-        }
-        for l1 in &mut h.l1s {
-            ck::get_cache(r, &mut l1.cache, get_coherent_line)?;
-        }
-        h.shared.restore_state(r)?;
-        if r.count()? != h.exts.len() {
-            return Err(CheckpointError::ConfigMismatch("directory shard count"));
-        }
-        for ext in &mut h.exts {
-            *ext = BankExt::restore_state(r, cores)?;
-        }
+        h.spills = r.u64()?;
+        h.fills = r.u64()?;
         h.coherence.invalidations = r.u64()?;
         h.coherence.upgrades_s_to_m = r.u64()?;
         h.coherence.cache_to_cache_transfers = r.u64()?;
@@ -1150,13 +1009,24 @@ mod tests {
         )
     }
 
+    /// A load by core `c` that keeps its bytes.
+    fn read(h: &mut CoherentHierarchy, c: usize, addr: u64, len: usize) -> (MemResult, Vec<u8>) {
+        let mut data = Vec::new();
+        let r = h.load(c, addr, len, 0, Some(&mut data));
+        (r, data)
+    }
+
+    fn load(len: usize) -> Access<'static> {
+        Access::Load { len, sink: None }
+    }
+
     #[test]
     fn first_reader_gets_exclusive_second_demotes_to_shared() {
         let mut h = coh(2);
         h.store(0, 0x1000, &[1, 2, 3, 4], 0);
         assert_eq!(h.l1_state(0, 0x1000), Some(Mesi::Modified));
-        let r = h.load(1, 0x1000, 4, 1);
-        assert_eq!(r.data, vec![1, 2, 3, 4], "dirty data travels core-to-core");
+        let (_, data) = read(&mut h, 1, 0x1000, 4);
+        assert_eq!(data, vec![1, 2, 3, 4], "dirty data travels core-to-core");
         assert_eq!(h.l1_state(0, 0x1000), Some(Mesi::Shared));
         assert_eq!(h.l1_state(1, 0x1000), Some(Mesi::Shared));
         assert_eq!(h.coherence_totals().cache_to_cache_transfers, 1);
@@ -1165,7 +1035,7 @@ mod tests {
     #[test]
     fn cold_read_is_exclusive_and_silently_upgrades() {
         let mut h = coh(2);
-        h.load(0, 0x2000, 8, 0);
+        h.load(0, 0x2000, 8, 0, None);
         assert_eq!(h.l1_state(0, 0x2000), Some(Mesi::Exclusive));
         // The silent E→M store needs no directory transaction.
         let lookups = h.coherence_totals().directory_lookups;
@@ -1178,7 +1048,7 @@ mod tests {
     fn store_to_shared_line_upgrades_and_invalidates() {
         let mut h = coh(4);
         for c in 0..4 {
-            h.load(c, 0x3000, 8, 0);
+            h.load(c, 0x3000, 8, 0, None);
         }
         assert_eq!(h.l1_state(3, 0x3000), Some(Mesi::Shared));
         h.store(1, 0x3000, &[7], 1);
@@ -1197,7 +1067,7 @@ mod tests {
         h.store(1, 0x4000, &[2; 8], 1);
         assert_eq!(h.l1_state(0, 0x4000), None);
         assert_eq!(h.l1_state(1, 0x4000), Some(Mesi::Modified));
-        assert_eq!(h.load(1, 0x4000, 8, 2).data, vec![2; 8]);
+        assert_eq!(read(&mut h, 1, 0x4000, 8).1, vec![2; 8]);
         assert_eq!(h.coherence_totals().invalidations, 1);
     }
 
@@ -1209,9 +1079,9 @@ mod tests {
         assert!(h.cform(0, &insn, 1).exception.is_none());
         let (spills0, fills0) = (h.spills(), h.fills());
         // Core 1 reads a normal part of the line: recall runs spill+fill.
-        let r = h.load(1, 0x5000, 8, 2);
+        let (r, data) = read(&mut h, 1, 0x5000, 8);
         assert!(r.exception.is_none());
-        assert_eq!(r.data, vec![5; 8]);
+        assert_eq!(data, vec![5; 8]);
         assert_eq!(h.spills(), spills0 + 1, "recall spilled in the source L1");
         assert_eq!(
             h.fills(),
@@ -1227,11 +1097,11 @@ mod tests {
         let mut h = coh(2);
         h.cform(0, &CformInstruction::set(0x6000, 1 << 21), 0);
         assert_eq!(h.l1_state(0, 0x6000), Some(Mesi::Modified));
-        let r = h.load(1, 0x6000 + 21, 1, 7);
+        let (r, data) = read(&mut h, 1, 0x6000 + 21, 1);
         let exc = r.exception.expect("probe must trap");
         assert_eq!(exc.fault_addr, 0x6015);
         assert_eq!(exc.access, AccessKind::Load);
-        assert_eq!(r.data, vec![0], "security byte reads zero on the far core");
+        assert_eq!(data, vec![0], "security byte reads zero on the far core");
     }
 
     #[test]
@@ -1253,24 +1123,36 @@ mod tests {
     #[test]
     fn try_local_ops_complete_only_with_permission() {
         let mut h = coh(2);
-        h.load(0, 0x8000, 8, 0); // E in core 0
-        let l1 = &mut h.l1s_mut()[0];
-        assert!(l1.try_load_quiet(0x8000, 8, 1).is_some());
-        assert!(l1.try_store(0x8000, &[1], 2).is_some(), "E is writable");
-        assert!(l1.try_load_quiet(0x9000, 8, 3).is_none(), "miss defers");
+        h.load(0, 0x8000, 8, 0, None); // E in core 0
+        let l1 = h.l1_mut(0);
+        assert!(l1.try_access(0x8000, load(8), 1).is_some());
+        assert!(
+            l1.try_access(0x8000, Access::Store(&[1]), 2).is_some(),
+            "E is writable"
+        );
+        let before = l1.stats();
+        assert!(l1.try_access(0x9000, load(8), 3).is_none(), "miss defers");
+        assert!(
+            l1.try_access(0x8000 + 60, load(8), 3).is_none(),
+            "a line-crossing access defers if any line is absent"
+        );
+        assert_eq!(l1.stats(), before, "a deferred access counts nothing");
         // Demote to Shared via a second reader; local store must defer.
-        h.load(1, 0x8000, 8, 4);
-        let l1 = &mut h.l1s_mut()[0];
-        assert!(l1.try_load_quiet(0x8000, 8, 5).is_some());
-        assert!(l1.try_store(0x8000, &[2], 6).is_none(), "S is not writable");
+        h.load(1, 0x8000, 8, 4, None);
+        let l1 = h.l1_mut(0);
+        assert!(l1.try_access(0x8000, load(8), 5).is_some());
+        assert!(
+            l1.try_access(0x8000, Access::Store(&[2]), 6).is_none(),
+            "S is not writable"
+        );
     }
 
     #[test]
     fn nt_cform_invalidates_every_copy_and_hits_below() {
         let mut h = coh(3);
         h.store(0, 0xA000, &[3; 8], 0);
-        h.load(1, 0xA000, 8, 1);
-        h.load(2, 0xA000, 8, 2);
+        h.load(1, 0xA000, 8, 1, None);
+        h.load(2, 0xA000, 8, 2, None);
         let r = h.cform_nt(0, &CformInstruction::set(0xA000, 1 << 40), 3);
         assert!(r.exception.is_none());
         for c in 0..3 {
@@ -1287,22 +1169,21 @@ mod tests {
         h.store(0, target, &[9; 8], 0);
         // Thrash core 0's set (64 sets × 64 B × 64 sets-stride = 4096).
         for i in 1..=16u64 {
-            h.load(0, target + i * 4096, 8, 0);
+            h.load(0, target + i * 4096, 8, 0, None);
         }
         assert_eq!(h.l1_state(0, target), None, "victim evicted");
         // A fresh read by core 1 must come from the shared levels (no
         // stale directory entry pointing at core 0).
-        let r = h.load(1, target, 8, 1);
-        assert_eq!(r.data, vec![9; 8]);
+        assert_eq!(read(&mut h, 1, target, 8).1, vec![9; 8]);
         assert_eq!(h.l1_state(1, target), Some(Mesi::Exclusive));
     }
 
     #[test]
     fn single_core_behaves_like_flat_hierarchy() {
         let mut h = coh(1);
-        let r = h.load(0, 0x4000, 1, 0);
+        let r = h.load(0, 0x4000, 1, 0, None);
         assert_eq!(r.latency, 4 + 2 + 7 + 27 + 300, "directory adds 2 cycles");
-        let r = h.load(0, 0x4000, 1, 0);
+        let r = h.load(0, 0x4000, 1, 0, None);
         assert_eq!(r.latency, 4);
     }
 }

@@ -8,7 +8,7 @@ use crate::lsq::LoadStoreQueue;
 use crate::os::SwapManager;
 use crate::stats::SimStats;
 use crate::trace::TraceOp;
-use crate::tracepack::{self, ResumePoint, TracePack, TracePackReader, MAX_ACCESS_BYTES};
+use crate::tracepack::{self, ResumePoint, TracePack, MAX_ACCESS_BYTES};
 use califorms_core::{CaliformsException, CformInstruction};
 
 /// Outcome of a simulation run.
@@ -48,7 +48,7 @@ impl Engine {
     pub fn step(&mut self, op: TraceOp) {
         let pc = self.core.pc + 1;
         let r = match op {
-            TraceOp::Load { addr, size } => self.hierarchy.load_quiet(addr, size as usize, pc),
+            TraceOp::Load { addr, size } => self.hierarchy.load(addr, size as usize, pc, None),
             TraceOp::Store { addr, size } => with_store_data(addr, size as usize, |data| {
                 self.hierarchy.store(addr, data, pc)
             }),
@@ -155,20 +155,6 @@ impl Engine {
             ..TelemetryReport::default()
         };
         (outcome, report)
-    }
-
-    /// Streaming variant of [`Self::run_pack`]: replays a pack from any
-    /// `io::Read` source (e.g. a multi-gigabyte pack file) in constant
-    /// memory through the reader's internal refill buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode/I/O failures from the reader.
-    pub fn run_reader<R: std::io::Read>(
-        self,
-        reader: &mut TracePackReader<R>,
-    ) -> tracepack::Result<SimOutcome> {
-        self.run_batches(|ring| reader.next_batch(ring))
     }
 
     /// The shared batch-replay drain: fills the fixed ring from `next`
@@ -422,10 +408,12 @@ pub fn store_pattern(addr: u64, len: usize) -> Vec<u8> {
 /// Fills `buf` with the deterministic store pattern for a store at
 /// `addr` — the allocation-free form of [`store_pattern`] the replay hot
 /// path threads through [`Hierarchy::store`] via a stack `[u8; 64]`.
+/// A store that wraps past the address space gets a pattern too; the
+/// hierarchy then refuses the store itself.
 #[inline]
 pub fn fill_store_pattern(addr: u64, buf: &mut [u8]) {
     for (i, b) in buf.iter_mut().enumerate() {
-        *b = ((addr + i as u64).wrapping_mul(0x9E37_79B9) >> 16) as u8;
+        *b = (addr.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9) >> 16) as u8;
     }
 }
 
@@ -671,8 +659,10 @@ mod tests {
         // hierarchy exactly like the original would.
         let mut h2 = engine2.hierarchy;
         swap2.swap_in(&mut h2, 0x10_0000);
+        let mut data = Vec::new();
+        h2.load(0x10_0000, 8, 0, Some(&mut data));
         assert_eq!(
-            h2.load(0x10_0000, 8, 0).data,
+            data,
             store_pattern(0x10_0000, 8),
             "swapped-out data survives the checkpoint"
         );

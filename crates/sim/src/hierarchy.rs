@@ -13,7 +13,11 @@
 //! Fills and spills at the L1 boundary run the real conversion algorithms
 //! from `califorms-core`, so califormed data is stored sentinel-formatted
 //! below the L1 exactly as in Figure 1, and the *Califorms checker* of the
-//! L1 hit path performs the byte-granular access check.
+//! L1 performs the byte-granular access check. The L1 and its access
+//! rules are [`crate::coherence::CoreL1`], shared with the multi-core
+//! engine; this module holds the levels below it ([`SharedLevels`]) and
+//! the single-core [`Hierarchy`], whose own code is its miss path: the
+//! stream prefetcher and the fetch from the shared levels.
 //!
 //! Approximations (documented per DESIGN.md): the hierarchy is inclusive
 //! by construction of the fill path; clean evictions are dropped; no MESI
@@ -21,17 +25,18 @@
 //! `Exec` operations account for their cycles).
 
 use crate::cache::SetAssocCache;
+use crate::coherence::{access, Access, CoherentLine, CoreL1, Mesi, MissPath};
 use crate::stats::SimStats;
 use crate::{line_base, line_offset, LINE_BYTES};
 use califorms_core::{
-    fill_canonical, range_mask, spill_canonical, AccessKind, CaliformsException, CformInstruction,
-    CoreError, ExceptionKind, L1Line, L2Line,
+    fill_canonical, spill_canonical, CaliformsException, CformInstruction, L1Line, L2Line,
 };
 /// The deterministic line-address hasher and map, lifted to
 /// `califorms-core::detmap` so every result-bearing crate can use them;
 /// re-exported here because the hierarchy is where they originated and
 /// most sim-internal users import them from this module.
 pub use califorms_core::{LineHasher, LineMap};
+use std::convert::Infallible;
 
 /// Hierarchy geometry and latency configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,92 +113,16 @@ impl Default for HierarchyConfig {
     }
 }
 
-/// Outcome of a data access against the hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Outcome of a memory access against the hierarchy. A load's bytes go to
+/// the data sink its caller passed in, so the result never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemResult {
     /// Total access latency in cycles (includes the L1 hit latency).
     pub latency: u32,
-    /// Bytes returned (loads only; zeros at security-byte positions).
-    pub data: Vec<u8>,
     /// Raised Califorms exception, if the access touched a security byte
     /// or a `CFORM` K-map rule fired. Delivery vs suppression is the
     /// engine's job (exception masks live above the hierarchy).
     pub exception: Option<CaliformsException>,
-}
-
-impl MemResult {
-    /// A data-less result — stores, quiet probes, and coherence updates.
-    /// Every such site constructs through here so there is exactly one
-    /// empty-`data` expression on the worker hot path.
-    #[must_use]
-    pub fn quiet(latency: u32, exception: Option<CaliformsException>) -> Self {
-        Self {
-            latency,
-            // analyze::allow(hot-path-alloc): Vec::new() is capacity 0 and never allocates
-            data: Vec::new(),
-            exception,
-        }
-    }
-}
-
-/// Maps a `CFORM` K-map fault onto the privileged exception (Table 1
-/// semantics), shared by the single-core [`Hierarchy`] and the
-/// [`crate::coherence::CoherentHierarchy`] paths.
-pub(crate) fn kmap_exception(e: CoreError, line_addr: u64, pc: u64) -> CaliformsException {
-    let (kind, index) = match e {
-        CoreError::CformSetOnSecurityByte { index } => (ExceptionKind::CformDoubleSet, index),
-        CoreError::CformUnsetOnNormalByte { index } => (ExceptionKind::CformUnsetNormal, index),
-        other => unreachable!("CFORM faults are K-map faults: {other}"),
-    };
-    CaliformsException {
-        fault_addr: line_addr + index as u64,
-        access: AccessKind::Cform,
-        kind,
-        pc,
-    }
-}
-
-/// Exclusive end of a memory access, faulting loudly on a wrapping
-/// range instead of letting debug builds panic on overflow and release
-/// builds silently turn the access into a no-op. (An access whose last
-/// byte is the top of the address space is representable only as a
-/// single-line access; the line-crossing split paths never need
-/// `end == 2^64`.)
-#[inline]
-fn access_end(addr: u64, len: usize) -> u64 {
-    addr.checked_add(len as u64).unwrap_or_else(|| {
-        panic!("memory access [{addr:#x}, {addr:#x} + {len:#x}) wraps past the address space")
-    })
-}
-
-/// Builds the load exception for a violating-byte mask (line-relative),
-/// or `None` when no accessed byte was a security byte.
-#[inline]
-pub(crate) fn load_violation(
-    violating: u64,
-    line_addr: u64,
-    pc: u64,
-) -> Option<CaliformsException> {
-    (violating != 0).then(|| CaliformsException {
-        fault_addr: line_addr + u64::from(violating.trailing_zeros()),
-        access: AccessKind::Load,
-        kind: ExceptionKind::SecurityByteAccess,
-        pc,
-    })
-}
-
-/// Maps a line-level store fault onto the store exception.
-#[inline]
-fn store_violation(e: CoreError, line_addr: u64, pc: u64) -> CaliformsException {
-    match e {
-        CoreError::StoreToSecurityByte { index } => CaliformsException {
-            fault_addr: line_addr + index as u64,
-            access: AccessKind::Store,
-            kind: ExceptionKind::SecurityByteAccess,
-            pc,
-        },
-        other => unreachable!("store can only fault on security bytes: {other}"),
-    }
 }
 
 /// Main memory: sentinel-format lines; the *califormed?* bit conceptually
@@ -216,65 +145,46 @@ impl Dram {
     }
 }
 
-/// One bank of the shared levels: an L2/L3 slice plus its DRAM partition,
-/// holding every line whose index is ≡ `bank` (mod `banks`).
+/// The shared, sentinel-format levels below the L1 boundary: L2 → L3 →
+/// DRAM.
 ///
-/// Banks exist so the multi-core bound phase can hand each worker
-/// exclusive ownership of a subset of the shared state (DESIGN.md §10):
-/// during the parallel phase of a quantum, bank `b` is touched only by
-/// the core that owns it, so private misses can be serviced without any
-/// lock or weave turn — data-race-free by construction.
-///
-/// The bank addresses its internal caches with *bank-local* line indices
-/// (`line_no / banks`), which makes the composite (bank, local-set)
-/// mapping a bijection of the unbanked set mapping: two lines conflict in
-/// a banked set **iff** they conflicted in the corresponding unbanked
-/// set, so banking changes no simulated result — with one bank this is
-/// the identity. All public methods speak global line addresses.
+/// The single-core [`Hierarchy`] and the multi-core
+/// [`crate::coherence::CoherentHierarchy`] (where *several* per-core L1Ds
+/// sit on top of one shared L2/L3) drive this one implementation.
+/// Everything at or below this boundary stores califormed lines in the
+/// sentinel format; crossing the boundary upward is where the fill
+/// conversion runs, crossing downward the spill.
 #[derive(Debug)]
-pub struct LevelBank {
+pub struct SharedLevels {
     cfg: HierarchyConfig,
-    /// This bank's index and the total bank count (for address
-    /// translation back and forth).
-    bank: u64,
-    banks: u64,
     l2: SetAssocCache<L2Line>,
     l3: SetAssocCache<L2Line>,
     dram: Dram,
-    /// DRAM line fetches serviced by this bank.
-    pub dram_accesses: u64,
+    /// DRAM line fetches.
+    dram_accesses: u64,
 }
 
-impl LevelBank {
-    fn new(cfg: HierarchyConfig, bank: u64, banks: u64) -> Self {
+impl SharedLevels {
+    /// Builds the shared levels from a configuration.
+    pub fn new(cfg: HierarchyConfig) -> Self {
         Self {
-            l2: SetAssocCache::new(cfg.l2_size / banks as usize, cfg.l2_ways, cfg.l2_latency),
-            l3: SetAssocCache::new(cfg.l3_size / banks as usize, cfg.l3_ways, cfg.l3_latency),
+            l2: SetAssocCache::new(cfg.l2_size, cfg.l2_ways, cfg.l2_latency),
+            l3: SetAssocCache::new(cfg.l3_size, cfg.l3_ways, cfg.l3_latency),
             dram: Dram::default(),
             dram_accesses: 0,
             cfg,
-            bank,
-            banks,
         }
     }
 
-    /// Global line address → bank-local line address.
-    #[inline]
-    fn local(&self, line_addr: u64) -> u64 {
-        (line_addr / LINE_BYTES / self.banks) * LINE_BYTES
-    }
-
-    /// Bank-local line address → global line address.
-    #[inline]
-    fn global(&self, local_addr: u64) -> u64 {
-        ((local_addr / LINE_BYTES) * self.banks + self.bank) * LINE_BYTES
+    /// DRAM line fetches performed so far.
+    pub fn dram_accesses(&self) -> u64 {
+        self.dram_accesses
     }
 
     fn insert_l3(&mut self, line_addr: u64, line: L2Line, dirty: bool) {
-        if let Some(ev) = self.l3.insert(self.local(line_addr), line, dirty) {
+        if let Some(ev) = self.l3.insert(line_addr, line, dirty) {
             if ev.dirty {
-                let global = self.global(ev.line_addr);
-                self.dram.store(global, ev.value);
+                self.dram.store(ev.line_addr, ev.value);
             }
         }
     }
@@ -282,10 +192,9 @@ impl LevelBank {
     /// Inserts (or refreshes) a line in the L2, rippling dirty evictions
     /// down to L3 and DRAM — the write-back path for L1 spills.
     pub fn insert_l2(&mut self, line_addr: u64, line: L2Line, dirty: bool) {
-        if let Some(ev) = self.l2.insert(self.local(line_addr), line, dirty) {
+        if let Some(ev) = self.l2.insert(line_addr, line, dirty) {
             if ev.dirty {
-                let global = self.global(ev.line_addr);
-                self.insert_l3(global, ev.value, true);
+                self.insert_l3(ev.line_addr, ev.value, true);
             }
         }
     }
@@ -293,12 +202,11 @@ impl LevelBank {
     /// Fetches a line in sentinel format from L2/L3/DRAM, returning the
     /// added latency (beyond L1).
     pub fn fetch(&mut self, line_addr: u64) -> (L2Line, u32) {
-        let local = self.local(line_addr);
-        if let Some(line) = self.l2.access(local) {
-            return (*line, self.cfg.l2_latency + self.cfg.extra_l2_latency);
-        }
         let l2_part = self.cfg.l2_latency + self.cfg.extra_l2_latency;
-        if let Some(line) = self.l3.access(local) {
+        if let Some(line) = self.l2.access(line_addr) {
+            return (*line, l2_part);
+        }
+        if let Some(line) = self.l3.access(line_addr) {
             let line = *line;
             let latency = l2_part + self.cfg.l3_latency + self.cfg.extra_l3_latency;
             self.insert_l2(line_addr, line, false);
@@ -313,221 +221,74 @@ impl LevelBank {
     }
 
     /// Functional (stat-free, LRU-free) read of a line from whichever
-    /// level of this bank holds it, falling through to DRAM.
-    pub fn peek_line(&self, line_addr: u64) -> L2Line {
-        let local = self.local(line_addr);
-        self.l2
-            .peek(local)
-            .or_else(|| self.l3.peek(local))
-            .copied()
-            .unwrap_or_else(|| self.dram.load(line_addr))
-    }
-
-    fn evict_to_dram(&mut self, line_addr: u64) {
-        let local = self.local(line_addr);
-        if let Some((line, _)) = self.l2.invalidate(local) {
-            self.l3.invalidate(local);
-            self.dram.store(line_addr, line);
-            return;
-        }
-        if let Some((line, _)) = self.l3.invalidate(local) {
-            self.dram.store(line_addr, line);
-        }
-    }
-
-    fn flush(&mut self) {
-        for (addr, line, dirty) in self.l2.drain() {
-            if dirty {
-                let global = self.global(addr);
-                self.insert_l3(global, line, true);
-            }
-        }
-        for (addr, line, dirty) in self.l3.drain() {
-            if dirty {
-                let global = self.global(addr);
-                self.dram.store(global, line);
-            }
-        }
-    }
-}
-
-/// One bank's shared-level counters, snapshot for telemetry (the
-/// per-shard axis [`SharedLevels::export_stats`] sums away).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BankLevelStats {
-    /// This bank's L2 slice counters.
-    pub l2: crate::stats::CacheStats,
-    /// This bank's L3 slice counters.
-    pub l3: crate::stats::CacheStats,
-    /// Main-memory line fetches through this bank.
-    pub dram_accesses: u64,
-    /// Lines currently resident in the L2 slice.
-    pub l2_resident_lines: u64,
-    /// Lines currently resident in the L3 slice.
-    pub l3_resident_lines: u64,
-}
-
-/// The shared, sentinel-format levels below the L1 boundary: L2 → L3 →
-/// DRAM, internally sharded into [`LevelBank`]s by line index.
-///
-/// Extracted from [`Hierarchy`] so the single-core hierarchy and the
-/// multi-core [`crate::coherence::CoherentHierarchy`] (where *several*
-/// per-core L1Ds sit on top of one shared L2/L3) drive one implementation.
-/// Everything at or below this boundary stores califormed lines in the
-/// sentinel format; crossing the boundary upward is where the fill
-/// conversion runs, crossing downward the spill. The single-core
-/// hierarchy uses one bank; the coherent hierarchy banks the state so the
-/// bound phase can own slices of it (see [`LevelBank`]).
-#[derive(Debug)]
-pub struct SharedLevels {
-    banks: Vec<LevelBank>,
-}
-
-impl SharedLevels {
-    /// Builds the shared levels from a configuration, unbanked.
-    pub fn new(cfg: HierarchyConfig) -> Self {
-        Self::banked(cfg, 1)
-    }
-
-    /// Builds the shared levels sharded into `banks` banks.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `banks` is a power of two dividing the L2 and L3 set
-    /// counts (so bank-local indexing preserves the unbanked set
-    /// grouping).
-    pub fn banked(cfg: HierarchyConfig, banks: usize) -> Self {
-        assert!(
-            banks.is_power_of_two(),
-            "bank count must be a power of two, got {banks}"
-        );
-        let line = LINE_BYTES as usize;
-        let l2_sets = cfg.l2_size / (cfg.l2_ways * line);
-        let l3_sets = cfg.l3_size / (cfg.l3_ways * line);
-        assert!(
-            l2_sets.is_multiple_of(banks) && l3_sets.is_multiple_of(banks),
-            "bank count {banks} must divide the L2 ({l2_sets}) and L3 ({l3_sets}) set counts"
-        );
-        Self {
-            banks: (0..banks)
-                .map(|b| LevelBank::new(cfg, b as u64, banks as u64))
-                .collect(),
-        }
-    }
-
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Bank index holding `line_addr`.
-    #[inline]
-    pub fn bank_of(&self, line_addr: u64) -> usize {
-        ((line_addr / LINE_BYTES) % self.banks.len() as u64) as usize
-    }
-
-    /// The bank holding `line_addr`.
-    #[inline]
-    pub fn bank_mut(&mut self, line_addr: u64) -> &mut LevelBank {
-        let b = self.bank_of(line_addr);
-        &mut self.banks[b]
-    }
-
-    /// Total DRAM line fetches across banks.
-    pub fn dram_accesses(&self) -> u64 {
-        self.banks.iter().map(|b| b.dram_accesses).sum()
-    }
-
-    /// Inserts (or refreshes) a line in the L2, rippling dirty evictions
-    /// down to L3 and DRAM — the write-back path for L1 spills.
-    pub fn insert_l2(&mut self, line_addr: u64, line: L2Line, dirty: bool) {
-        self.bank_mut(line_addr).insert_l2(line_addr, line, dirty);
-    }
-
-    /// Fetches a line in sentinel format from L2/L3/DRAM, returning the
-    /// added latency (beyond L1).
-    pub fn fetch(&mut self, line_addr: u64) -> (L2Line, u32) {
-        self.bank_mut(line_addr).fetch(line_addr)
-    }
-
-    /// Functional (stat-free, LRU-free) read of a line from whichever
     /// shared level holds it, falling through to DRAM.
     pub fn peek_line(&self, line_addr: u64) -> L2Line {
-        self.banks[self.bank_of(line_addr)].peek_line(line_addr)
+        self.l2
+            .peek(line_addr)
+            .or_else(|| self.l3.peek(line_addr))
+            .copied()
+            .unwrap_or_else(|| self.dram.load(line_addr))
     }
 
     /// Drops every cached copy of a line, writing the freshest one back to
     /// DRAM (page-eviction building block). The L1 levels above must have
     /// been handled by the caller first.
     pub fn evict_to_dram(&mut self, line_addr: u64) {
-        self.bank_mut(line_addr).evict_to_dram(line_addr);
+        if let Some((line, _)) = self.l2.invalidate(line_addr) {
+            self.l3.invalidate(line_addr);
+            self.dram.store(line_addr, line);
+            return;
+        }
+        if let Some((line, _)) = self.l3.invalidate(line_addr) {
+            self.dram.store(line_addr, line);
+        }
     }
 
     /// Overwrites a line's DRAM copy and drops stale cached copies.
     pub fn set_dram_line(&mut self, line_addr: u64, line: L2Line) {
-        self.bank_mut(line_addr).dram.store(line_addr, line);
+        self.dram.store(line_addr, line);
     }
 
     /// Reads a line's DRAM copy.
     pub fn dram_line(&self, line_addr: u64) -> L2Line {
-        self.banks[self.bank_of(line_addr)].dram.load(line_addr)
+        self.dram.load(line_addr)
     }
 
     /// Removes a line from DRAM entirely (its page was swapped out).
     pub fn remove_dram_line(&mut self, line_addr: u64) {
-        self.bank_mut(line_addr).dram.lines.remove(&line_addr);
+        self.dram.lines.remove(&line_addr);
     }
 
     /// Flushes the L2 and L3 to DRAM.
     pub fn flush(&mut self) {
-        for bank in &mut self.banks {
-            bank.flush();
+        for (addr, line, dirty) in self.l2.drain() {
+            if dirty {
+                self.insert_l3(addr, line, true);
+            }
+        }
+        for (addr, line, dirty) in self.l3.drain() {
+            if dirty {
+                self.dram.store(addr, line);
+            }
         }
     }
 
-    /// Per-bank shared-level counters — the per-shard lanes of the
-    /// telemetry registry (the summed view is [`Self::export_stats`]).
-    pub fn bank_stats(&self) -> Vec<BankLevelStats> {
-        self.banks
-            .iter()
-            .map(|bank| BankLevelStats {
-                l2: bank.l2.stats,
-                l3: bank.l3.stats,
-                dram_accesses: bank.dram_accesses,
-                l2_resident_lines: bank.l2.resident_lines() as u64,
-                l3_resident_lines: bank.l3.resident_lines() as u64,
-            })
-            .collect()
-    }
-
-    /// Copies the shared-level counters into a stats block (summed over
-    /// banks).
+    /// Copies the shared-level counters into a stats block.
     pub fn export_stats(&self, stats: &mut SimStats) {
-        let mut l2 = crate::stats::CacheStats::default();
-        let mut l3 = crate::stats::CacheStats::default();
-        for bank in &self.banks {
-            l2.hits += bank.l2.stats.hits;
-            l2.misses += bank.l2.stats.misses;
-            l2.evictions += bank.l2.stats.evictions;
-            l2.writebacks += bank.l2.stats.writebacks;
-            l3.hits += bank.l3.stats.hits;
-            l3.misses += bank.l3.stats.misses;
-            l3.evictions += bank.l3.stats.evictions;
-            l3.writebacks += bank.l3.stats.writebacks;
-        }
-        stats.l2 = l2;
-        stats.l3 = l3;
-        stats.dram_accesses = self.dram_accesses();
+        stats.l2 = self.l2.stats;
+        stats.l3 = self.l3.stats;
+        stats.dram_accesses = self.dram_accesses;
     }
 }
 
-/// The simulated L1D/L2/L3/DRAM hierarchy with Califorms support.
+/// The simulated single-core L1D/L2/L3/DRAM hierarchy with Califorms
+/// support.
 #[derive(Debug)]
 pub struct Hierarchy {
     cfg: HierarchyConfig,
-    l1d: SetAssocCache<L1Line>,
+    l1: CoreL1,
     shared: SharedLevels,
-    /// Conversion and traffic counters, merged into the engine's stats.
+    /// L1→L2 spill conversions of califormed lines.
     pub spills: u64,
     /// L2→L1 fill conversions of califormed lines.
     pub fills: u64,
@@ -538,11 +299,57 @@ pub struct Hierarchy {
     stream_cursor: usize,
 }
 
+/// The single-core miss path: the stream prefetcher and a fetch from the
+/// shared levels, with the fill conversion and the spill of a dirty
+/// victim. A line enters E (M for a write) and stays writable until it
+/// leaves, so every access to a resident line is a hit.
+impl MissPath for Hierarchy {
+    type Defer = Infallible;
+
+    fn l1(&mut self) -> &mut CoreL1 {
+        &mut self.l1
+    }
+
+    fn make_resident(
+        &mut self,
+        line_addr: u64,
+        write: bool,
+        _held: bool,
+    ) -> Result<u32, Infallible> {
+        self.l1.cache.stats.misses += 1;
+        let prefetched = self.cfg.stream_prefetcher && self.stream_hit(line_addr);
+        let (l2line, extra) = self.shared.fetch(line_addr);
+        let extra = if prefetched {
+            self.prefetch_hits += 1;
+            extra.min(self.cfg.prefetch_residual)
+        } else {
+            extra
+        };
+        if l2line.califormed {
+            self.fills += 1;
+        }
+        let line = CoherentLine {
+            line: fill_canonical(&l2line),
+            state: if write {
+                Mesi::Modified
+            } else {
+                Mesi::Exclusive
+            },
+        };
+        if let Some(ev) = self.l1.cache.insert(line_addr, line, false) {
+            if ev.dirty {
+                self.write_back(ev.line_addr, &ev.value.line);
+            }
+        }
+        Ok(extra)
+    }
+}
+
 impl Hierarchy {
     /// Builds a hierarchy from a configuration.
     pub fn new(cfg: HierarchyConfig) -> Self {
         Self {
-            l1d: SetAssocCache::new(cfg.l1d_size, cfg.l1d_ways, cfg.l1d_latency),
+            l1: CoreL1::new(&cfg),
             shared: SharedLevels::new(cfg),
             cfg,
             spills: 0,
@@ -578,255 +385,65 @@ impl Hierarchy {
         false
     }
 
-    /// Ensures `line_addr` is resident in the L1D (fill on miss, spill of
-    /// the victim), returning the latency beyond the L1 hit latency.
-    fn ensure_l1(&mut self, line_addr: u64) -> u32 {
-        if self.l1d.access(line_addr).is_some() {
-            return 0;
+    /// Spills a dirty L1 line into the L2 (the bitvector→sentinel
+    /// conversion), counting califormed spills.
+    fn write_back(&mut self, line_addr: u64, line: &L1Line) {
+        let spilled = spill_canonical(line);
+        if spilled.califormed {
+            self.spills += 1;
         }
-        self.fill_l1_miss(line_addr)
+        self.shared.insert_l2(line_addr, spilled, true);
     }
 
-    /// The miss half of [`Self::ensure_l1`]: fetches `line_addr` from the
-    /// shared levels into the L1 (spilling the victim) and returns the
-    /// latency beyond the L1 hit latency. The caller has already probed
-    /// the L1 (counting the miss).
-    fn fill_l1_miss(&mut self, line_addr: u64) -> u32 {
-        let prefetched = self.cfg.stream_prefetcher && self.stream_hit(line_addr);
-        let (l2line, extra) = self.shared.fetch(line_addr);
-        let extra = if prefetched {
-            self.prefetch_hits += 1;
-            extra.min(self.cfg.prefetch_residual)
-        } else {
-            extra
-        };
-        if l2line.califormed {
-            self.fills += 1;
-        }
-        let l1line = fill_canonical(&l2line);
-        if let Some(ev) = self.l1d.insert(line_addr, l1line, false) {
-            if ev.dirty {
-                let spilled = spill_canonical(&ev.value);
-                if spilled.califormed {
-                    self.spills += 1;
-                }
-                self.shared.insert_l2(ev.line_addr, spilled, true);
-            }
-        }
-        extra
-    }
-
-    fn l1_line_mut(&mut self, line_addr: u64) -> &mut L1Line {
-        // `ensure_l1` has run and already counted the architectural access.
-        self.l1d
-            .access_uncounted(line_addr)
-            // analyze::allow(hot-path-unwrap): ensure_l1 on the line above pinned it
-            .expect("line was just ensured resident")
+    /// Runs one access through the L1 access rules.
+    #[inline(always)]
+    fn serve(&mut self, addr: u64, a: Access<'_>, pc: u64) -> MemResult {
+        let Ok(r) = access(self, addr, a, pc);
+        r
     }
 
     /// Performs a load of `len` bytes at `addr` (line-crossing loads are
-    /// split, as the cache controller would).
-    ///
-    /// Single-line accesses take a fast path: the security check is one
-    /// AND against the line's bit vector, so a line with no security
-    /// bytes skips the exception bookkeeping entirely.
-    pub fn load(&mut self, addr: u64, len: usize, pc: u64) -> MemResult {
-        let offset = line_offset(addr);
-        if len != 0 && offset + len <= LINE_BYTES as usize {
-            let line_addr = line_base(addr);
-            let (latency, violating) = self.probe_line(line_addr, offset, len);
-            // Canonical-line invariant: security bytes hold zero, so the
-            // returned data is a straight copy either way. (The extra
-            // peek is off the replay hot path — the engine uses
-            // `load_quiet`.)
-            // analyze::allow(hot-path-unwrap): probe_line just confirmed residency
-            let l1 = self.l1d.peek(line_addr).expect("line was just probed");
-            let data = l1.line().data()[offset..offset + len].to_vec();
-            return MemResult {
-                latency,
-                data,
-                exception: load_violation(violating, line_addr, pc),
-            };
-        }
-        let mut latency = 0u32;
-        let mut data = Vec::with_capacity(len);
-        let mut exception = None;
-        let mut cur = addr;
-        let end = access_end(addr, len);
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let extra = self.ensure_l1(line_addr);
-            latency = latency.max(self.cfg.l1d_latency + extra);
-            let l1 = self.l1_line_mut(line_addr);
-            let r = l1.load(offset, chunk);
-            data.extend_from_slice(&r.data);
-            if r.violation && exception.is_none() {
-                let first = r.violating_bytes.trailing_zeros() as u64;
-                exception = Some(CaliformsException {
-                    fault_addr: cur + first,
-                    access: AccessKind::Load,
-                    kind: ExceptionKind::SecurityByteAccess,
-                    pc,
-                });
-            }
-            cur += chunk as u64;
-        }
-        MemResult {
-            latency,
-            data,
-            exception,
-        }
-    }
-
-    /// Performs a load of `len` bytes at `addr` **without materialising
-    /// the data** — the replay hot path ([`crate::engine::Engine`]) only
-    /// needs latency and exception, so this never touches the heap.
-    /// Timing, LRU, stats and exception behaviour are identical to
-    /// [`Self::load`]; the returned `data` is always empty.
-    pub fn load_quiet(&mut self, addr: u64, len: usize, pc: u64) -> MemResult {
-        let offset = line_offset(addr);
-        if len != 0 && offset + len <= LINE_BYTES as usize {
-            let line_addr = line_base(addr);
-            let (latency, violating) = self.probe_line(line_addr, offset, len);
-            return MemResult::quiet(latency, load_violation(violating, line_addr, pc));
-        }
-        let mut latency = 0u32;
-        let mut exception = None;
-        let mut cur = addr;
-        let end = access_end(addr, len);
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let extra = self.ensure_l1(line_addr);
-            latency = latency.max(self.cfg.l1d_latency + extra);
-            let bv = self.l1_line_mut(line_addr).bitvector();
-            if exception.is_none() {
-                exception = load_violation(bv & range_mask(offset, chunk), line_addr, pc);
-            }
-            cur += chunk as u64;
-        }
-        MemResult::quiet(latency, exception)
-    }
-
-    /// Single-line access core shared by the [`Self::load`] /
-    /// [`Self::load_quiet`] fast paths: ensures residency (counting the
-    /// hit or miss), and returns the access latency plus the
-    /// line-relative mask of accessed security bytes. On an L1 hit this
-    /// is one set scan and one AND — a line with no security bytes
-    /// incurs no exception bookkeeping at all.
+    /// split, as the cache controller would), appending the loaded bytes
+    /// to `data` when given (security bytes read as zero). The replay
+    /// engines pass `None`: they need only latency and exception.
     #[inline]
-    fn probe_line(&mut self, line_addr: u64, offset: usize, len: usize) -> (u32, u64) {
-        if let Some(hit) = self.l1d.access_entry(line_addr) {
-            let bv = hit.value.bitvector();
-            let violating = if bv == 0 {
-                0
-            } else {
-                bv & range_mask(offset, len)
-            };
-            return (self.cfg.l1d_latency, violating);
-        }
-        let extra = self.fill_l1_miss(line_addr);
-        let violating = self.l1_line_mut(line_addr).bitvector() & range_mask(offset, len);
-        (self.cfg.l1d_latency + extra, violating)
+    pub fn load(
+        &mut self,
+        addr: u64,
+        len: usize,
+        pc: u64,
+        data: Option<&mut Vec<u8>>,
+    ) -> MemResult {
+        self.serve(addr, Access::Load { len, sink: data }, pc)
     }
 
     /// Performs a store of `bytes` at `addr`. On a security-byte violation
     /// the store (to that line) is suppressed and the exception reported.
-    ///
-    /// The per-line security check is a single AND against the bit vector
-    /// ([`califorms_core::CaliformedLine::write_bytes`]), so stores to
-    /// lines with no security bytes skip the exception bookkeeping.
+    #[inline]
     pub fn store(&mut self, addr: u64, bytes: &[u8], pc: u64) -> MemResult {
-        let offset = line_offset(addr);
-        let len = bytes.len();
-        if len != 0 && offset + len <= LINE_BYTES as usize {
-            let line_addr = line_base(addr);
-            // L1 hit: one set scan; the dirty bit is set through the same
-            // entry handle, not a second scan.
-            if let Some(hit) = self.l1d.access_entry(line_addr) {
-                let exception = match hit.value.store(offset, bytes) {
-                    Ok(()) => {
-                        *hit.dirty = true;
-                        None
-                    }
-                    Err(e) => Some(store_violation(e, line_addr, pc)),
-                };
-                return MemResult::quiet(self.cfg.l1d_latency, exception);
-            }
-            let extra = self.fill_l1_miss(line_addr);
-            let latency = self.cfg.l1d_latency + extra;
-            let exception = match self.l1_line_mut(line_addr).store(offset, bytes) {
-                Ok(()) => {
-                    self.l1d.mark_dirty(line_addr);
-                    None
-                }
-                Err(e) => Some(store_violation(e, line_addr, pc)),
-            };
-            return MemResult::quiet(latency, exception);
-        }
-        let mut latency = 0u32;
-        let mut exception = None;
-        let mut cur = addr;
-        let end = access_end(addr, bytes.len());
-        let mut consumed = 0usize;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let extra = self.ensure_l1(line_addr);
-            latency = latency.max(self.cfg.l1d_latency + extra);
-            let l1 = self.l1_line_mut(line_addr);
-            match l1.store(offset, &bytes[consumed..consumed + chunk]) {
-                Ok(()) => self.l1d.mark_dirty(line_addr),
-                Err(CoreError::StoreToSecurityByte { index }) => {
-                    if exception.is_none() {
-                        exception = Some(CaliformsException {
-                            fault_addr: line_addr + index as u64,
-                            access: AccessKind::Store,
-                            kind: ExceptionKind::SecurityByteAccess,
-                            pc,
-                        });
-                    }
-                }
-                Err(other) => unreachable!("store can only fault on security bytes: {other}"),
-            }
-            cur += chunk as u64;
-            consumed += chunk;
-        }
-        MemResult::quiet(latency, exception)
+        self.serve(addr, Access::Store(bytes), pc)
     }
 
     /// Executes a `CFORM` instruction (treated like a store in the
     /// pipeline: write-allocate fetch, then metadata update).
     pub fn cform(&mut self, insn: &CformInstruction, pc: u64) -> MemResult {
-        let extra = self.ensure_l1(insn.line_addr);
-        let latency = self.cfg.l1d_latency + extra;
-        let l1 = self.l1_line_mut(insn.line_addr);
-        let exception = match insn.execute(l1.line_mut()) {
-            Ok(_) => {
-                self.l1d.mark_dirty(insn.line_addr);
-                None
-            }
-            Err(e) => Some(kmap_exception(e, insn.line_addr, pc)),
-        };
-        MemResult::quiet(latency, exception)
+        self.serve(insn.line_addr, Access::Cform(insn), pc)
+    }
+
+    /// The line at `line_addr` in canonical form, from whichever level
+    /// holds it — no timing, LRU or stats effects.
+    fn peek_line(&self, line_addr: u64) -> L1Line {
+        match self.l1.cache.peek(line_addr) {
+            Some(e) => e.line,
+            None => fill_canonical(&self.shared.peek_line(line_addr)),
+        }
     }
 
     /// Reads a byte functionally (no timing, no LRU effect), searching the
     /// L1 first, then lower levels. Security bytes read as zero. Intended
     /// for tests and the attack simulations.
     pub fn peek_byte(&self, addr: u64) -> u8 {
-        let line_addr = line_base(addr);
-        let offset = line_offset(addr);
-        if let Some(l1) = self.l1d.peek(line_addr) {
-            return l1.line().data()[offset];
-        }
-        let l2line = self.shared.peek_line(line_addr);
-        let l1 = fill_canonical(&l2line);
-        l1.line().data()[offset]
+        self.peek_line(line_base(addr)).line().data()[line_offset(addr)]
     }
 
     /// Functional snapshot of a line's canonical *(data, security-mask)*
@@ -835,24 +452,15 @@ impl Hierarchy {
     /// (`califorms-oracle`) diffs final memory and blacklist state
     /// against.
     pub fn snapshot_line(&self, line_addr: u64) -> califorms_core::CaliformedLine {
-        if let Some(l1) = self.l1d.peek(line_addr) {
-            return *l1.line();
-        }
-        let l2line = self.shared.peek_line(line_addr);
-        *fill_canonical(&l2line).line()
+        *self.peek_line(line_addr).line()
     }
 
     /// Whether the byte at `addr` is currently a security byte (functional
     /// check through whichever level holds the line).
     pub fn peek_is_security_byte(&self, addr: u64) -> bool {
-        let line_addr = line_base(addr);
-        let offset = line_offset(addr);
-        if let Some(l1) = self.l1d.peek(line_addr) {
-            return l1.line().is_security_byte(offset);
-        }
-        let l2line = self.shared.peek_line(line_addr);
-        let l1 = fill_canonical(&l2line);
-        l1.line().is_security_byte(offset)
+        self.peek_line(line_base(addr))
+            .line()
+            .is_security_byte(line_offset(addr))
     }
 
     /// Executes a **non-temporal** `CFORM` (the footnote-3 variant): the
@@ -862,13 +470,9 @@ impl Hierarchy {
     pub fn cform_nt(&mut self, insn: &CformInstruction, pc: u64) -> MemResult {
         // Invalidate any L1 copy (write back if dirty) so the L2 copy is
         // authoritative.
-        if let Some((l1line, dirty)) = self.l1d.invalidate(insn.line_addr) {
+        if let Some((e, dirty)) = self.l1.cache.invalidate(insn.line_addr) {
             if dirty {
-                let spilled = spill_canonical(&l1line);
-                if spilled.califormed {
-                    self.spills += 1;
-                }
-                self.shared.insert_l2(insn.line_addr, spilled, true);
+                self.write_back(insn.line_addr, &e.line);
             }
         }
         let (l2line, extra) = self.shared.fetch(insn.line_addr);
@@ -880,23 +484,23 @@ impl Hierarchy {
                 self.shared.insert_l2(insn.line_addr, spilled, true);
                 None
             }
-            Err(e) => Some(kmap_exception(e, insn.line_addr, pc)),
+            Err(e) => Some(crate::coherence::write_fault(e, insn.line_addr, pc)),
         };
-        MemResult::quiet(latency, exception)
+        MemResult { latency, exception }
     }
 
     /// Whether a line is currently resident in the L1 data cache (used by
     /// the non-temporal-CFORM pollution tests).
     pub fn l1_contains(&self, line_addr: u64) -> bool {
-        self.l1d.peek(line_addr).is_some()
+        self.l1.cache.peek(line_addr).is_some()
     }
 
     /// Writes one line back to DRAM and drops every cached copy — the
     /// building block of page swap-out (the OS must see the line's current
     /// content and metadata bit in memory).
     pub fn evict_line_to_dram(&mut self, line_addr: u64) {
-        if let Some((l1line, _)) = self.l1d.invalidate(line_addr) {
-            let spilled = spill_canonical(&l1line);
+        if let Some((e, _)) = self.l1.cache.invalidate(line_addr) {
+            let spilled = spill_canonical(&e.line);
             if spilled.califormed {
                 self.spills += 1;
             }
@@ -925,13 +529,9 @@ impl Hierarchy {
 
     /// Flushes every cache level to DRAM (end-of-run or I/O boundary).
     pub fn flush(&mut self) {
-        for (addr, l1line, dirty) in self.l1d.drain() {
+        for (addr, e, dirty) in self.l1.cache.drain() {
             if dirty {
-                let spilled = spill_canonical(&l1line);
-                if spilled.califormed {
-                    self.spills += 1;
-                }
-                self.shared.insert_l2(addr, spilled, true);
+                self.write_back(addr, &e.line);
             }
         }
         self.shared.flush();
@@ -939,7 +539,7 @@ impl Hierarchy {
 
     /// Copies the cache counters into a stats block.
     pub fn export_stats(&self, stats: &mut SimStats) {
-        stats.l1d = self.l1d.stats;
+        stats.l1d = self.l1.stats();
         self.shared.export_stats(stats);
         stats.spills = self.spills;
         stats.fills = self.fills;
@@ -953,6 +553,7 @@ impl Hierarchy {
 // serializes its own state.
 
 use crate::checkpoint::{self as ck, CheckpointError};
+use crate::coherence::{get_coherent_line, put_coherent_line};
 
 impl Dram {
     /// DRAM lines in canonical form: sorted by address. `LineMap`
@@ -991,7 +592,7 @@ impl Dram {
     }
 }
 
-impl LevelBank {
+impl SharedLevels {
     pub(crate) fn save_state(&self, w: &mut ck::Wr) {
         ck::put_cache(w, &self.l2, ck::put_l2_line);
         ck::put_cache(w, &self.l3, ck::put_l2_line);
@@ -999,34 +600,14 @@ impl LevelBank {
         w.u64(self.dram_accesses);
     }
 
-    /// Restores into a freshly-built bank of the same geometry (`self.cfg`
-    /// and the bank indices are reconstructed from the config section, so
-    /// only the mutable state travels in the payload).
+    /// Restores into freshly-built shared levels of the same geometry
+    /// (`self.cfg` is reconstructed from the config section, so only the
+    /// mutable state travels in the payload).
     pub(crate) fn restore_state(&mut self, r: &mut ck::Rd<'_>) -> ck::Result<()> {
         ck::get_cache(r, &mut self.l2, ck::get_l2_line)?;
         ck::get_cache(r, &mut self.l3, ck::get_l2_line)?;
         self.dram = Dram::restore_state(r)?;
         self.dram_accesses = r.u64()?;
-        Ok(())
-    }
-}
-
-impl SharedLevels {
-    pub(crate) fn save_state(&self, w: &mut ck::Wr) {
-        w.u64(self.banks.len() as u64);
-        for bank in &self.banks {
-            bank.save_state(w);
-        }
-    }
-
-    pub(crate) fn restore_state(&mut self, r: &mut ck::Rd<'_>) -> ck::Result<()> {
-        let n = r.count()?;
-        if n != self.banks.len() {
-            return Err(CheckpointError::ConfigMismatch("shared-level bank count"));
-        }
-        for bank in &mut self.banks {
-            bank.restore_state(r)?;
-        }
         Ok(())
     }
 }
@@ -1042,7 +623,7 @@ impl Hierarchy {
             w.u64(s);
         }
         w.u64(self.stream_cursor as u64);
-        ck::put_cache(w, &self.l1d, ck::put_l1_line);
+        ck::put_cache(w, &self.l1.cache, put_coherent_line);
         self.shared.save_state(w);
     }
 
@@ -1060,7 +641,16 @@ impl Hierarchy {
             return Err(CheckpointError::Corrupt("stream cursor out of range"));
         }
         h.stream_cursor = cursor as usize;
-        ck::get_cache(r, &mut h.l1d, ck::get_l1_line)?;
+        ck::get_cache(r, &mut h.l1.cache, |r| {
+            let line = get_coherent_line(r)?;
+            if line.state.writable() {
+                Ok(line)
+            } else {
+                Err(CheckpointError::Corrupt(
+                    "Shared line in the single-core L1",
+                ))
+            }
+        })?;
         h.shared.restore_state(r)?;
         Ok(h)
     }
@@ -1069,9 +659,17 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use califorms_core::{AccessKind, ExceptionKind};
 
     fn hier() -> Hierarchy {
         Hierarchy::new(HierarchyConfig::westmere())
+    }
+
+    /// A load that keeps its bytes.
+    fn read(h: &mut Hierarchy, addr: u64, len: usize, pc: u64) -> (MemResult, Vec<u8>) {
+        let mut data = Vec::new();
+        let r = h.load(addr, len, pc, Some(&mut data));
+        (r, data)
     }
 
     #[test]
@@ -1079,8 +677,8 @@ mod tests {
         let mut h = hier();
         let r = h.store(0x1000, &[1, 2, 3, 4], 0);
         assert!(r.exception.is_none());
-        let r = h.load(0x1000, 4, 0);
-        assert_eq!(r.data, vec![1, 2, 3, 4]);
+        let (r, data) = read(&mut h, 0x1000, 4, 0);
+        assert_eq!(data, vec![1, 2, 3, 4]);
         assert!(r.exception.is_none());
         assert_eq!(r.latency, 4, "second access hits in L1");
     }
@@ -1088,17 +686,17 @@ mod tests {
     #[test]
     fn miss_latency_accumulates_through_levels() {
         let mut h = hier();
-        let r = h.load(0x4000, 1, 0);
+        let r = h.load(0x4000, 1, 0, None);
         // Cold miss: L1(4) + L2(7) + L3(27) + DRAM(300)
         assert_eq!(r.latency, 4 + 7 + 27 + 300);
-        let r = h.load(0x4000, 1, 0);
+        let r = h.load(0x4000, 1, 0, None);
         assert_eq!(r.latency, 4);
     }
 
     #[test]
     fn plus_one_cycle_config_adds_to_l2_and_l3() {
         let mut h = Hierarchy::new(HierarchyConfig::westmere_plus_one_cycle());
-        let r = h.load(0x4000, 1, 0);
+        let r = h.load(0x4000, 1, 0, None);
         assert_eq!(r.latency, 4 + 8 + 28 + 300);
     }
 
@@ -1110,11 +708,11 @@ mod tests {
         let insn = CformInstruction::set(0x2000, 0b1111 << 4);
         // The store above left non-zero data at 4..8; CFORM zeroes it.
         assert!(h.cform(&insn, 1).exception.is_none());
-        let r = h.load(0x2000 + 4, 1, 2);
+        let (r, data) = read(&mut h, 0x2000 + 4, 1, 2);
         let exc = r.exception.expect("touching a security byte faults");
         assert_eq!(exc.fault_addr, 0x2004);
         assert_eq!(exc.access, AccessKind::Load);
-        assert_eq!(r.data, vec![0], "loads of security bytes return zero");
+        assert_eq!(data, vec![0], "loads of security bytes return zero");
     }
 
     #[test]
@@ -1126,7 +724,7 @@ mod tests {
         assert_eq!(exc.fault_addr, 0x200A);
         assert_eq!(exc.access, AccessKind::Store);
         // The whole chunk was suppressed.
-        assert_eq!(h.load(0x2008, 1, 2).data, vec![0]);
+        assert_eq!(read(&mut h, 0x2008, 1, 2).1, vec![0]);
     }
 
     #[test]
@@ -1138,15 +736,15 @@ mod tests {
         // Thrash the L1 set this line maps to. L1: 32KB/8way/64B = 64 sets;
         // stride of 64*64 = 4096 revisits the same set.
         for i in 1..=16u64 {
-            h.load(target + i * 4096, 1, 0);
+            h.load(target + i * 4096, 1, 0, None);
         }
-        assert!(h.l1d.peek(target).is_none(), "victim was evicted");
+        assert!(!h.l1_contains(target), "victim was evicted");
         assert!(h.spills >= 1, "dirty califormed line was spilled");
         // Security byte still detected after the fill conversion.
-        let r = h.load(target + 3, 1, 1);
+        let r = h.load(target + 3, 1, 1, None);
         assert!(r.exception.is_some());
         // And the data survived the format conversions.
-        assert_eq!(h.load(target, 3, 1).data, vec![9, 9, 9]);
+        assert_eq!(read(&mut h, target, 3, 1).1, vec![9, 9, 9]);
     }
 
     #[test]
@@ -1175,13 +773,13 @@ mod tests {
         let mut h = hier();
         h.store(0x1000 + 60, &[1, 2, 3, 4], 0);
         h.store(0x1040, &[5, 6, 7, 8], 0);
-        let r = h.load(0x1000 + 60, 8, 0);
-        assert_eq!(r.data, vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        let (_, data) = read(&mut h, 0x1000 + 60, 8, 0);
+        assert_eq!(data, vec![1, 2, 3, 4, 5, 6, 7, 8]);
         // Now blacklist a byte in the second line and re-check.
         h.cform(&CformInstruction::set(0x1040, 1 << 1), 0);
-        let r = h.load(0x1000 + 60, 8, 0);
+        let (r, data) = read(&mut h, 0x1000 + 60, 8, 0);
         assert_eq!(r.exception.unwrap().fault_addr, 0x1041);
-        assert_eq!(r.data[5], 0);
+        assert_eq!(data[5], 0);
     }
 
     #[test]
@@ -1192,9 +790,9 @@ mod tests {
         assert!(r.exception.is_none());
         assert!(!h.l1_contains(target), "NT variant bypasses the L1");
         // The metadata is live: a subsequent rogue access faults.
-        let r = h.load(target + 5, 1, 1);
+        let (r, data) = read(&mut h, target + 5, 1, 1);
         assert!(r.exception.is_some());
-        assert_eq!(r.data, vec![0]);
+        assert_eq!(data, vec![0]);
     }
 
     #[test]
@@ -1204,7 +802,7 @@ mod tests {
         assert!(h.l1_contains(0xB000));
         h.cform_nt(&CformInstruction::set(0xB000, 1 << 40), 0);
         assert!(!h.l1_contains(0xB000), "L1 copy was written back");
-        assert_eq!(h.load(0xB000, 4, 0).data, vec![1, 2, 3, 4]);
+        assert_eq!(read(&mut h, 0xB000, 4, 0).1, vec![1, 2, 3, 4]);
         assert!(h.peek_is_security_byte(0xB000 + 40));
     }
 
@@ -1238,11 +836,9 @@ mod tests {
     fn peek_does_not_perturb_stats() {
         let mut h = hier();
         h.store(0x9000, &[1], 0);
-        let hits_before = h.l1d.stats.hits;
-        let misses_before = h.l1d.stats.misses;
+        let before = h.l1.stats();
         let _ = h.peek_byte(0x9000);
         let _ = h.peek_is_security_byte(0x9040);
-        assert_eq!(h.l1d.stats.hits, hits_before);
-        assert_eq!(h.l1d.stats.misses, misses_before);
+        assert_eq!(h.l1.stats(), before);
     }
 }

@@ -15,7 +15,8 @@
 //! * [`cache`] — generic set-associative, write-back, LRU cache.
 //! * [`hierarchy`] — L1D/L2/L3/DRAM with the Table 3 configuration and the
 //!   califorms conversion hooks at the L1 boundary.
-//! * [`coherence`] — the multi-core extension: a MESI directory over
+//! * [`coherence`] — the L1 of both engines, with the one byte-granular
+//!   access path, and the multi-core extension: a MESI directory over
 //!   per-core bitvector-format L1Ds sharing the sentinel-format L2/L3,
 //!   with the real spill/fill conversions on every cross-core transfer.
 //! * [`multicore`] — parallel sharded trace replay on `std::thread`
@@ -24,8 +25,8 @@
 //!   (Section 5.3): no store-to-load forwarding, zero on match.
 //! * [`cpu`] — a simple width/overlap core timing model.
 //! * [`trace`] — the memory-access trace representation workloads emit.
-//! * [`tracepack`] — the compact varint-delta binary trace format and the
-//!   streaming writer/reader the replay hot path batch-decodes from.
+//! * [`tracepack`] — the compact varint-delta binary trace format the
+//!   replay hot path batch-decodes from.
 //! * [`engine`] — runs a trace through core + hierarchy and produces
 //!   [`stats::SimStats`].
 //! * [`os`] — OS support (Section 6.3): page swap with 8 B-per-page
@@ -34,7 +35,7 @@
 //!   crash-tolerant replay: checkpoint at quantum boundaries, resume
 //!   mid-pack, bit-identical to a straight-through run.
 //! * [`telemetry`] — the bridge to `califorms-telemetry`: deterministic
-//!   counter snapshots of a run, per-shard lanes, and the span-recording
+//!   counter snapshots of a run, per-core lanes, and the span-recording
 //!   hooks behind [`multicore::MulticoreConfig::telemetry`].
 //! * [`vector`] — the three Appendix B SIMD/vector-load policies.
 //! * [`dma`] — califorms-aware vs legacy DMA engines (the Section 7.2
@@ -72,7 +73,7 @@ pub use multicore::{
 pub use runtime::{RuntimeConfig, RuntimeStats, RuntimeTiming};
 pub use stats::{CoherenceStats, MulticoreStats, SimStats};
 pub use trace::TraceOp;
-pub use tracepack::{TracePack, TracePackError, TracePackReader, TracePackWriter};
+pub use tracepack::{TracePack, TracePackError};
 
 /// Cache-line size used throughout (matches `califorms_core::LINE_BYTES`).
 pub const LINE_BYTES: u64 = califorms_core::LINE_BYTES as u64;

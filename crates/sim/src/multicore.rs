@@ -18,7 +18,7 @@
 //! 2. **Serial (weave) phase** — cores are resumed on the main thread
 //!    in a deterministic round-robin. A turn executes up to
 //!    [`RuntimeConfig::weave_batch`] coherence transactions through the
-//!    full MESI machinery against the bank-sharded shared levels, but a
+//!    full MESI machinery against the shared levels, but a
 //!    transaction that involved another core (recall, invalidation,
 //!    cross-core upgrade) always ends the turn — so a run of
 //!    independent private misses costs one turn instead of N, while
@@ -43,7 +43,7 @@
 //! the same for per-core packs.
 
 use crate::checkpoint::{self as ck, CheckpointError};
-use crate::coherence::{CoherenceConfig, CoherentHierarchy, CoreL1};
+use crate::coherence::{Access, CoherenceConfig, CoherentHierarchy, CoreL1};
 use crate::cpu::{CoreConfig, CoreState};
 use crate::engine::with_store_data;
 use crate::hierarchy::{HierarchyConfig, MemResult};
@@ -51,7 +51,7 @@ use crate::runtime::{
     lock_recover, BarrierWaitError, QuantumBarrier, RuntimeConfig, RuntimeStats, RuntimeTiming,
 };
 use crate::stats::{
-    CoreWeaveStats, MulticoreStats, ShardWeaveStats, SimStats, WeaveBreakdown, WeaveTimingBreakdown,
+    CoreWeaveStats, MulticoreStats, SimStats, WeaveBreakdown, WeaveTimingBreakdown,
 };
 use crate::trace::TraceOp;
 use crate::tracepack::{PackDecoder, TracePack};
@@ -354,15 +354,21 @@ impl<'p> CoreReplay<'p> {
             let Some(op) = self.src.peek() else { return };
             let pc = self.state.pc + 1;
             let r = match op {
-                TraceOp::Load { addr, size } => l1.try_load_quiet(addr, size as usize, pc),
-                TraceOp::Store { addr, size } => {
-                    with_store_data(addr, size as usize, |data| l1.try_store(addr, data, pc))
+                TraceOp::Load { addr, size } => {
+                    let len = size as usize;
+                    l1.try_access(addr, Access::Load { len, sink: None }, pc)
                 }
+                TraceOp::Store { addr, size } => with_store_data(addr, size as usize, |data| {
+                    l1.try_access(addr, Access::Store(data), pc)
+                }),
                 TraceOp::Cform {
                     line_addr,
                     attrs,
                     mask,
-                } => l1.try_cform(&CformInstruction::new(line_addr, attrs, mask), pc),
+                } => {
+                    let insn = CformInstruction::new(line_addr, attrs, mask);
+                    l1.try_access(line_addr, Access::Cform(&insn), pc)
+                }
                 // Non-temporal CFORMs operate below the L1 across every
                 // core's copy: always a transaction.
                 TraceOp::CformNt { .. } => None,
@@ -550,18 +556,6 @@ impl From<CheckpointError> for RunError {
     }
 }
 
-/// The cache line a weave transaction operates on — the key of its
-/// directory shard (per-shard weave attribution in [`WeaveBreakdown`]).
-fn txn_line_addr(op: &TraceOp) -> u64 {
-    match *op {
-        TraceOp::Load { addr, .. } | TraceOp::Store { addr, .. } => crate::line_base(addr),
-        TraceOp::Cform { line_addr, .. } | TraceOp::CformNt { line_addr, .. } => line_addr,
-        TraceOp::Exec(..) | TraceOp::MaskPush | TraceOp::MaskPop => {
-            unreachable!("local ops never reach the weave transaction path")
-        }
-    }
-}
-
 /// Host-side telemetry state of one run: the shared clock, one span
 /// track per core (lent to the worker with its task during the bound
 /// phase) plus a `runtime` track for whole-machine phase spans, the
@@ -728,7 +722,7 @@ impl MulticoreEngine {
     /// hierarchy — the weave's transaction dispatch.
     fn execute_op(&mut self, c: usize, op: TraceOp, pc: u64) -> MemResult {
         match op {
-            TraceOp::Load { addr, size } => self.hierarchy.load_quiet(c, addr, size as usize, pc),
+            TraceOp::Load { addr, size } => self.hierarchy.load(c, addr, size as usize, pc, None),
             TraceOp::Store { addr, size } => with_store_data(addr, size as usize, |data| {
                 self.hierarchy.store(c, addr, data, pc)
             }),
@@ -790,19 +784,13 @@ impl MulticoreEngine {
             txns += 1;
             rt.weave_transactions += 1;
             core.weave.transactions += 1;
-            let batched = txns > 1;
-            if batched {
+            if txns > 1 {
                 rt.batched_transactions += 1;
                 core.weave.batched += 1;
             }
-            let contended = self.hierarchy.cross_core_events() != events_before;
-            if contended {
+            if self.hierarchy.cross_core_events() != events_before {
                 rt.contended_transactions += 1;
                 core.weave.contended += 1;
-            }
-            self.hierarchy
-                .note_weave_txn(txn_line_addr(&op), batched, contended);
-            if contended {
                 break;
             }
             core.run_quantum_local(self.hierarchy.l1_mut(core.id), quantum_end);
@@ -1595,16 +1583,6 @@ impl MulticoreEngine {
         let mut combined = SimStats::default();
         let mut weave = WeaveBreakdown {
             per_core: Vec::with_capacity(cores.len()),
-            per_shard: self
-                .hierarchy
-                .shard_stats()
-                .iter()
-                .map(|s| ShardWeaveStats {
-                    transactions: s.weave_transactions,
-                    batched: s.weave_batched,
-                    contended: s.weave_contended,
-                })
-                .collect(),
         };
         let mut decode = Vec::new();
         for core in &cores {
@@ -1648,13 +1626,7 @@ impl MulticoreEngine {
                     .collect(),
                 quantum_samples_dropped: t.quantum_samples_dropped,
             };
-            let counters = crate::telemetry::multicore_counters(
-                &stats,
-                &self.hierarchy.shard_stats(),
-                &self.hierarchy.bank_level_stats(),
-                &decode,
-            )
-            .snapshot();
+            let counters = crate::telemetry::multicore_counters(&stats, &decode).snapshot();
             let mut spans = Vec::new();
             let mut track_names = Vec::new();
             let mut dropped_spans = 0u64;

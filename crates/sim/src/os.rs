@@ -242,6 +242,13 @@ mod tests {
         Hierarchy::new(HierarchyConfig::westmere())
     }
 
+    /// The bytes a load of `len` at `addr` returns.
+    fn read(h: &mut Hierarchy, addr: u64, len: usize) -> Vec<u8> {
+        let mut data = Vec::new();
+        h.load(addr, len, 0, Some(&mut data));
+        data
+    }
+
     #[test]
     fn swap_out_in_preserves_data_and_metadata() {
         let mut h = hier();
@@ -262,13 +269,13 @@ mod tests {
         swap.swap_in(&mut h, page);
         assert_eq!(swap.swapped_pages(), 0);
         assert_eq!(swap.metadata_bytes(), 0, "metadata reclaimed");
-        assert_eq!(h.load(page, 4, 0).data, vec![1, 2, 3, 4]);
-        assert_eq!(h.load(page + 128, 2, 0).data, vec![5, 6]);
+        assert_eq!(read(&mut h, page, 4), vec![1, 2, 3, 4]);
+        assert_eq!(read(&mut h, page + 128, 2), vec![5, 6]);
         assert!(h.peek_is_security_byte(page + 60));
         assert!(h.peek_is_security_byte(page + 128 + 7));
         assert!(!h.peek_is_security_byte(page + 1));
         // Tripwires still live after the round trip.
-        assert!(h.load(page + 60, 1, 0).exception.is_some());
+        assert!(h.load(page + 60, 1, 0, None).exception.is_some());
     }
 
     #[test]
@@ -279,7 +286,7 @@ mod tests {
         let mut swap = SwapManager::new();
         swap.swap_out(&mut h, page);
         swap.swap_in(&mut h, page);
-        assert_eq!(h.load(page + 64, 8, 0).data, vec![7; 8]);
+        assert_eq!(read(&mut h, page + 64, 8), vec![7; 8]);
         assert!(!h.dram_line(page + 64).califormed);
     }
 
@@ -312,7 +319,7 @@ mod tests {
         assert_eq!(export.security_bytes_crossed, 1);
         // The in-memory copy is still protected.
         assert!(h.peek_is_security_byte(base + 3));
-        assert!(h.load(base + 3, 1, 0).exception.is_some());
+        assert!(h.load(base + 3, 1, 0, None).exception.is_some());
     }
 
     #[test]

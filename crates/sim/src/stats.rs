@@ -66,30 +66,14 @@ pub struct CoreWeaveStats {
     pub contended: u64,
 }
 
-/// One directory shard's share of the weave-phase transaction split —
-/// `batched`/`contended` attributed to the shard (bank) holding the
-/// transaction's line, instead of one global total.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardWeaveStats {
-    /// Weave transactions against this shard's lines.
-    pub transactions: u64,
-    /// Of those, transactions that rode an earlier transaction's turn.
-    pub batched: u64,
-    /// Of those, transactions that involved another core.
-    pub contended: u64,
-}
-
-/// Deterministic weave-phase breakdowns: per core and per directory
-/// shard. Each axis sums to the corresponding global
-/// [`crate::runtime::RuntimeStats`] counter, and like them these are
-/// functions of simulated state only — they participate in the
-/// bit-identity comparisons.
+/// Deterministic weave-phase breakdown per core. Each column sums to the
+/// corresponding global [`crate::runtime::RuntimeStats`] counter, and
+/// like them these are functions of simulated state only — they
+/// participate in the bit-identity comparisons.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WeaveBreakdown {
     /// Per-core weave activity (index = core id).
     pub per_core: Vec<CoreWeaveStats>,
-    /// Per-directory-shard transaction split (index = bank/shard id).
-    pub per_shard: Vec<ShardWeaveStats>,
 }
 
 /// Host-time weave breakdown, recorded only on telemetry-enabled runs
@@ -130,8 +114,8 @@ pub struct MulticoreStats {
     /// contended transactions). Deterministic — they participate in
     /// bit-identity comparisons like every other counter here.
     pub runtime: crate::runtime::RuntimeStats,
-    /// Deterministic per-core / per-shard weave breakdowns of the
-    /// [`Self::runtime`] totals.
+    /// Deterministic per-core weave breakdown of the [`Self::runtime`]
+    /// totals.
     pub weave: WeaveBreakdown,
 }
 

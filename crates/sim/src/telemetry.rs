@@ -2,7 +2,7 @@
 //! `califorms-telemetry` counter registry (DESIGN.md §13).
 //!
 //! Everything in here is a pure function of already-deterministic inputs
-//! ([`SimStats`], [`MulticoreStats`], the per-shard snapshots), so the
+//! ([`SimStats`], [`MulticoreStats`]), so the
 //! snapshots it produces are **bit-identical across runs** — two replays
 //! of the same trace yield byte-equal
 //! [`CounterSnapshot::to_bytes`](califorms_telemetry::CounterSnapshot::to_bytes)
@@ -10,17 +10,14 @@
 //! oracle diff.
 //!
 //! Counter naming: `family.event`, with the registry lane carrying the
-//! per-core or per-shard axis. Per-core families (`core.*`, `l1d.*`,
-//! `weave.*`, `decode.*`, `exceptions.*`) use lane = core id; per-shard
-//! families (`dir.*`, `spill.*`, `fill.*`, `weave_shard.*`, `l2.*`,
-//! `l3.*`, `dram.*`) use lane = directory-shard/bank id; `runtime.*` and
-//! `coherence.*` are global (lane 0). Single-core snapshots use lane 0
-//! everywhere. `core.cycles_fp_bits` stores the *bit pattern* of the
+//! per-core axis. Per-core families (`core.*`, `l1d.*`, `weave.*`,
+//! `decode.*`, `exceptions.*`) use lane = core id; the whole-machine
+//! families (`dir.*`, `spill.*`, `fill.*`, `l2.*`, `l3.*`, `dram.*`,
+//! `runtime.*`, `coherence.*`) use lane 0. Single-core snapshots use
+//! lane 0 everywhere. `core.cycles_fp_bits` stores the *bit pattern* of the
 //! fractional cycle counter (`f64::to_bits`), so cycle counts join the
 //! byte-exact comparison without rounding.
 
-use crate::coherence::DirectoryShardStats;
-use crate::hierarchy::BankLevelStats;
 use crate::lsq::LsqStats;
 use crate::stats::{CacheStats, MulticoreStats, SimStats};
 use califorms_telemetry::CounterRegistry;
@@ -51,18 +48,25 @@ fn core_lanes(reg: &mut CounterRegistry, lane: usize, s: &SimStats) {
     cache_lanes(reg, "l1d", lane, &s.l1d);
 }
 
+/// Adds the counters of the levels below the L1 — the shared L2, L3 and
+/// DRAM, and the spill/fill conversions at the L1 boundary — at lane 0.
+fn shared_lanes(reg: &mut CounterRegistry, s: &SimStats) {
+    cache_lanes(reg, "l2", 0, &s.l2);
+    cache_lanes(reg, "l3", 0, &s.l3);
+    reg.set("dram.accesses", 0, s.dram_accesses);
+    reg.set("spill.lines", 0, s.spills);
+    reg.set("spill.bytes", 0, s.spills * LINE);
+    reg.set("fill.lines", 0, s.fills);
+    reg.set("fill.bytes", 0, s.fills * LINE);
+}
+
 /// Builds the deterministic counter registry of a multi-core run.
 ///
 /// `decode` carries per-core `(ops, bytes)` pack-decode progress; pass an
 /// empty slice for runs replaying materialised shards (the `decode.*`
 /// counters are then omitted entirely, keeping snapshots of packed and
 /// unpacked replays comparable on their shared families).
-pub fn multicore_counters(
-    stats: &MulticoreStats,
-    shards: &[DirectoryShardStats],
-    banks: &[BankLevelStats],
-    decode: &[(u64, u64)],
-) -> CounterRegistry {
+pub fn multicore_counters(stats: &MulticoreStats, decode: &[(u64, u64)]) -> CounterRegistry {
     let mut reg = CounterRegistry::new();
 
     for (c, s) in stats.per_core.iter().enumerate() {
@@ -79,28 +83,12 @@ pub fn multicore_counters(
         reg.set("decode.bytes", c, *bytes);
     }
 
-    for (b, sh) in shards.iter().enumerate() {
-        reg.set("dir.lookups", b, sh.lookups);
-        reg.set("dir.upgrades", b, sh.upgrades);
-        reg.set("spill.lines", b, sh.spills);
-        reg.set("spill.bytes", b, sh.spills * LINE);
-        reg.set("fill.lines", b, sh.fills);
-        reg.set("fill.bytes", b, sh.fills * LINE);
-        reg.set("weave_shard.transactions", b, sh.weave_transactions);
-        reg.set("weave_shard.batched", b, sh.weave_batched);
-        reg.set("weave_shard.contended", b, sh.weave_contended);
-    }
-    for (b, bank) in banks.iter().enumerate() {
-        cache_lanes(&mut reg, "l2", b, &bank.l2);
-        cache_lanes(&mut reg, "l3", b, &bank.l3);
-        reg.set("dram.accesses", b, bank.dram_accesses);
-        reg.set("l2.resident_lines", b, bank.l2_resident_lines);
-        reg.set("l3.resident_lines", b, bank.l3_resident_lines);
-    }
-
+    shared_lanes(&mut reg, &stats.combined);
+    let c = &stats.combined.coherence;
+    reg.set("dir.lookups", 0, c.directory_lookups);
+    reg.set("dir.upgrades", 0, c.upgrades_s_to_m);
     reg.set("runtime.quanta", 0, stats.runtime.quanta);
     reg.set("runtime.barrier_waits", 0, stats.runtime.barrier_waits);
-    let c = &stats.combined.coherence;
     reg.set("coherence.invalidations", 0, c.invalidations);
     reg.set("coherence.upgrades_s_to_m", 0, c.upgrades_s_to_m);
     reg.set("coherence.c2c_transfers", 0, c.cache_to_cache_transfers);
@@ -115,13 +103,7 @@ pub fn multicore_counters(
 pub fn single_core_counters(stats: &SimStats, decode: Option<(u64, u64)>) -> CounterRegistry {
     let mut reg = CounterRegistry::new();
     core_lanes(&mut reg, 0, stats);
-    cache_lanes(&mut reg, "l2", 0, &stats.l2);
-    cache_lanes(&mut reg, "l3", 0, &stats.l3);
-    reg.set("dram.accesses", 0, stats.dram_accesses);
-    reg.set("spill.lines", 0, stats.spills);
-    reg.set("spill.bytes", 0, stats.spills * LINE);
-    reg.set("fill.lines", 0, stats.fills);
-    reg.set("fill.bytes", 0, stats.fills * LINE);
+    shared_lanes(&mut reg, stats);
     if let Some((ops, bytes)) = decode {
         reg.set("decode.ops", 0, ops);
         reg.set("decode.bytes", 0, bytes);

@@ -1,4 +1,4 @@
-//! `tracepack`: a compact, streaming binary trace format.
+//! `tracepack`: a compact binary trace format.
 //!
 //! The paper's evaluation replays SimPoint regions of hundreds of millions
 //! of memory operations; holding them as `Vec<TraceOp>` costs 32 B per op
@@ -24,13 +24,11 @@
 //! previous op's address (`Cform`/`CformNt` use their line address), so
 //! the sequential and strided streams real programs produce collapse to
 //! one- or two-byte deltas. The `0xFF` end marker lets a reader
-//! distinguish a complete stream from a truncated one.
+//! distinguish a complete stream from a truncated one. A `Load`/`Store`
+//! may end at the top byte of the address space but not wrap past it.
 //!
-//! [`TracePackWriter`] and [`TracePackReader`] encode/decode against any
-//! `io::Write`/`io::Read` without materialising the trace (the reader
-//! refills a fixed internal buffer); [`TracePack`] is the owned in-memory
-//! form the replay hot path batch-decodes from (see
-//! [`crate::engine::Engine::run_pack`]).
+//! [`TracePack`] is the owned in-memory form the replay hot path
+//! batch-decodes from (see [`crate::engine::Engine::run_pack`]).
 //!
 //! **One op decoder.** The per-op rules (tags, varint limits, access
 //! sizes, the address context) are written once, as an inlined decoder
@@ -42,11 +40,9 @@
 //! truncated stream is caught. Every in-memory consumer drains that one
 //! loop: [`TracePack::from_bytes`] validates through it, so the code that
 //! accepted a pack is the code that replays it, and the engines' replay
-//! rings and the multicore decoder lanes fill from it. The streaming
-//! reader uses the same decoder over checked reads.
+//! rings and the multicore decoder lanes fill from it.
 
 use crate::trace::TraceOp;
-use std::io::{self, Read, Write};
 
 /// The four magic bytes opening every pack.
 pub const MAGIC: [u8; 4] = *b"CFTP";
@@ -69,8 +65,6 @@ pub const MAX_OP_BYTES: usize = 1 + 10 + 10 + 10;
 /// Decoding failure.
 #[derive(Debug)]
 pub enum TracePackError {
-    /// Underlying reader/writer failed.
-    Io(io::Error),
     /// The stream does not start with [`MAGIC`].
     BadMagic,
     /// The stream's version is not [`VERSION`] (older and newer ones
@@ -87,6 +81,13 @@ pub enum TracePackError {
     VarintOverflow,
     /// A `Load`/`Store` size outside `1..=`[`MAX_ACCESS_BYTES`].
     BadSize(u8),
+    /// A `Load`/`Store` whose bytes run past the top of the address space.
+    AccessWraps {
+        /// The access's first byte.
+        addr: u64,
+        /// Its size in bytes.
+        size: u8,
+    },
     /// A resume cursor that is not an op boundary of this pack: decoding
     /// its `ops_read` ops from the start does not end at its byte offset,
     /// address context and end-of-stream flag. The payload is the
@@ -97,7 +98,6 @@ pub enum TracePackError {
 impl std::fmt::Display for TracePackError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TracePackError::Io(e) => write!(f, "trace pack I/O error: {e}"),
             TracePackError::BadMagic => write!(f, "not a trace pack (bad magic)"),
             TracePackError::UnsupportedVersion(v) => {
                 write!(
@@ -117,6 +117,10 @@ impl std::fmt::Display for TracePackError {
                     "trace pack access size {s} outside 1..={MAX_ACCESS_BYTES}"
                 )
             }
+            TracePackError::AccessWraps { addr, size } => write!(
+                f,
+                "trace pack access of {size} bytes at {addr:#x} wraps past the address space"
+            ),
             TracePackError::CursorMismatch(p) => write!(
                 f,
                 "resume cursor (byte {}, op {}) is not an op boundary of this trace pack",
@@ -126,19 +130,13 @@ impl std::fmt::Display for TracePackError {
     }
 }
 
-impl std::error::Error for TracePackError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TracePackError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for TracePackError {}
 
-impl From<io::Error> for TracePackError {
-    fn from(e: io::Error) -> Self {
-        TracePackError::Io(e)
-    }
+/// Whether an access of `size ≥ 1` bytes at `addr` runs past the top of
+/// the address space (its last byte would be beyond `u64::MAX`).
+#[inline]
+pub(crate) fn access_wraps(addr: u64, size: u8) -> bool {
+    addr.checked_add(u64::from(size) - 1).is_none()
 }
 
 /// Decoding result alias.
@@ -238,6 +236,9 @@ fn decode_op<B: OpBytes + ?Sized>(
             if size == 0 || size as usize > MAX_ACCESS_BYTES {
                 return Err(TracePackError::BadSize(size));
             }
+            if access_wraps(addr, size) {
+                return Err(TracePackError::AccessWraps { addr, size });
+            }
             *last_addr = addr;
             if tag == 1 {
                 TraceOp::Load { addr, size }
@@ -274,7 +275,7 @@ fn decode_op<B: OpBytes + ?Sized>(
 
 // --- encoding ---------------------------------------------------------
 
-/// Encoder state shared by the streaming writer and [`TracePack::from_ops`].
+/// Encoder state of [`TracePack::from_ops`].
 #[derive(Debug, Default)]
 struct Encoder {
     last_addr: u64,
@@ -294,8 +295,8 @@ impl Encoder {
     /// # Panics
     ///
     /// Panics if a `Load`/`Store` size is `0` or exceeds
-    /// [`MAX_ACCESS_BYTES`] — the format's (and hierarchy's) access-size
-    /// contract.
+    /// [`MAX_ACCESS_BYTES`], or if the access wraps past the top of the
+    /// address space — the format's (and hierarchy's) access contract.
     fn encode(&mut self, out: &mut Vec<u8>, op: TraceOp) {
         self.ops += 1;
         match op {
@@ -307,6 +308,10 @@ impl Encoder {
                 assert!(
                     size != 0 && size as usize <= MAX_ACCESS_BYTES,
                     "trace pack access size {size} outside 1..={MAX_ACCESS_BYTES}"
+                );
+                assert!(
+                    !access_wraps(addr, size),
+                    "trace pack access of {size} bytes at {addr:#x} wraps past the address space"
                 );
                 out.push(if matches!(op, TraceOp::Load { .. }) {
                     1
@@ -341,215 +346,6 @@ impl Encoder {
     }
 }
 
-/// Streaming encoder: writes the header up front, ops as they arrive, and
-/// the end marker on [`finish`](Self::finish). Never materialises the
-/// trace; ops are staged through a small internal buffer that is flushed
-/// to the sink whenever it fills.
-#[derive(Debug)]
-pub struct TracePackWriter<W: Write> {
-    sink: W,
-    buf: Vec<u8>,
-    enc: Encoder,
-    finished: bool,
-}
-
-/// Flush threshold of the writer's staging buffer.
-const WRITER_BUF: usize = 64 * 1024;
-
-impl<W: Write> TracePackWriter<W> {
-    /// Starts a pack on `sink`, writing the header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink write failures.
-    pub fn new(mut sink: W) -> Result<Self> {
-        sink.write_all(&MAGIC)?;
-        sink.write_all(&[VERSION])?;
-        Ok(Self {
-            sink,
-            buf: Vec::with_capacity(WRITER_BUF + MAX_OP_BYTES),
-            enc: Encoder::default(),
-            finished: false,
-        })
-    }
-
-    /// Encodes and stages one op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink write failures when the staging buffer flushes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an access size outside `1..=`[`MAX_ACCESS_BYTES`].
-    pub fn write_op(&mut self, op: TraceOp) -> Result<()> {
-        debug_assert!(!self.finished, "write_op after finish");
-        self.enc.encode(&mut self.buf, op);
-        if self.buf.len() >= WRITER_BUF {
-            self.sink.write_all(&self.buf)?;
-            self.buf.clear();
-        }
-        Ok(())
-    }
-
-    /// Ops written so far.
-    pub fn ops_written(&self) -> u64 {
-        self.enc.ops
-    }
-
-    /// Writes the end marker, flushes, and returns the sink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink write/flush failures.
-    pub fn finish(mut self) -> Result<W> {
-        self.finished = true;
-        self.buf.push(TAG_END);
-        self.sink.write_all(&self.buf)?;
-        self.buf.clear();
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
-}
-
-// --- streaming reader -------------------------------------------------
-
-/// Refill size of the reader's internal buffer.
-const READER_BUF: usize = 64 * 1024;
-
-/// Streaming decoder over any `io::Read`: refills a fixed internal buffer
-/// and decodes ops from it, so a multi-gigabyte pack file replays in
-/// constant memory. Use [`next_batch`](Self::next_batch) on the hot path;
-/// the `Iterator` impl yields one op at a time for convenience.
-#[derive(Debug)]
-pub struct TracePackReader<R: Read> {
-    source: R,
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
-    source_done: bool,
-    last_addr: u64,
-    ops_read: u64,
-    finished: bool,
-}
-
-impl<R: Read> TracePackReader<R> {
-    /// Opens a pack, validating the header.
-    ///
-    /// # Errors
-    ///
-    /// [`TracePackError::BadMagic`] / [`TracePackError::UnsupportedVersion`]
-    /// on a foreign stream, I/O errors from the source.
-    pub fn new(mut source: R) -> Result<Self> {
-        let mut header = [0u8; 5];
-        source.read_exact(&mut header).map_err(|e| {
-            // A short stream is "not a pack"; a real I/O failure must
-            // surface as such, not masquerade as corruption.
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                TracePackError::BadMagic
-            } else {
-                TracePackError::Io(e)
-            }
-        })?;
-        if header[..4] != MAGIC {
-            return Err(TracePackError::BadMagic);
-        }
-        if header[4] != VERSION {
-            return Err(TracePackError::UnsupportedVersion(header[4]));
-        }
-        Ok(Self {
-            source,
-            buf: vec![0u8; READER_BUF],
-            start: 0,
-            end: 0,
-            source_done: false,
-            last_addr: 0,
-            ops_read: 0,
-            finished: false,
-        })
-    }
-
-    /// Tops up the internal buffer so at least [`MAX_OP_BYTES`] are
-    /// available (unless the source is exhausted).
-    fn refill(&mut self) -> Result<()> {
-        if self.source_done || self.end - self.start >= MAX_OP_BYTES {
-            return Ok(());
-        }
-        self.buf.copy_within(self.start..self.end, 0);
-        self.end -= self.start;
-        self.start = 0;
-        while self.end < MAX_OP_BYTES {
-            let n = self.source.read(&mut self.buf[self.end..])?;
-            if n == 0 {
-                self.source_done = true;
-                break;
-            }
-            self.end += n;
-        }
-        Ok(())
-    }
-
-    /// Decodes the next op; `Ok(None)` at the (validated) end of stream.
-    ///
-    /// # Errors
-    ///
-    /// Any [`TracePackError`]; [`TracePackError::Truncated`] if the source
-    /// ends before the end marker.
-    pub fn next_op(&mut self) -> Result<Option<TraceOp>> {
-        if self.finished {
-            return Ok(None);
-        }
-        self.refill()?;
-        let mut pos = self.start;
-        let op = decode_op(&self.buf[..self.end], &mut pos, &mut self.last_addr)?;
-        self.start = pos;
-        match op {
-            Some(op) => {
-                self.ops_read += 1;
-                Ok(Some(op))
-            }
-            None => {
-                self.finished = true;
-                Ok(None)
-            }
-        }
-    }
-
-    /// Decodes up to `out.len()` ops into `out`, returning how many were
-    /// written (0 at end of stream). The replay engines call this to amortise
-    /// per-op dispatch over a fixed ring.
-    ///
-    /// # Errors
-    ///
-    /// Any [`TracePackError`].
-    pub fn next_batch(&mut self, out: &mut [TraceOp]) -> Result<usize> {
-        let mut n = 0;
-        while n < out.len() {
-            match self.next_op()? {
-                Some(op) => {
-                    out[n] = op;
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(n)
-    }
-
-    /// Ops decoded so far.
-    pub fn ops_read(&self) -> u64 {
-        self.ops_read
-    }
-}
-
-impl<R: Read> Iterator for TracePackReader<R> {
-    type Item = Result<TraceOp>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_op().transpose()
-    }
-}
-
 // --- owned pack -------------------------------------------------------
 
 /// An owned, fully-encoded trace pack: the in-memory form the replay hot
@@ -566,7 +362,8 @@ impl TracePack {
     ///
     /// # Panics
     ///
-    /// Panics on an access size outside `1..=`[`MAX_ACCESS_BYTES`].
+    /// Panics on an access size outside `1..=`[`MAX_ACCESS_BYTES`] or an
+    /// access that wraps past the top of the address space.
     pub fn from_ops<I: IntoIterator<Item = TraceOp>>(ops: I) -> Self {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
@@ -884,28 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_through_writer_and_reader() {
-        let ops = sample_ops();
-        let mut w = TracePackWriter::new(Vec::new()).unwrap();
-        for &op in &ops {
-            w.write_op(op).unwrap();
-        }
-        assert_eq!(w.ops_written(), ops.len() as u64);
-        let bytes = w.finish().unwrap();
-
-        let pack = TracePack::from_ops(ops.iter().copied());
-        assert_eq!(bytes, pack.bytes(), "writer and from_ops agree");
-
-        let mut r = TracePackReader::new(bytes.as_slice()).unwrap();
-        let mut got = Vec::new();
-        while let Some(op) = r.next_op().unwrap() {
-            got.push(op);
-        }
-        assert_eq!(got, ops);
-        assert!(r.next_op().unwrap().is_none(), "end is sticky");
-    }
-
-    #[test]
     fn batch_decode_matches_one_at_a_time() {
         let ops = sample_ops();
         let pack = TracePack::from_ops(ops.iter().copied());
@@ -955,15 +730,6 @@ mod tests {
             TracePack::from_bytes(cut),
             Err(TracePackError::Truncated)
         ));
-        let mut r = TracePackReader::new(&pack.bytes()[..pack.bytes().len() - 1]).unwrap();
-        let err = loop {
-            match r.next_op() {
-                Ok(Some(_)) => {}
-                Ok(None) => panic!("truncation must not look like clean EOF"),
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(err, TracePackError::Truncated));
     }
 
     #[test]
@@ -1017,6 +783,15 @@ mod tests {
     #[should_panic(expected = "access size")]
     fn encoding_oversized_access_panics() {
         TracePack::from_ops([TraceOp::Load { addr: 0, size: 65 }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wraps past the address space")]
+    fn encoding_a_wrapping_access_panics() {
+        TracePack::from_ops([TraceOp::Store {
+            addr: u64::MAX - 3,
+            size: 8,
+        }]);
     }
 
     #[test]

@@ -50,8 +50,9 @@ impl VectorValue {
 
 /// Performs a wide vector load of `len` bytes (≤64) under `mode`.
 ///
-/// Returns the memory result (latency, data, possible exception) plus the
-/// poison mask for [`VectorMode::Propagate`] — empty otherwise.
+/// Returns the memory result (latency, possible exception) plus the
+/// register value: the loaded bytes and, for [`VectorMode::Propagate`],
+/// the poison mask (empty otherwise).
 pub fn vector_load(
     hierarchy: &mut Hierarchy,
     addr: u64,
@@ -62,7 +63,8 @@ pub fn vector_load(
     assert!(len <= 64, "one vector register's worth");
     // The data path is shared: the hierarchy load already substitutes
     // zeros and reports the first violating byte.
-    let r = hierarchy.load(addr, len, pc);
+    let mut data = Vec::with_capacity(len);
+    let r = hierarchy.load(addr, len, pc, Some(&mut data));
     // Reconstruct the per-byte poison from the functional view (the
     // hardware gets this from the L1 bit vector directly).
     let mut poison = 0u64;
@@ -72,7 +74,7 @@ pub fn vector_load(
         }
     }
     let value = VectorValue {
-        data: r.data.clone(),
+        data,
         poison: if mode == VectorMode::Propagate {
             poison
         } else {
@@ -127,8 +129,8 @@ mod tests {
         let (r, v) = vector_load(&mut h, base, 32, VectorMode::Precise, 0);
         assert!(r.exception.is_some());
         assert_eq!(r.exception.unwrap().fault_addr, base + 16);
-        assert_eq!(r.data[16], 0, "zero substituted");
-        assert_eq!(r.data[15], 0x11);
+        assert_eq!(v.data[16], 0, "zero substituted");
+        assert_eq!(v.data[15], 0x11);
         assert_eq!(v.poison, 0, "no poison tracking in precise mode");
     }
 
@@ -168,7 +170,7 @@ mod tests {
             let (r, v) = vector_load(&mut h, 0x9000, 64, mode, 0);
             assert!(r.exception.is_none(), "{mode:?}");
             assert_eq!(v.poison, 0);
-            assert_eq!(r.data, vec![3; 64]);
+            assert_eq!(v.data, vec![3; 64]);
         }
     }
 }

@@ -186,6 +186,33 @@ fn impossible_cycle_counts_are_rejected_on_both_engines() {
     }
 }
 
+/// HIERARCHY section tag (the single-core hierarchy state).
+const SEC_HIERARCHY: u8 = 0x04;
+
+#[test]
+fn single_core_l1_rejects_a_shared_line() {
+    // The single-core L1 holds its lines E or M only: a resealed
+    // checkpoint that marks one Shared must fail typed. The HIERARCHY
+    // payload leads with 8 u64s (spill/fill/prefetch counters, four
+    // stream trackers, the cursor), then the L1: clock, four stats and
+    // the line count; each line is address, stamp, dirty flag, 64 data
+    // bytes, the security mask and the MESI tag.
+    let pack = pack();
+    let bytes = single_checkpoint(&pack);
+    let l1 = payload_at(&bytes, SEC_HIERARCHY) + 8 * 8;
+    let lines = u64::from_le_bytes(bytes[l1 + 40..l1 + 48].try_into().unwrap());
+    assert!(lines > 0, "the checkpointed L1 holds lines");
+    let tag = l1 + 48 + 8 + 8 + 1 + 64 + 8;
+    assert!(bytes[tag] <= 1, "a single-core line is M (0) or E (1)");
+    let mut b = bytes.clone();
+    b[tag] = 2; // Shared
+    reseal(&mut b);
+    assert!(
+        matches!(single_err(&pack, &b), CheckpointError::Corrupt(_)),
+        "a Shared line in the single-core L1 is corrupt"
+    );
+}
+
 #[test]
 fn truncation_at_every_byte_errors_typed() {
     // Cutting the checkpoint at *any* length short of the full stream

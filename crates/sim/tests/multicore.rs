@@ -5,7 +5,7 @@
 
 use califorms_sim::coherence::{CoherenceConfig, CoherentHierarchy};
 use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine};
-use califorms_sim::{HierarchyConfig, TraceOp, LINE_BYTES};
+use califorms_sim::{Engine, HierarchyConfig, TraceOp, LINE_BYTES};
 use proptest::prelude::*;
 
 #[test]
@@ -138,6 +138,44 @@ fn expand(half: [u8; 32]) -> [u8; 64] {
     data
 }
 
+/// A hand-built shard carrying a wrapping access fails the same way on
+/// both engines: the single-core engine panics, the multi-core engine
+/// returns the panic as a typed error — in release builds too, where an
+/// unchecked end of the range would wrap and make the access a silent
+/// no-op.
+#[test]
+fn a_wrapping_access_in_a_shard_fails_on_both_engines() {
+    for op in [
+        TraceOp::Load {
+            addr: u64::MAX - 3,
+            size: 8,
+        },
+        TraceOp::Store {
+            addr: u64::MAX - 3,
+            size: 8,
+        },
+    ] {
+        let single = std::panic::catch_unwind(|| Engine::westmere().run([op]));
+        let message = single.expect_err("the single-core engine must refuse the access");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            message.contains("wraps past the address space"),
+            "{message}"
+        );
+
+        let err = MulticoreEngine::new(MulticoreConfig::westmere(1))
+            .try_run(vec![vec![op]])
+            .expect_err("the multi-core engine must refuse the access");
+        assert_eq!(err.core(), Some(0));
+        assert!(
+            err.to_string().contains("wraps past the address space"),
+            "{err}"
+        );
+    }
+}
+
 proptest! {
     /// Invariant (conversion under coherence): a califormed line
     /// round-tripped through spill → cross-core transfer → fill preserves
@@ -164,9 +202,10 @@ proptest! {
         // Core 1 reads the whole line: core 0 spills (Algorithm 1), the
         // sentinel line crosses the interconnect, core 1 fills
         // (Algorithm 2).
-        let r = h.load(1, line, 64, 2);
+        let mut loaded = Vec::new();
+        let r = h.load(1, line, 64, 2, Some(&mut loaded));
         prop_assert_eq!(r.exception.is_some(), mask != 0);
-        for (i, &got) in r.data.iter().enumerate() {
+        for (i, &got) in loaded.iter().enumerate() {
             if mask >> i & 1 == 1 {
                 prop_assert_eq!(got, 0, "security byte {} must read zero", i);
                 prop_assert!(h.peek_is_security_byte(line + i as u64));

@@ -56,8 +56,9 @@ fn swap_io_digest() -> String {
         swap.swap_in(&mut h, addr);
     }
     for (i, &page) in pages.iter().enumerate() {
-        let r = h.load(page + (i as u64 % 64), 4, 0);
-        digest.push_str(&format!(";d{i}={:?}", r.data));
+        let mut data = Vec::new();
+        h.load(page + (i as u64 % 64), 4, 0, Some(&mut data));
+        digest.push_str(&format!(";d{i}={data:?}"));
     }
     let export = io_write(&mut h, pages[0], 64);
     digest.push_str(&format!(

@@ -11,6 +11,13 @@ fn hier() -> Hierarchy {
     Hierarchy::new(HierarchyConfig::westmere())
 }
 
+/// The bytes a load of `len` at `addr` returns.
+fn read(h: &mut Hierarchy, addr: u64, len: usize) -> Vec<u8> {
+    let mut data = Vec::new();
+    h.load(addr, len, 0, Some(&mut data));
+    data
+}
+
 // --- DMA --------------------------------------------------------------
 
 #[test]
@@ -25,7 +32,7 @@ fn zero_length_dma_is_empty_everywhere() {
         }
     }
     // And the hierarchy still serves the data afterwards.
-    assert_eq!(h.load(0x5000, 3, 0).data, vec![1, 2, 3]);
+    assert_eq!(read(&mut h, 0x5000, 3), vec![1, 2, 3]);
 }
 
 #[test]
@@ -76,7 +83,7 @@ fn adjacent_pages_swap_independently() {
     let mut swap = SwapManager::new();
     swap.swap_out(&mut h, p0);
     // p1 is untouched while p0 is out.
-    assert_eq!(h.load(p1, 8, 0).data, vec![2; 8]);
+    assert_eq!(read(&mut h, p1, 8), vec![2; 8]);
     assert!(h.peek_is_security_byte(p1 + 9));
 
     swap.swap_out(&mut h, p1);
@@ -86,12 +93,12 @@ fn adjacent_pages_swap_independently() {
     // Swap back in the opposite order; everything returns intact.
     swap.swap_in(&mut h, p1);
     swap.swap_in(&mut h, p0);
-    assert_eq!(h.load(p1 - 8, 8, 0).data, vec![1; 8]);
-    assert_eq!(h.load(p1, 8, 0).data, vec![2; 8]);
+    assert_eq!(read(&mut h, p1 - 8, 8), vec![1; 8]);
+    assert_eq!(read(&mut h, p1, 8), vec![2; 8]);
     assert!(h.peek_is_security_byte(p1 - 64));
     assert!(h.peek_is_security_byte(p1 + 9));
     assert!(
-        h.load(p1 + 9, 1, 0).exception.is_some(),
+        h.load(p1 + 9, 1, 0, None).exception.is_some(),
         "tripwire still live"
     );
 }
@@ -108,7 +115,7 @@ fn swap_of_the_last_metadata_bit_line() {
     let mut swap = SwapManager::new();
     swap.swap_out(&mut h, page);
     swap.swap_in(&mut h, page);
-    assert_eq!(h.load(last_line, 4, 0).data, vec![7; 4]);
+    assert_eq!(read(&mut h, last_line, 4), vec![7; 4]);
     assert!(h.peek_is_security_byte(last_line + 33));
     assert!(!h.dram_line(page).califormed, "line 0 stayed plain");
 }

@@ -97,23 +97,6 @@ fn packed_single_core_replay_is_bit_identical() {
 }
 
 #[test]
-fn streamed_reader_replay_is_bit_identical() {
-    use califorms_sim::tracepack::{TracePackReader, TracePackWriter};
-    let trace = mixed_trace(5_000, 11);
-    let mut w = TracePackWriter::new(Vec::new()).unwrap();
-    for &op in &trace {
-        w.write_op(op).unwrap();
-    }
-    let bytes = w.finish().unwrap();
-
-    let unpacked = Engine::westmere().run(trace.iter().copied());
-    let mut reader = TracePackReader::new(bytes.as_slice()).unwrap();
-    let streamed = Engine::westmere().run_reader(&mut reader).unwrap();
-    assert_eq!(unpacked.stats, streamed.stats);
-    assert_eq!(unpacked.exceptions, streamed.exceptions);
-}
-
-#[test]
 fn packed_multicore_replay_is_bit_identical() {
     for cores in [1usize, 2, 3, 4] {
         let trace = mixed_trace_with(8_000, 13, false);
@@ -128,6 +111,52 @@ fn packed_multicore_replay_is_bit_identical() {
         );
         assert_eq!(unpacked.stats.per_core, packed.stats.per_core);
         assert_eq!(unpacked.exceptions, packed.exceptions);
+    }
+}
+
+/// Both engines serve memory through one L1 and one set of shared levels,
+/// so at one core, with the single-core stream prefetcher off, they see
+/// every access alike: the same exceptions and the same cache, DRAM,
+/// conversion and suppression counters. Only the cycle count differs —
+/// the multi-core engine also charges the directory latency on a miss.
+#[test]
+fn engines_agree_at_one_core() {
+    use califorms_sim::{CoreConfig, HierarchyConfig};
+    let hierarchy = HierarchyConfig {
+        stream_prefetcher: false,
+        ..HierarchyConfig::westmere()
+    };
+    for seed in [7, 11, 13] {
+        let trace = mixed_trace(20_000, seed);
+        let single = Engine::new(hierarchy, CoreConfig::westmere()).run(trace.iter().copied());
+        let multi = MulticoreEngine::new(MulticoreConfig {
+            hierarchy,
+            ..MulticoreConfig::westmere(1)
+        })
+        .run(vec![trace]);
+        let (s, m) = (&single.stats, &multi.stats.combined);
+        assert_eq!(single.exceptions, multi.exceptions[0], "seed {seed}");
+        assert_eq!(
+            (s.instructions, s.loads, s.stores, s.cforms),
+            (m.instructions, m.loads, m.stores, m.cforms),
+            "seed {seed}"
+        );
+        assert_eq!(s.l1d, m.l1d, "seed {seed}");
+        assert_eq!(s.l2, m.l2, "seed {seed}");
+        assert_eq!(s.l3, m.l3, "seed {seed}");
+        assert_eq!(s.dram_accesses, m.dram_accesses, "seed {seed}");
+        assert_eq!((s.spills, s.fills), (m.spills, m.fills), "seed {seed}");
+        assert_eq!(s.stores_suppressed, m.stores_suppressed, "seed {seed}");
+        assert_eq!(
+            (s.exceptions_delivered, s.exceptions_suppressed),
+            (m.exceptions_delivered, m.exceptions_suppressed),
+            "seed {seed}"
+        );
+        assert!(s.l1d.misses > 0 && s.stores_suppressed > 0, "seed {seed}");
+        assert!(
+            m.cycles > s.cycles,
+            "seed {seed}: the directory costs cycles"
+        );
     }
 }
 

@@ -3,7 +3,7 @@
 //! snapshots must be byte-identical across runs and across packed vs
 //! unpacked replay (modulo the pack-only `decode.*` family), the span
 //! timeline of a 4-core run must cover bound/weave/barrier on every core
-//! track, and the per-core/per-shard weave breakdown must sum back to the
+//! track, and the per-core weave breakdown must sum back to the
 //! aggregate runtime counters.
 
 use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine};
@@ -174,15 +174,6 @@ fn weave_breakdown_sums_match_the_aggregate_runtime_counters() {
     assert_eq!(sum(|c| c.batched), rt.batched_transactions);
     assert_eq!(sum(|c| c.contended), rt.contended_transactions);
 
-    // Every weave transaction lands on exactly one directory shard.
-    assert!(!wb.per_shard.is_empty());
-    let shard_sum = |f: fn(&califorms_sim::stats::ShardWeaveStats) -> u64| {
-        wb.per_shard.iter().map(f).sum::<u64>()
-    };
-    assert_eq!(shard_sum(|s| s.transactions), rt.weave_transactions);
-    assert_eq!(shard_sum(|s| s.batched), rt.batched_transactions);
-    assert_eq!(shard_sum(|s| s.contended), rt.contended_transactions);
-
     // The host-time weave breakdown covers the same axes: one wall-clock
     // slice per core, one sample per quantum.
     let tb = &out.timing.weave_breakdown;
@@ -198,9 +189,8 @@ fn weave_breakdown_sums_match_the_aggregate_runtime_counters() {
 /// 1. `rt.weave_turns == Σ core.weave.turns` — every turn is tallied on
 ///    exactly one core.
 /// 2. `rt.weave_transactions == Σ core.weave.transactions ==
-///    Σ shard.transactions == weave_batch_sizes.sum()` — every
-///    transaction lands on one core, one directory shard, and one
-///    batch-size sample.
+///    weave_batch_sizes.sum()` — every transaction lands on one core and
+///    one batch-size sample.
 /// 3. A turn committing `k ≥ 1` transactions tallies `k − 1` batched
 ///    ones, so `weave_transactions − batched_transactions` equals the
 ///    number of non-empty turns — which is exactly
@@ -219,10 +209,8 @@ fn weave_turn_accounting_reconciles_across_all_views() {
 
     let core_turns: u64 = wb.per_core.iter().map(|c| c.turns).sum();
     let core_txns: u64 = wb.per_core.iter().map(|c| c.transactions).sum();
-    let shard_txns: u64 = wb.per_shard.iter().map(|s| s.transactions).sum();
     assert_eq!(core_turns, rt.weave_turns);
     assert_eq!(core_txns, rt.weave_transactions);
-    assert_eq!(shard_txns, rt.weave_transactions);
     assert_eq!(
         hist.sum(),
         u128::from(rt.weave_transactions),

@@ -1,11 +1,10 @@
 //! Negative-path tests of the `tracepack` wire format: every class of
-//! corruption must surface as a typed decode error — never a panic,
-//! never a silent truncation — through **both** decode entry points
-//! (`TracePack::from_bytes` and the streaming `TracePackReader`).
+//! corruption must surface as a typed decode error from
+//! `TracePack::from_bytes` — never a panic, never a silent truncation —
+//! whether the decoder meets it on its fixed-window fast path or in the
+//! checked tail before the end marker.
 
-use califorms_sim::tracepack::{
-    TracePack, TracePackError, TracePackReader, MAGIC, MAX_OP_BYTES, VERSION,
-};
+use califorms_sim::tracepack::{TracePack, TracePackError, MAGIC, MAX_OP_BYTES, VERSION};
 use califorms_sim::TraceOp;
 
 /// A small valid pack to corrupt.
@@ -51,30 +50,24 @@ fn embedded(corrupt_op: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// Drains a reader, returning the first error (panics on clean EOF).
-fn reader_error(bytes: &[u8]) -> TracePackError {
-    let mut r = match TracePackReader::new(bytes) {
-        Ok(r) => r,
-        Err(e) => return e,
-    };
-    loop {
-        match r.next_op() {
-            Ok(Some(_)) => {}
-            Ok(None) => panic!("corrupted stream decoded cleanly"),
-            Err(e) => return e,
-        }
-    }
+/// A header-only pack holding just `op` (decoded in the checked tail).
+fn lone(op: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&MAGIC);
+    bytes.push(VERSION);
+    bytes.extend_from_slice(op);
+    bytes.push(0xFF);
+    bytes
 }
 
 #[test]
-fn corrupted_magic_is_bad_magic_in_both_paths() {
+fn corrupted_magic_is_bad_magic() {
     let mut bytes = valid_bytes();
     bytes[0] ^= 0x20;
     assert!(matches!(
         TracePack::from_bytes(bytes.clone()),
         Err(TracePackError::BadMagic)
     ));
-    assert!(matches!(reader_error(&bytes), TracePackError::BadMagic));
 }
 
 #[test]
@@ -85,7 +78,6 @@ fn short_header_is_bad_magic_not_a_panic() {
             TracePack::from_bytes(bytes.clone()),
             Err(TracePackError::BadMagic)
         ));
-        assert!(matches!(reader_error(&bytes), TracePackError::BadMagic));
     }
 }
 
@@ -96,13 +88,9 @@ fn future_version_is_rejected_with_the_version() {
     for version in [0, VERSION + 3] {
         let mut bytes = valid_bytes();
         bytes[4] = version;
-        match TracePack::from_bytes(bytes.clone()) {
+        match TracePack::from_bytes(bytes) {
             Err(TracePackError::UnsupportedVersion(v)) => assert_eq!(v, version),
             other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
-        }
-        match reader_error(&bytes) {
-            TracePackError::UnsupportedVersion(v) => assert_eq!(v, version),
-            other => panic!("version {version}: reader gave {other:?}"),
         }
     }
 }
@@ -110,19 +98,11 @@ fn future_version_is_rejected_with_the_version() {
 #[test]
 fn unknown_op_tag_is_rejected() {
     for tag in [0x07u8, 0x42, 0xFE] {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(VERSION);
-        bytes.push(tag);
-        bytes.push(0xFF); // end marker the decoder must never reach
-        for bytes in [bytes, embedded(&[tag])] {
-            match TracePack::from_bytes(bytes.clone()) {
+        // The end marker after the bad tag must never be reached.
+        for bytes in [lone(&[tag]), embedded(&[tag])] {
+            match TracePack::from_bytes(bytes) {
                 Err(TracePackError::BadTag(t)) => assert_eq!(t, tag),
                 other => panic!("expected BadTag({tag:#x}), got {other:?}"),
-            }
-            match reader_error(&bytes) {
-                TracePackError::BadTag(t) => assert_eq!(t, tag),
-                other => panic!("reader: expected BadTag({tag:#x}), got {other:?}"),
             }
         }
     }
@@ -138,10 +118,9 @@ fn truncation_mid_varint_is_truncated_not_silent() {
     bytes.push(1); // Load
     bytes.extend_from_slice(&[0x80, 0x80, 0x80]); // varint continuation bytes, no terminator
     assert!(matches!(
-        TracePack::from_bytes(bytes.clone()),
+        TracePack::from_bytes(bytes),
         Err(TracePackError::Truncated)
     ));
-    assert!(matches!(reader_error(&bytes), TracePackError::Truncated));
 }
 
 #[test]
@@ -155,12 +134,11 @@ fn every_truncation_point_of_a_real_pack_errors() {
         let prefix = bytes[..cut].to_vec();
         assert!(
             matches!(
-                TracePack::from_bytes(prefix.clone()),
+                TracePack::from_bytes(prefix),
                 Err(TracePackError::Truncated)
             ),
             "cut at {cut} must be Truncated"
         );
-        assert!(matches!(reader_error(&prefix), TracePackError::Truncated));
     }
 }
 
@@ -172,39 +150,18 @@ fn trailing_garbage_after_end_marker_is_counted() {
         Err(TracePackError::TrailingBytes(n)) => assert_eq!(n, 3),
         other => panic!("expected TrailingBytes(3), got {other:?}"),
     }
-    // The streaming reader stops at the end marker by design (it may be
-    // reading from a stream with framing after the pack), so trailing
-    // bytes are the owning-pack validator's job — but the reader must
-    // still report a *clean* end, not decode the garbage as ops.
-    let mut with_garbage = valid_bytes();
-    with_garbage.push(0x00);
-    let mut r = TracePackReader::new(with_garbage.as_slice()).unwrap();
-    let mut n = 0;
-    while r.next_op().unwrap().is_some() {
-        n += 1;
-    }
-    assert_eq!(n, 6, "exactly the real ops decode");
 }
 
 #[test]
 fn oversized_varint_is_rejected() {
     // An 11-byte varint cannot fit in a u64.
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.push(VERSION);
     let mut exec = vec![0]; // Exec
     exec.extend_from_slice(&[0xFF; 10]);
     exec.push(0x01);
-    bytes.extend_from_slice(&exec);
-    bytes.push(0xFF);
-    for bytes in [bytes, embedded(&exec)] {
+    for bytes in [lone(&exec), embedded(&exec)] {
         assert!(matches!(
-            TracePack::from_bytes(bytes.clone()),
+            TracePack::from_bytes(bytes),
             Err(TracePackError::VarintOverflow)
-        ));
-        assert!(matches!(
-            reader_error(&bytes),
-            TracePackError::VarintOverflow
         ));
     }
 }
@@ -213,21 +170,60 @@ fn oversized_varint_is_rejected() {
 fn zero_and_oversized_access_sizes_are_rejected() {
     for size in [0u8, 65, 0xFF] {
         let store = [2, 0, size]; // Store, delta 0, size
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(VERSION);
-        bytes.extend_from_slice(&store);
-        bytes.push(0xFF);
-        for bytes in [bytes, embedded(&store)] {
-            match TracePack::from_bytes(bytes.clone()) {
+        for bytes in [lone(&store), embedded(&store)] {
+            match TracePack::from_bytes(bytes) {
                 Err(TracePackError::BadSize(s)) => assert_eq!(s, size),
                 other => panic!("expected BadSize({size}), got {other:?}"),
             }
-            match reader_error(&bytes) {
-                TracePackError::BadSize(s) => assert_eq!(s, size),
-                other => panic!("reader: expected BadSize({size}), got {other:?}"),
+        }
+    }
+}
+
+/// Encodes a `Load` (tag 1) or `Store` (tag 2) of `size` bytes at `addr`
+/// as it follows an op at `prev`: a zigzag LEB128 address delta.
+fn access_op(tag: u8, prev: u64, addr: u64, size: u8) -> Vec<u8> {
+    let delta = addr.wrapping_sub(prev) as i64;
+    let mut v = ((delta << 1) ^ (delta >> 63)) as u64;
+    let mut op = vec![tag];
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            op.push(byte);
+            break;
+        }
+        op.push(byte | 0x80);
+    }
+    op.push(size);
+    op
+}
+
+/// The last op of the 64 that [`embedded`] puts before its corrupt op.
+const EMBEDDED_PREV: u64 = 0x1000 + 63 * 8;
+
+#[test]
+fn an_access_wrapping_past_the_address_space_is_rejected() {
+    for tag in [1u8, 2] {
+        for (addr, size) in [(u64::MAX - 3, 8u8), (u64::MAX, 2), (u64::MAX - 62, 64)] {
+            for bytes in [
+                lone(&access_op(tag, 0, addr, size)),
+                embedded(&access_op(tag, EMBEDDED_PREV, addr, size)),
+            ] {
+                match TracePack::from_bytes(bytes) {
+                    Err(TracePackError::AccessWraps { addr: a, size: s }) => {
+                        assert_eq!((a, s), (addr, size));
+                    }
+                    other => panic!("expected AccessWraps at {addr:#x}, got {other:?}"),
+                }
             }
         }
+    }
+    // Ending exactly at the top byte is not a wrap.
+    for (addr, size) in [(u64::MAX - 7, 8u8), (u64::MAX, 1), (u64::MAX - 63, 64)] {
+        let pack = TracePack::from_bytes(lone(&access_op(1, 0, addr, size))).unwrap();
+        assert_eq!(pack.to_vec(), vec![TraceOp::Load { addr, size }]);
+        let embedded = TracePack::from_bytes(embedded(&access_op(1, EMBEDDED_PREV, addr, size)));
+        assert!(embedded.is_ok(), "{addr:#x}+{size}: {embedded:?}");
     }
 }
 
@@ -239,6 +235,12 @@ fn errors_render_useful_messages() {
     assert!(TracePackError::Truncated.to_string().contains("truncated"));
     assert!(TracePackError::TrailingBytes(7).to_string().contains('7'));
     assert!(TracePackError::BadSize(65).to_string().contains("65"));
+    assert!(TracePackError::AccessWraps {
+        addr: u64::MAX - 3,
+        size: 8
+    }
+    .to_string()
+    .contains("0xfffffffffffffffc"));
     assert!(TracePackError::UnsupportedVersion(9)
         .to_string()
         .contains('9'));

@@ -1,16 +1,22 @@
 //! Property tests of the `tracepack` wire format: encode → decode is the
-//! identity for arbitrary valid traces, through both the in-memory pack
-//! and the streaming writer/reader, one op at a time and in batches.
+//! identity for arbitrary valid traces, one op at a time and in batches.
 
-use califorms_sim::tracepack::{TracePack, TracePackReader, TracePackWriter, MAX_OP_BYTES};
+use califorms_sim::tracepack::{TracePack, MAX_OP_BYTES};
 use califorms_sim::TraceOp;
 use proptest::prelude::*;
+
+/// A `Load`/`Store` address and size within the pack's access contract:
+/// 1..=64 bytes that do not wrap past the top of the address space.
+fn arb_access() -> impl Strategy<Value = (u64, u8)> {
+    (any::<u64>(), 1u8..=64)
+        .prop_map(|(addr, size)| (addr.min(u64::MAX - (u64::from(size) - 1)), size))
+}
 
 fn arb_op() -> impl Strategy<Value = TraceOp> {
     prop_oneof![
         any::<u32>().prop_map(TraceOp::Exec),
-        (any::<u64>(), 1u8..=64).prop_map(|(addr, size)| TraceOp::Load { addr, size }),
-        (any::<u64>(), 1u8..=64).prop_map(|(addr, size)| TraceOp::Store { addr, size }),
+        arb_access().prop_map(|(addr, size)| TraceOp::Load { addr, size }),
+        arb_access().prop_map(|(addr, size)| TraceOp::Store { addr, size }),
         (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(a, attrs, mask)| TraceOp::Cform {
             line_addr: a & !63,
             attrs,
@@ -38,26 +44,6 @@ proptest! {
         prop_assert_eq!(pack.to_vec(), ops);
         let reparsed = TracePack::from_bytes(pack.bytes().to_vec()).unwrap();
         prop_assert_eq!(reparsed.to_vec(), pack.to_vec());
-    }
-
-    /// Streaming round trip: writer → reader over an `io` boundary equals
-    /// the original, and the streaming bytes equal the in-memory bytes.
-    #[test]
-    fn streaming_round_trip_is_identity(ops in proptest::collection::vec(arb_op(), 0..200)) {
-        let mut w = TracePackWriter::new(Vec::new()).unwrap();
-        for &op in &ops {
-            w.write_op(op).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        let in_memory = TracePack::from_ops(ops.iter().copied());
-        prop_assert_eq!(bytes.as_slice(), in_memory.bytes());
-
-        let mut r = TracePackReader::new(bytes.as_slice()).unwrap();
-        let mut got = Vec::new();
-        while let Some(op) = r.next_op().unwrap() {
-            got.push(op);
-        }
-        prop_assert_eq!(got, ops);
     }
 
     /// Batch decoding at any batch size yields the same op sequence as
@@ -129,9 +115,6 @@ fn worst_case_op_decodes_identically_at_the_window_edge() {
                     "next_batch({batch}), lead {lead}, tail {tail}"
                 );
             }
-            let mut r = TracePackReader::new(pack.bytes()).unwrap();
-            let streamed: Vec<TraceOp> = r.by_ref().map(Result::unwrap).collect();
-            assert_eq!(streamed, ops, "reader, lead {lead}, tail {tail}");
             assert_eq!(TracePack::from_bytes(pack.bytes().to_vec()).unwrap(), pack);
         }
     }

@@ -52,9 +52,10 @@ fn main() {
     println!("line re-filled into L1: {fills} califormed fill(s) so far");
 
     // Data integrity across the conversions.
-    let r = engine.hierarchy.load(victim, 8, 0);
+    let mut data = Vec::new();
+    let r = engine.hierarchy.load(victim, 8, 0, Some(&mut data));
     assert!(r.exception.is_none());
-    println!("original data intact after spill+fill: {:02x?}", r.data);
+    println!("original data intact after spill+fill: {data:02x?}");
 
     // And the tripwire still fires.
     engine.step(TraceOp::Load {

@@ -92,37 +92,28 @@ impl CformInstruction {
     /// * [`CoreError::CformUnsetOnNormalByte`] — Unset/Allow on a byte that
     ///   is a regular byte.
     pub fn execute(&self, line: &mut CaliformedLine) -> Result<CformOutcome> {
-        // Validation pass: fault precisely, before any state change.
-        for i in 0..LINE_BYTES {
-            if self.mask >> i & 1 == 0 {
-                continue; // Don't-care column: no change, no exception.
-            }
-            let is_sec = line.is_security_byte(i);
-            let set = self.attributes >> i & 1 == 1;
-            match (is_sec, set) {
-                (true, true) => return Err(CoreError::CformSetOnSecurityByte { index: i }),
-                (false, false) => return Err(CoreError::CformUnsetOnNormalByte { index: i }),
-                _ => {}
-            }
-        }
-        // Commit pass.
-        let mut outcome = CformOutcome {
-            bytes_set: 0,
-            bytes_unset: 0,
-        };
-        for i in 0..LINE_BYTES {
-            if self.mask >> i & 1 == 0 {
-                continue;
-            }
-            if self.attributes >> i & 1 == 1 {
-                line.set_security_byte(i);
-                outcome.bytes_set += 1;
+        let old = line.security_mask();
+        let set = self.mask & self.attributes;
+        let unset = self.mask & !self.attributes;
+        // The K-map's two exception cells for all 64 bytes at once; the
+        // lowest faulting byte is the one a byte-order scan would report.
+        let faults = set & old | unset & !old;
+        if faults != 0 {
+            let index = faults.trailing_zeros() as usize;
+            return Err(if old >> index & 1 == 1 {
+                CoreError::CformSetOnSecurityByte { index }
             } else {
-                line.unset_security_byte(i);
-                outcome.bytes_unset += 1;
-            }
+                CoreError::CformUnsetOnNormalByte { index }
+            });
         }
-        Ok(outcome)
+        // Commit: every allowed byte flips state and is zeroed. The unset
+        // bytes were security bytes, whose data is already zero, so
+        // canonicalising under the new mask zeroes exactly the set ones.
+        *line = CaliformedLine::new(*line.data(), old ^ self.mask);
+        Ok(CformOutcome {
+            bytes_set: set.count_ones(),
+            bytes_unset: unset.count_ones(),
+        })
     }
 }
 

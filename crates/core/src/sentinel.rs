@@ -33,6 +33,7 @@
 //! [`crate::convert::spill`] and [`crate::convert::fill`].
 
 use crate::error::{CoreError, Result};
+use crate::hwlogic::{find_first_n_ones, ones};
 use crate::line::LINE_BYTES;
 
 /// A cache line as held in the L2 cache and beyond: 64 bytes plus the
@@ -82,52 +83,50 @@ pub const fn header_len(listed: usize) -> usize {
 }
 
 /// Decoded califorms-sentinel header.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SentinelHeader {
-    /// Line offsets of the first `min(n, 4)` security bytes, ascending.
-    pub listed: Vec<u8>,
+    /// The listed security bytes `Addr0..Addr3` as a bit vector: bit `a`
+    /// is set for each listed line offset `a`. A spill lists the first
+    /// `min(n, 4)` of the line's `n` security bytes, so 1–4 bits are set.
+    pub listed: u64,
     /// The sentinel pattern, present only when the count code is `11`
     /// (four **or more** security bytes).
     pub sentinel: Option<u8>,
 }
 
 impl SentinelHeader {
-    /// Encodes a header into the first `listed.len()` bytes of `out`.
-    ///
-    /// `listed` must hold 1–4 ascending line offsets; `sentinel` must be
-    /// `Some` exactly when `listed.len() == 4`.
+    /// Encodes the header into the first [`header_bytes`](Self::header_bytes)
+    /// bytes of `out`, leaving the other bytes as they are.
     ///
     /// # Panics
     ///
-    /// Panics on violated preconditions — the spill path constructs its
-    /// arguments so they hold by design.
-    pub fn encode(listed: &[u8], sentinel: Option<u8>, out: &mut [u8; LINE_BYTES]) {
+    /// Panics unless `listed` has 1–4 bits set and `sentinel` is `Some`
+    /// exactly when it has 4 — the spill path constructs its header so
+    /// this holds by design.
+    pub fn encode(&self, out: &mut [u8; LINE_BYTES]) {
+        let count = self.listed.count_ones();
         assert!(
-            (1..=4).contains(&listed.len()),
+            (1..=4).contains(&count),
             "listed address count must be 1..=4"
         );
-        assert!(
-            listed.windows(2).all(|w| w[0] < w[1]),
-            "listed addresses must be strictly ascending"
-        );
         assert_eq!(
-            sentinel.is_some(),
-            listed.len() == 4,
+            self.sentinel.is_some(),
+            count == 4,
             "sentinel present iff count code is 11"
         );
-        let k = header_len(listed.len());
-        for b in out.iter_mut().take(k) {
-            *b = 0;
+        // Figure 7 as one little-endian word: the count code in bits 1:0,
+        // then a 6-bit field per listed offset, ascending, then the
+        // sentinel. Its unused high bits are zero.
+        let mut word = count - 1;
+        for (field, addr) in ones(self.listed).enumerate() {
+            word |= (addr as u32) << (2 + 6 * field);
         }
-        let mut writer = BitWriter::new(out);
-        writer.put((listed.len() - 1) as u8, 2);
-        for &addr in listed {
-            debug_assert!(addr < 64);
-            writer.put(addr, 6);
+        if let Some(s) = self.sentinel {
+            word |= u32::from(s & 0x3F) << 26;
         }
-        if let Some(s) = sentinel {
-            writer.put(s & 0x3F, 6);
-        }
+        let header_bytes = u32::MAX >> (32 - 8 * count);
+        let old = u32::from_le_bytes([out[0], out[1], out[2], out[3]]);
+        out[..4].copy_from_slice(&(old & !header_bytes | word).to_le_bytes());
     }
 
     /// Decodes the header from the first bytes of a califormed line.
@@ -137,107 +136,70 @@ impl SentinelHeader {
     /// Returns [`CoreError::CorruptSentinelHeader`] if the listed addresses
     /// are not strictly ascending.
     pub fn decode(bytes: &[u8; LINE_BYTES]) -> Result<Self> {
-        let mut reader = BitReader::new(bytes);
-        let code = reader.take(2);
-        let count = code as usize + 1;
-        let mut listed = Vec::with_capacity(count);
-        for _ in 0..count {
-            listed.push(reader.take(6));
+        let word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        let count = (word & 0b11) + 1;
+        let mut listed = 0u64;
+        for field in 0..count {
+            let addr = word >> (2 + 6 * field) & 0x3F;
+            // Strictly ascending: no earlier address at or above this one.
+            if listed >> addr != 0 {
+                return Err(CoreError::CorruptSentinelHeader {
+                    what: "listed addresses not strictly ascending",
+                });
+            }
+            listed |= 1 << addr;
         }
-        if !listed.windows(2).all(|w| w[0] < w[1]) {
-            return Err(CoreError::CorruptSentinelHeader {
-                what: "listed addresses not strictly ascending",
-            });
-        }
-        let sentinel = (code == 0b11).then(|| reader.take(6));
+        let sentinel = (count == 4).then_some((word >> 26) as u8);
         Ok(Self { listed, sentinel })
     }
 
     /// The number of header bytes this header occupies.
     pub fn header_bytes(&self) -> usize {
-        header_len(self.listed.len())
+        header_len(self.listed.count_ones() as usize)
     }
 }
 
 /// The displacement rule that preserves the header bytes' original data.
 ///
-/// Returns `(source, target)` pairs: original data of header byte `source`
-/// is stored at security-byte slot `target` while the line is in sentinel
-/// format.
+/// Yields `(source, target)` pairs, ascending: original data of header byte
+/// `source` is stored at security-byte slot `target` while the line is in
+/// sentinel format.
 ///
 /// * *sources* — header byte offsets `0..k` that are **not** themselves
-///   security bytes (security bytes carry no data to preserve), ascending;
-/// * *targets* — **listed** security-byte slots at offset `≥ k`, ascending.
+///   security bytes (security bytes carry no data to preserve);
+/// * *targets* — **listed** security-byte slots at offset `≥ k`.
 ///
-/// The counts always match because the header length `k` equals the listed
-/// count `c`, so `|sources| = k − |S ∩ [0,k)| = c − |S ∩ [0,k)| = |targets|`.
+/// `k` is the header length, one byte per bit of `listed`. The counts
+/// always match because `k` equals the listed count `c`, so
+/// `|sources| = k − |S ∩ [0,k)| = c − |S ∩ [0,k)| = |targets|`.
 /// Restricting targets to *listed* slots keeps displaced data out of the
-/// sentinel scan's way on fill.
-pub fn displacement_map(listed: &[u8], security_mask: u64) -> Vec<(usize, usize)> {
-    let k = header_len(listed.len());
-    let sources = (0..k).filter(|&i| security_mask >> i & 1 == 0);
-    let targets = listed.iter().map(|&a| a as usize).filter(|&a| a >= k);
-    // analyze::allow(hot-path-alloc): at most 4-pair map, allocated only on a califormed spill
-    sources.zip(targets).collect()
-}
-
-struct BitWriter<'a> {
-    out: &'a mut [u8; LINE_BYTES],
-    bit: usize,
-}
-
-impl<'a> BitWriter<'a> {
-    fn new(out: &'a mut [u8; LINE_BYTES]) -> Self {
-        Self { out, bit: 0 }
-    }
-
-    fn put(&mut self, value: u8, width: usize) {
-        for i in 0..width {
-            let v = value >> i & 1;
-            let byte = self.bit / 8;
-            let off = self.bit % 8;
-            self.out[byte] = self.out[byte] & !(1 << off) | v << off;
-            self.bit += 1;
-        }
-    }
-}
-
-struct BitReader<'a> {
-    bytes: &'a [u8; LINE_BYTES],
-    bit: usize,
-}
-
-impl<'a> BitReader<'a> {
-    fn new(bytes: &'a [u8; LINE_BYTES]) -> Self {
-        Self { bytes, bit: 0 }
-    }
-
-    fn take(&mut self, width: usize) -> u8 {
-        let mut value = 0u8;
-        for i in 0..width {
-            let byte = self.bit / 8;
-            let off = self.bit % 8;
-            value |= (self.bytes[byte] >> off & 1) << i;
-            self.bit += 1;
-        }
-        value
-    }
+/// sentinel scan's way on fill. The pairs come from two bit vectors, so
+/// building the map allocates nothing.
+pub fn displacement_map(listed: u64, security_mask: u64) -> impl Iterator<Item = (usize, usize)> {
+    let header_region = find_first_n_ones(u64::MAX, header_len(listed.count_ones() as usize));
+    ones(!security_mask & header_region).zip(ones(listed & !header_region))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn bits(offsets: &[u8]) -> u64 {
+        offsets.iter().fold(0, |m, &a| m | 1 << a)
+    }
+
     #[test]
     fn header_round_trips_all_counts() {
         for count in 1..=4usize {
             let listed: Vec<u8> = (0..count as u8).map(|i| i * 13 + 2).collect();
-            let sentinel = (count == 4).then_some(0x2Au8);
+            let header = SentinelHeader {
+                listed: bits(&listed),
+                sentinel: (count == 4).then_some(0x2Au8),
+            };
             let mut out = [0xEEu8; LINE_BYTES];
-            SentinelHeader::encode(&listed, sentinel, &mut out);
+            header.encode(&mut out);
             let hdr = SentinelHeader::decode(&out).unwrap();
-            assert_eq!(hdr.listed, listed);
-            assert_eq!(hdr.sentinel, sentinel);
+            assert_eq!(hdr, header);
             assert_eq!(hdr.header_bytes(), count);
             // Bytes beyond the header untouched.
             assert!(out[count..].iter().all(|&b| b == 0xEE));
@@ -247,7 +209,11 @@ mod tests {
     #[test]
     fn count_code_occupies_low_two_bits() {
         let mut out = [0u8; LINE_BYTES];
-        SentinelHeader::encode(&[7], None, &mut out);
+        SentinelHeader {
+            listed: 1 << 7,
+            sentinel: None,
+        }
+        .encode(&mut out);
         assert_eq!(out[0] & 0b11, 0b00);
         assert_eq!(out[0] >> 2, 7);
     }
@@ -255,53 +221,60 @@ mod tests {
     #[test]
     fn four_security_bytes_pack_exactly_four_bytes() {
         let mut out = [0xFFu8; LINE_BYTES];
-        SentinelHeader::encode(&[0, 1, 2, 63], Some(0x3F), &mut out);
+        let header = SentinelHeader {
+            listed: bits(&[0, 1, 2, 63]),
+            sentinel: Some(0x3F),
+        };
+        header.encode(&mut out);
         assert_eq!(out[0] & 0b11, 0b11);
-        let hdr = SentinelHeader::decode(&out).unwrap();
-        assert_eq!(hdr.listed, vec![0, 1, 2, 63]);
-        assert_eq!(hdr.sentinel, Some(0x3F));
+        assert_eq!(SentinelHeader::decode(&out).unwrap(), header);
         assert_eq!(out[4], 0xFF, "byte 4 is data, not header");
     }
 
     #[test]
     fn decode_rejects_descending_addresses() {
-        let mut out = [0u8; LINE_BYTES];
-        SentinelHeader::encode(&[3, 9], None, &mut out);
-        // Swap the two 6-bit address fields by hand: write 9 then 3.
+        // Count code 01, then Addr0 = 9 and Addr1 = 3: the two 6-bit
+        // address fields of a valid [3, 9] header, swapped.
+        let word: u32 = 0b01 | 9 << 2 | 3 << 8;
         let mut swapped = [0u8; LINE_BYTES];
-        let mut w = BitWriter::new(&mut swapped);
-        w.put(0b01, 2);
-        w.put(9, 6);
-        w.put(3, 6);
+        swapped[..4].copy_from_slice(&word.to_le_bytes());
+        assert!(SentinelHeader::decode(&swapped).is_err());
+        // A repeated address is not strictly ascending either.
+        let word: u32 = 0b01 | 9 << 2 | 9 << 8;
+        swapped[..4].copy_from_slice(&word.to_le_bytes());
         assert!(SentinelHeader::decode(&swapped).is_err());
     }
 
     #[test]
     fn displacement_counts_match_by_construction() {
         // Security bytes inside the header region shrink both sides equally.
-        let listed = [1u8, 9, 17, 33];
-        let mask = listed.iter().fold(0u64, |m, &a| m | 1 << a);
-        let map = displacement_map(&listed, mask);
+        let listed = bits(&[1, 9, 17, 33]);
+        let map: Vec<_> = displacement_map(listed, listed).collect();
         assert_eq!(map, vec![(0, 9), (2, 17), (3, 33)]);
     }
 
     #[test]
     fn displacement_empty_when_header_is_all_security() {
-        let listed = [0u8, 1, 2, 3];
+        let listed = bits(&[0, 1, 2, 3]);
         let mask = 0b1111u64 | 1 << 63;
-        assert!(displacement_map(&listed, mask).is_empty());
+        assert_eq!(displacement_map(listed, mask).count(), 0);
     }
 
     #[test]
     fn displacement_simple_case() {
         // One security byte at 40: header is byte 0, its data moves to 40.
-        assert_eq!(displacement_map(&[40], 1 << 40), vec![(0, 40)]);
+        let map: Vec<_> = displacement_map(1 << 40, 1 << 40).collect();
+        assert_eq!(map, vec![(0, 40)]);
     }
 
     #[test]
     #[should_panic(expected = "sentinel present iff")]
     fn encode_rejects_missing_sentinel() {
         let mut out = [0u8; LINE_BYTES];
-        SentinelHeader::encode(&[0, 1, 2, 3], None, &mut out);
+        SentinelHeader {
+            listed: 0b1111,
+            sentinel: None,
+        }
+        .encode(&mut out);
     }
 }

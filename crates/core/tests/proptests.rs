@@ -126,11 +126,10 @@ proptest! {
         prop_assume!(line.is_califormed());
         let l2 = spill(&L1Line::new(line)).unwrap();
         let header = l2.header().unwrap();
-        let expected: Vec<u8> = line
+        let expected = line
             .security_byte_indices()
             .take(4)
-            .map(|i| i as u8)
-            .collect();
+            .fold(0u64, |listed, i| listed | 1 << i);
         prop_assert_eq!(header.listed, expected);
         prop_assert_eq!(
             header.sentinel.is_some(),

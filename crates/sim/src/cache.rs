@@ -30,6 +30,12 @@ struct Entry<V> {
     value: V,
 }
 
+/// The address of the line with `tag` in set `set_idx` of a cache with
+/// `2^set_bits` sets: the inverse of `SetAssocCache::index`.
+fn address_of(set_bits: u32, tag: u64, set_idx: usize) -> u64 {
+    (tag << set_bits | set_idx as u64) * LINE_BYTES
+}
+
 /// Set-associative cache keyed by 64 B line address.
 ///
 /// True-LRU replacement is tracked with per-entry recency stamps rather
@@ -41,6 +47,9 @@ struct Entry<V> {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<V> {
     sets: Vec<Vec<Entry<V>>>,
+    /// log2 of the set count: a line number's low `set_bits` bits pick
+    /// its set and the rest are its tag.
+    set_bits: u32,
     ways: usize,
     clock: u64,
     /// Hit latency in cycles, exposed for the hierarchy's accounting.
@@ -79,6 +88,7 @@ impl<V> SetAssocCache<V> {
         );
         Self {
             sets: (0..set_count).map(|_| Vec::with_capacity(ways)).collect(),
+            set_bits: set_count.trailing_zeros(),
             ways,
             clock: 0,
             latency,
@@ -92,6 +102,7 @@ impl<V> SetAssocCache<V> {
     pub(crate) fn detached() -> Self {
         Self {
             sets: Vec::new(),
+            set_bits: 0,
             ways: 1,
             clock: 0,
             latency: 0,
@@ -133,8 +144,7 @@ impl<V> SetAssocCache<V> {
     fn index(&self, line_addr: u64) -> (usize, u64) {
         let line_no = line_addr / LINE_BYTES;
         let set = (line_no as usize) & (self.sets.len() - 1);
-        let tag = line_no / self.sets.len() as u64;
-        (set, tag)
+        (set, line_no >> self.set_bits)
     }
 
     /// Looks up a line, updating LRU and hit/miss counters.
@@ -243,7 +253,7 @@ impl<V> SetAssocCache<V> {
         let (set_idx, tag) = self.index(line_addr);
         self.clock += 1;
         let clock = self.clock;
-        let set_count = self.sets.len() as u64;
+        let set_bits = self.set_bits;
         let ways = self.ways;
         let set = &mut self.sets[set_idx];
         if let Some(e) = set.iter_mut().find(|e| e.tag == tag) {
@@ -265,9 +275,8 @@ impl<V> SetAssocCache<V> {
             if victim.dirty {
                 self.stats.writebacks += 1;
             }
-            let line_no = victim.tag * set_count + set_idx as u64;
             Some(Eviction {
-                line_addr: line_no * LINE_BYTES,
+                line_addr: address_of(set_bits, victim.tag, set_idx),
                 value: victim.value,
                 dirty: victim.dirty,
             })
@@ -301,12 +310,11 @@ impl<V> SetAssocCache<V> {
     /// Drains every resident line (for end-of-simulation flush), returning
     /// `(line_addr, payload, dirty)` triples in no particular order.
     pub fn drain(&mut self) -> Vec<(u64, V, bool)> {
-        let set_count = self.sets.len() as u64;
+        let set_bits = self.set_bits;
         let mut out = Vec::new();
         for (set_idx, set) in self.sets.iter_mut().enumerate() {
             for e in set.drain(..) {
-                let line_no = e.tag * set_count + set_idx as u64;
-                out.push((line_no * LINE_BYTES, e.value, e.dirty));
+                out.push((address_of(set_bits, e.tag, set_idx), e.value, e.dirty));
             }
         }
         out
@@ -326,12 +334,11 @@ impl<V> SetAssocCache<V> {
     /// ties cannot occur — stamps are unique — but set-scan order feeds
     /// `find`, so we keep the bit-identity contract conservative).
     pub(crate) fn export_lines(&self) -> Vec<(u64, u64, bool, &V)> {
-        let set_count = self.sets.len() as u64;
         let mut out = Vec::with_capacity(self.resident_lines());
         for (set_idx, set) in self.sets.iter().enumerate() {
             for e in set {
-                let line_no = e.tag * set_count + set_idx as u64;
-                out.push((line_no * LINE_BYTES, e.stamp, e.dirty, &e.value));
+                let addr = address_of(self.set_bits, e.tag, set_idx);
+                out.push((addr, e.stamp, e.dirty, &e.value));
             }
         }
         out

@@ -633,12 +633,12 @@ pub(crate) fn get_trace_op(r: &mut Rd<'_>) -> Result<TraceOp> {
             TraceOp::Store { addr, size }
         }
         3 => TraceOp::Cform {
-            line_addr: r.u64()?,
+            line_addr: checked_line_addr(r)?,
             attrs: r.u64()?,
             mask: r.u64()?,
         },
         4 => TraceOp::CformNt {
-            line_addr: r.u64()?,
+            line_addr: checked_line_addr(r)?,
             attrs: r.u64()?,
             mask: r.u64()?,
         },
@@ -680,6 +680,18 @@ fn checked_access(r: &mut Rd<'_>) -> Result<(u64, u8)> {
         ));
     }
     Ok((addr, size))
+}
+
+/// The target of a `CFORM` in [`get_trace_op`], held to the trace pack's
+/// line-alignment contract.
+fn checked_line_addr(r: &mut Rd<'_>) -> Result<u64> {
+    let line_addr = r.u64()?;
+    if !line_addr.is_multiple_of(crate::LINE_BYTES) {
+        return Err(CheckpointError::Corrupt(
+            "trace op CFORM target not line-aligned",
+        ));
+    }
+    Ok(line_addr)
 }
 
 // --- cache + config serializers ---------------------------------------

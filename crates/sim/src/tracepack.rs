@@ -25,7 +25,8 @@
 //! the sequential and strided streams real programs produce collapse to
 //! one- or two-byte deltas. The `0xFF` end marker lets a reader
 //! distinguish a complete stream from a truncated one. A `Load`/`Store`
-//! may end at the top byte of the address space but not wrap past it.
+//! may end at the top byte of the address space but not wrap past it,
+//! and a `Cform`/`CformNt` target is line (64-byte) aligned.
 //!
 //! [`TracePack`] is the owned in-memory form the replay hot path
 //! batch-decodes from (see [`crate::engine::Engine::run_pack`]).
@@ -43,6 +44,7 @@
 //! rings and the multicore decoder lanes fill from it.
 
 use crate::trace::TraceOp;
+use crate::LINE_BYTES;
 
 /// The four magic bytes opening every pack.
 pub const MAGIC: [u8; 4] = *b"CFTP";
@@ -88,6 +90,12 @@ pub enum TracePackError {
         /// Its size in bytes.
         size: u8,
     },
+    /// A `Cform`/`CformNt` whose target is not a cache-line (64-byte)
+    /// aligned address.
+    MisalignedCform {
+        /// The op's target address.
+        line_addr: u64,
+    },
     /// A resume cursor that is not an op boundary of this pack: decoding
     /// its `ops_read` ops from the start does not end at its byte offset,
     /// address context and end-of-stream flag. The payload is the
@@ -120,6 +128,10 @@ impl std::fmt::Display for TracePackError {
             TracePackError::AccessWraps { addr, size } => write!(
                 f,
                 "trace pack access of {size} bytes at {addr:#x} wraps past the address space"
+            ),
+            TracePackError::MisalignedCform { line_addr } => write!(
+                f,
+                "trace pack CFORM target {line_addr:#x} is not cache-line aligned"
             ),
             TracePackError::CursorMismatch(p) => write!(
                 f,
@@ -250,6 +262,9 @@ fn decode_op<B: OpBytes + ?Sized>(
             let line_addr = last_addr.wrapping_add(unzigzag(varint(src, pos)?) as u64);
             let attrs = varint(src, pos)?;
             let mask = varint(src, pos)?;
+            if !line_addr.is_multiple_of(LINE_BYTES) {
+                return Err(TracePackError::MisalignedCform { line_addr });
+            }
             *last_addr = line_addr;
             if tag == 3 {
                 TraceOp::Cform {
@@ -295,8 +310,9 @@ impl Encoder {
     /// # Panics
     ///
     /// Panics if a `Load`/`Store` size is `0` or exceeds
-    /// [`MAX_ACCESS_BYTES`], or if the access wraps past the top of the
-    /// address space — the format's (and hierarchy's) access contract.
+    /// [`MAX_ACCESS_BYTES`], if the access wraps past the top of the
+    /// address space, or if a `Cform`/`CformNt` target is not line
+    /// aligned — the format's (and hierarchy's) access contract.
     fn encode(&mut self, out: &mut Vec<u8>, op: TraceOp) {
         self.ops += 1;
         match op {
@@ -331,6 +347,10 @@ impl Encoder {
                 attrs,
                 mask,
             } => {
+                assert!(
+                    line_addr.is_multiple_of(LINE_BYTES),
+                    "trace pack CFORM target {line_addr:#x} is not cache-line aligned"
+                );
                 out.push(if matches!(op, TraceOp::Cform { .. }) {
                     3
                 } else {
@@ -362,8 +382,9 @@ impl TracePack {
     ///
     /// # Panics
     ///
-    /// Panics on an access size outside `1..=`[`MAX_ACCESS_BYTES`] or an
-    /// access that wraps past the top of the address space.
+    /// Panics on an access size outside `1..=`[`MAX_ACCESS_BYTES`], an
+    /// access that wraps past the top of the address space, or a `CFORM`
+    /// target that is not line aligned.
     pub fn from_ops<I: IntoIterator<Item = TraceOp>>(ops: I) -> Self {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);

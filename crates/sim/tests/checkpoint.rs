@@ -446,6 +446,72 @@ fn cursor_off_an_op_boundary_fails_typed() {
     }
 }
 
+/// `(offset, tag)` of every ring-leftover op in a multicore checkpoint's
+/// CURSOR payload: a u64 lane count, then per lane a resume point (three
+/// u64s and a bool), u64 lane, stride and lane index, a u64 op count and
+/// the ops, each a tag byte and its fixed-width fields.
+fn leftover_ops(bytes: &[u8]) -> Vec<(usize, u8)> {
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let mut at = payload_at(bytes, SEC_CURSOR);
+    let lanes = u64_at(at);
+    at += 8;
+    let mut ops = Vec::new();
+    for _ in 0..lanes {
+        at += 25 + 3 * 8;
+        let n = u64_at(at);
+        at += 8;
+        for _ in 0..n {
+            ops.push((at, bytes[at]));
+            at += match bytes[at] {
+                0 => 5,
+                1 | 2 => 10,
+                3 | 4 => 25,
+                _ => 1,
+            };
+        }
+    }
+    ops
+}
+
+#[test]
+fn ring_leftovers_are_held_to_the_pack_contract() {
+    // A multicore checkpoint stores each lane's decoded but uncommitted
+    // ops verbatim, and a resealed edit gets past the checksum. A
+    // leftover op must then meet the pack decoder's contract: a `CFORM`
+    // whose target is not line aligned, or an access that wraps past the
+    // address space, is corrupt, never replayed into a panic.
+    let pack = pack();
+    let (_, checkpoints) = MulticoreEngine::new(MulticoreConfig::westmere(2).with_quantum(500.0))
+        .try_run_pack_checkpointed(&pack, 1)
+        .expect("checkpointed run");
+    let misalign: fn(u64) -> u64 = |line_addr| line_addr + 1;
+    let wrap: fn(u64) -> u64 = |_| u64::MAX;
+    for (tags, edit) in [(&[3u8, 4][..], misalign), (&[1, 2][..], wrap)] {
+        let (bytes, at) = checkpoints
+            .iter()
+            .find_map(|b| {
+                let (at, _) = leftover_ops(b)
+                    .into_iter()
+                    .find(|(_, t)| tags.contains(t))?;
+                Some((b.clone(), at))
+            })
+            .expect("some checkpoint leaves such an op in a lane's ring");
+        let mut b = bytes.clone();
+        let addr = u64::from_le_bytes(b[at + 1..at + 9].try_into().unwrap());
+        let edited = edit(addr);
+        b[at + 1..at + 9].copy_from_slice(&edited.to_le_bytes());
+        reseal(&mut b);
+        let err = multicore_err(&pack, &b);
+        assert!(
+            matches!(err, CheckpointError::Corrupt(_)),
+            "leftover op tag {} at {edited:#x} gave {err:?}",
+            b[at]
+        );
+        // The unedited checkpoint resumes.
+        assert!(MulticoreEngine::try_resume_pack(&pack, &bytes).is_ok());
+    }
+}
+
 #[test]
 fn empty_and_header_only_streams_fail_typed() {
     let pack = pack();

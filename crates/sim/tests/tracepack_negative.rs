@@ -179,22 +179,41 @@ fn zero_and_oversized_access_sizes_are_rejected() {
     }
 }
 
-/// Encodes a `Load` (tag 1) or `Store` (tag 2) of `size` bytes at `addr`
-/// as it follows an op at `prev`: a zigzag LEB128 address delta.
-fn access_op(tag: u8, prev: u64, addr: u64, size: u8) -> Vec<u8> {
-    let delta = addr.wrapping_sub(prev) as i64;
-    let mut v = ((delta << 1) ^ (delta >> 63)) as u64;
-    let mut op = vec![tag];
+/// Appends `v` as an LEB128 varint.
+fn put_varint(op: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
             op.push(byte);
-            break;
+            return;
         }
         op.push(byte | 0x80);
     }
+}
+
+/// `tag`, then the zigzag LEB128 delta from an op at `prev` to `addr`.
+fn tagged_addr(tag: u8, prev: u64, addr: u64) -> Vec<u8> {
+    let delta = addr.wrapping_sub(prev) as i64;
+    let mut op = vec![tag];
+    put_varint(&mut op, ((delta << 1) ^ (delta >> 63)) as u64);
+    op
+}
+
+/// Encodes a `Load` (tag 1) or `Store` (tag 2) of `size` bytes at `addr`
+/// as it follows an op at `prev`.
+fn access_op(tag: u8, prev: u64, addr: u64, size: u8) -> Vec<u8> {
+    let mut op = tagged_addr(tag, prev, addr);
     op.push(size);
+    op
+}
+
+/// Encodes a `Cform` (tag 3) or `CformNt` (tag 4) of `line_addr` as it
+/// follows an op at `prev`.
+fn cform_op(tag: u8, prev: u64, line_addr: u64, attrs: u64, mask: u64) -> Vec<u8> {
+    let mut op = tagged_addr(tag, prev, line_addr);
+    put_varint(&mut op, attrs);
+    put_varint(&mut op, mask);
     op
 }
 
@@ -228,6 +247,51 @@ fn an_access_wrapping_past_the_address_space_is_rejected() {
 }
 
 #[test]
+fn a_misaligned_cform_is_rejected() {
+    // `CformInstruction::new` panics on a target that is not line
+    // aligned, so the decoder must refuse such a pack before any engine
+    // replays it.
+    for tag in [3u8, 4] {
+        for line_addr in [0x1001u64, 0x103F, 0x20, u64::MAX] {
+            for bytes in [
+                lone(&cform_op(tag, 0, line_addr, u64::MAX, u64::MAX)),
+                embedded(&cform_op(tag, EMBEDDED_PREV, line_addr, 1, 1)),
+            ] {
+                match TracePack::from_bytes(bytes) {
+                    Err(TracePackError::MisalignedCform { line_addr: a }) => {
+                        assert_eq!(a, line_addr);
+                    }
+                    other => panic!("expected MisalignedCform at {line_addr:#x}, got {other:?}"),
+                }
+            }
+        }
+    }
+    // Line-aligned targets decode, the top line of the address space too.
+    for line_addr in [0u64, 0x1000, u64::MAX - 63] {
+        let pack = TracePack::from_bytes(lone(&cform_op(3, 0, line_addr, 1, 1))).unwrap();
+        let op = TraceOp::Cform {
+            line_addr,
+            attrs: 1,
+            mask: 1,
+        };
+        assert_eq!(pack.to_vec(), vec![op]);
+        let embedded =
+            TracePack::from_bytes(embedded(&cform_op(4, EMBEDDED_PREV, line_addr, 1, 1)));
+        assert!(embedded.is_ok(), "{line_addr:#x}: {embedded:?}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "not cache-line aligned")]
+fn encoding_a_misaligned_cform_panics() {
+    TracePack::from_ops([TraceOp::CformNt {
+        line_addr: 0x1008,
+        attrs: 1,
+        mask: 1,
+    }]);
+}
+
+#[test]
 fn errors_render_useful_messages() {
     // The Display impls are what land in fuzzer logs and CI output.
     assert!(TracePackError::BadMagic.to_string().contains("magic"));
@@ -241,6 +305,9 @@ fn errors_render_useful_messages() {
     }
     .to_string()
     .contains("0xfffffffffffffffc"));
+    assert!(TracePackError::MisalignedCform { line_addr: 0x1001 }
+        .to_string()
+        .contains("0x1001"));
     assert!(TracePackError::UnsupportedVersion(9)
         .to_string()
         .contains('9'));

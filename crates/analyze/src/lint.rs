@@ -18,6 +18,7 @@
 //! | `hot-path-unwrap` | bare `.unwrap()`/`.expect()` in a worker-loop hot-path function |
 //! | `missing-forbid-unsafe` | crate/bin root without `#![forbid(unsafe_code)]` |
 //! | `malformed-allow` | an `analyze::allow` directive that doesn't parse |
+//! | `unused-allow` | an `analyze::allow` directive that suppresses nothing (never itself suppressible) |
 
 use crate::config::LintConfig;
 use crate::diagnostics::{AppliedSuppression, Finding};
@@ -281,26 +282,45 @@ pub(crate) fn lint_file(
 
 /// Applies a file's suppression directives to its raw findings. A
 /// directive absorbs a same-lint finding on its own line or the line
-/// directly below; everything else survives.
+/// directly below; everything else survives. A directive that absorbs
+/// nothing is itself an `unused-allow` finding: the code it excused is
+/// gone. Those findings are made after suppression, so no directive can
+/// silence them.
 pub(crate) fn apply_directives(
     path: &str,
     directives: &[Directive],
     raw: Vec<Finding>,
 ) -> LintOutcome {
     let mut outcome = LintOutcome::default();
+    let mut used = vec![false; directives.len()];
     for f in raw {
         let hit = directives
             .iter()
-            .find(|d| d.lint == f.lint && (d.line == f.line || d.line + 1 == f.line));
+            .position(|d| d.lint == f.lint && (d.line == f.line || d.line + 1 == f.line));
         match hit {
-            Some(d) => outcome.suppressions.push(AppliedSuppression {
-                lint: d.lint.clone(),
-                path: path.to_string(),
-                line: d.line,
-                reason: d.reason.clone(),
-            }),
+            Some(i) => {
+                used[i] = true;
+                let d = &directives[i];
+                outcome.suppressions.push(AppliedSuppression {
+                    lint: d.lint.clone(),
+                    path: path.to_string(),
+                    line: d.line,
+                    reason: d.reason.clone(),
+                });
+            }
             None => outcome.findings.push(f),
         }
+    }
+    for (d, _) in directives.iter().zip(used).filter(|&(_, used)| !used) {
+        outcome.findings.push(Finding {
+            lint: "unused-allow".to_string(),
+            path: path.to_string(),
+            line: d.line,
+            col: d.col,
+            message: format!("`analyze::allow({})` suppresses nothing", d.lint),
+            snippet: d.snippet.clone(),
+            help: "delete the directive: the finding it excused is gone".to_string(),
+        });
     }
     outcome
         .findings
@@ -313,8 +333,10 @@ pub(crate) fn apply_directives(
 /// A parsed `analyze::allow` directive.
 pub(crate) struct Directive {
     line: u32,
+    col: u32,
     lint: String,
     reason: String,
+    snippet: String,
 }
 
 /// Extracts well-formed directives and reports malformed ones.
@@ -345,8 +367,10 @@ fn parse_directives(
         match parsed {
             Some((lint, reason)) => ok.push(Directive {
                 line: c.line,
+                col: c.col,
                 lint,
                 reason,
+                snippet: snippet(c.line),
             }),
             None => bad.push(Finding {
                 lint: "malformed-allow".to_string(),

@@ -155,7 +155,7 @@ impl Barrier {
 
 /// Builds the barrier model: `workers` persistent workers driven through
 /// `quanta` epochs, then shut down and joined — the exact lifecycle of
-/// `run_sources`.
+/// `run_loop`.
 pub fn barrier_model(workers: usize, quanta: usize, variant: BarrierVariant) -> ModelFn {
     Arc::new(move |s: Sched| {
         let barrier = Arc::new(Barrier::new(&s));
@@ -190,7 +190,7 @@ pub fn barrier_model(workers: usize, quanta: usize, variant: BarrierVariant) -> 
 
 /// Builds the worker-slot handoff model: per-worker `Mutex<Option<u64>>`
 /// slots, tasks lent before each quantum and reclaimed after
-/// `wait_all_done` — mirroring `run_sources`' lend/reclaim loops with
+/// `wait_all_done` — mirroring `run_loop`'s lend/reclaim loops with
 /// the task reduced to a counter the worker increments each quantum.
 pub fn slot_model(workers: usize, quanta: usize, variant: SlotVariant) -> ModelFn {
     Arc::new(move |s: Sched| {

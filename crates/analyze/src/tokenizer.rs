@@ -35,6 +35,8 @@ pub enum TokenKind {
 pub struct Comment {
     /// 1-based line the comment starts on.
     pub line: u32,
+    /// 1-based column of the comment's `//`.
+    pub col: u32,
     /// Comment text after the `//` (or `//!`, `///`) marker.
     pub text: String,
 }
@@ -86,6 +88,7 @@ pub fn tokenize(source: &str) -> Tokenized {
             }
             out.comments.push(Comment {
                 line: start_line,
+                col,
                 text: source[i + 2..j].to_string(),
             });
             bump!(j - i);

@@ -172,6 +172,20 @@ fn suppressed_fixture_applies_the_valid_directive_only() {
 }
 
 #[test]
+fn a_directive_that_suppresses_nothing_is_reported_at_its_comment() {
+    let out = lint_fixture("unused_allow.rs", "crates/core/src/fixture.rs");
+    assert_eq!(
+        spans(&out),
+        vec![
+            ("unused-allow".to_string(), 7, 5),   // its map was removed
+            ("unused-allow".to_string(), 12, 37), // trailing, names a lint that never fires
+        ]
+    );
+    assert_eq!(out.suppressions.len(), 1);
+    assert_eq!(out.suppressions[0].line, 5);
+}
+
+#[test]
 fn clean_fixture_produces_nothing() {
     let out = lint_fixture("clean.rs", "crates/core/src/lib.rs");
     assert!(out.findings.is_empty(), "clean fixture: {:?}", spans(&out));

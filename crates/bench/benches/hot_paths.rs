@@ -175,7 +175,12 @@ fn bench_tracepack(c: &mut Criterion) {
         })
     });
     c.bench_function("replay_packed_10k", |b| {
-        b.iter(|| Engine::westmere().run_pack(black_box(&pack)).stats.cycles)
+        b.iter(|| {
+            Engine::westmere()
+                .replay(black_box(&pack), None)
+                .stats
+                .cycles
+        })
     });
     c.bench_function("replay_iter_10k", |b| {
         b.iter(|| {

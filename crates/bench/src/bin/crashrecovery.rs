@@ -36,9 +36,11 @@
 use califorms_bench::{results_dir, write_json};
 use califorms_oracle::diff::{run_fault_campaign, DiffConfig, FaultCampaign};
 use califorms_sim::{
-    FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError, TraceOp, TracePack,
+    Checkpoints, FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError, Source,
+    TraceOp, TracePack,
 };
 use serde::Serialize;
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -53,7 +55,7 @@ struct Args {
     ops: usize,
     /// Child mode: stream checkpoints into this directory until killed.
     child: Option<PathBuf>,
-    child_interval: u64,
+    child_interval: NonZeroU64,
 }
 
 fn parse_args() -> Args {
@@ -62,7 +64,7 @@ fn parse_args() -> Args {
         cores: 4,
         ops: 2_000_000,
         child: None,
-        child_interval: 50,
+        child_interval: NonZeroU64::new(50).expect("50 is positive"),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -76,7 +78,7 @@ fn parse_args() -> Args {
             "--ops" => args.ops = value("--ops").parse().expect("--ops N"),
             "--child" => args.child = Some(PathBuf::from(value("--child"))),
             "--child-interval" => {
-                args.child_interval = value("--child-interval").parse().expect("N")
+                args.child_interval = value("--child-interval").parse().expect("N ≥ 1")
             }
             other => panic!("unknown argument {other}"),
         }
@@ -151,7 +153,7 @@ struct IntervalRow {
     overhead_pct: f64,
     /// Amortized capture+copy cost per checkpoint (overhead / count).
     write_latency_ms_avg: f64,
-    /// `try_resume_pack` of the **last** checkpoint — restore plus the
+    /// `MulticoreEngine::resume` of the **last** checkpoint — restore plus the
     /// short remaining tail, an upper bound on restore cost.
     restore_latency_ms: f64,
 }
@@ -208,7 +210,7 @@ struct RecoveryReport {
 fn run_with_recovery(
     pack: &TracePack,
     first_engine: impl FnOnce() -> MulticoreEngine,
-    interval: u64,
+    every: NonZeroU64,
     max_retries: u32,
 ) -> Result<(MulticoreOutcome, u32), RunError> {
     let mut latest: Option<Vec<u8>> = None;
@@ -217,15 +219,14 @@ fn run_with_recovery(
     let mut first = Some(first_engine);
     loop {
         let mut seen: Option<Vec<u8>> = None;
+        let mut sink = |b| seen = Some(b);
+        let checkpoints = Some(Checkpoints {
+            every,
+            sink: &mut sink,
+        });
         let result = match (&latest, first.take()) {
-            (None, Some(make)) => {
-                make().try_run_pack_checkpointed_with(pack, interval, |b| seen = Some(b))
-            }
-            (Some(bytes), _) => {
-                MulticoreEngine::try_resume_pack_checkpointed_with(pack, bytes, interval, |b| {
-                    seen = Some(b)
-                })
-            }
+            (None, Some(make)) => make().replay(Source::Pack { pack, checkpoints }),
+            (Some(bytes), _) => MulticoreEngine::resume(pack, bytes, checkpoints),
             (None, None) => {
                 return Err(RunError::Checkpoint(
                     califorms_sim::CheckpointError::Truncated,
@@ -236,7 +237,7 @@ fn run_with_recovery(
             latest = seen;
         }
         match result {
-            Ok(outcome) => return Ok((outcome, attempt)),
+            Ok((outcome, _)) => return Ok((outcome, attempt)),
             Err(err) if attempt < max_retries && latest.is_some() => {
                 eprintln!(
                     "crashrecovery: attempt {attempt} failed ({err}); \
@@ -254,20 +255,21 @@ fn run_with_recovery(
 /// Child mode: stream checkpoints to `dir` (write + atomic rename) with
 /// a short pause after each, widening the window in which the parent's
 /// SIGKILL lands mid-run.
-fn child_run(dir: &Path, pack: &TracePack, cores: usize, interval: u64) {
+fn child_run(dir: &Path, pack: &TracePack, cores: usize, every: NonZeroU64) {
     std::fs::create_dir_all(dir).expect("checkpoint dir");
     let mut n = 0u64;
-    let _ = MulticoreEngine::new(config(cores)).try_run_pack_checkpointed_with(
-        pack,
-        interval,
-        |bytes| {
-            let tmp = dir.join(format!(".tmp-{n}"));
-            std::fs::write(&tmp, &bytes).expect("writable checkpoint dir");
-            std::fs::rename(&tmp, dir.join(format!("ckpt-{n:06}.bin"))).expect("rename");
-            n += 1;
-            std::thread::sleep(Duration::from_millis(25));
-        },
-    );
+    let mut sink = |bytes: Vec<u8>| {
+        let tmp = dir.join(format!(".tmp-{n}"));
+        std::fs::write(&tmp, &bytes).expect("writable checkpoint dir");
+        std::fs::rename(&tmp, dir.join(format!("ckpt-{n:06}.bin"))).expect("rename");
+        n += 1;
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    let checkpoints = Some(Checkpoints {
+        every,
+        sink: &mut sink,
+    });
+    let _ = MulticoreEngine::new(config(cores)).replay(Source::Pack { pack, checkpoints });
     // Completing before the kill lands is fine: the parent still
     // resumes from the last on-disk checkpoint and verifies.
 }
@@ -322,8 +324,8 @@ fn child_kill_smoke(pack: &TracePack, reference: &MulticoreOutcome, args: &Args)
     let mut fallbacks = 0u64;
     for path in files.iter().rev() {
         let bytes = std::fs::read(path).expect("readable checkpoint");
-        match MulticoreEngine::try_resume_pack(pack, &bytes) {
-            Ok(out) => {
+        match MulticoreEngine::resume(pack, &bytes, None) {
+            Ok((out, _)) => {
                 return ChildKillRow {
                     checkpoints_on_disk,
                     fallbacks,
@@ -371,8 +373,11 @@ fn main() -> ExitCode {
 
     // Straight-through reference (also the plain-run timing baseline).
     let t0 = Instant::now();
-    let reference = MulticoreEngine::new(config(args.cores))
-        .try_run_pack(&pack)
+    let (reference, _) = MulticoreEngine::new(config(args.cores))
+        .replay(Source::Pack {
+            pack: &pack,
+            checkpoints: None,
+        })
         .expect("reference run");
     let plain = t0.elapsed();
     let quanta = reference.stats.runtime.quanta;
@@ -388,8 +393,17 @@ fn main() -> ExitCode {
     let mut rows = Vec::new();
     for &interval in intervals {
         let t = Instant::now();
-        let (out, checkpoints) = MulticoreEngine::new(config(args.cores))
-            .try_run_pack_checkpointed(&pack, interval)
+        let mut checkpoints = Vec::new();
+        let mut sink = |b| checkpoints.push(b);
+        let source = Source::Pack {
+            pack: &pack,
+            checkpoints: Some(Checkpoints {
+                every: NonZeroU64::new(interval).expect("a positive interval"),
+                sink: &mut sink,
+            }),
+        };
+        let (out, _) = MulticoreEngine::new(config(args.cores))
+            .replay(source)
             .expect("checkpointed run");
         let checkpointed = t.elapsed();
         assert_eq!(
@@ -402,7 +416,7 @@ fn main() -> ExitCode {
         );
         let last = checkpoints.last().expect("non-empty");
         let t = Instant::now();
-        let resumed = MulticoreEngine::try_resume_pack(&pack, last).expect("resume");
+        let (resumed, _) = MulticoreEngine::resume(&pack, last, None).expect("resume");
         let restore = t.elapsed();
         assert_eq!(resumed.stats, reference.stats, "resume bit-identity");
         let overhead = checkpointed.saturating_sub(plain);
@@ -430,7 +444,7 @@ fn main() -> ExitCode {
     // interval is tied to the kill point so at least one checkpoint
     // exists to fall back to when the worker dies.
     let kill_quantum = quanta / 2;
-    let kr_interval = (kill_quantum / 2).max(1);
+    let kr_interval = NonZeroU64::new(kill_quantum / 2).unwrap_or(NonZeroU64::MIN);
     let cores = args.cores;
     let (recovered, retries_used) = with_quiet_panics(|| {
         run_with_recovery(
@@ -466,7 +480,10 @@ fn main() -> ExitCode {
                 ..FaultPlan::default()
             }),
     )
-    .try_run_pack(&pack);
+    .replay(Source::Pack {
+        pack: &pack,
+        checkpoints: None,
+    });
     let stall_elapsed = t.elapsed();
     let stall = match stall_err {
         Err(RunError::Stall(s)) => StallRow {

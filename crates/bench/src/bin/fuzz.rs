@@ -44,6 +44,7 @@ use califorms_oracle::diff::{diff_pack, DiffConfig, Divergence, FaultInjection};
 use califorms_oracle::fuzz::{case_seed, generate_case, FuzzCase};
 use califorms_oracle::shrink::{shrink_ops, DEFAULT_CHECK_BUDGET};
 use califorms_sim::TracePack;
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -113,7 +114,7 @@ fn parse_u64(s: &str) -> u64 {
 /// must be bit-identical to the straight-through one — the fuzzer's
 /// crash-tolerance arm.
 fn configs_for(case: &FuzzCase, inject: bool) -> Vec<DiffConfig> {
-    let resume_at = case.seed.is_multiple_of(4).then_some(2);
+    let resume_at = NonZeroU64::new(2).filter(|_| case.seed.is_multiple_of(4));
     if case.cores == 1 {
         vec![DiffConfig {
             fault: inject.then_some(FaultInjection::L1MaskOffByOne),

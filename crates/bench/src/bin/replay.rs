@@ -10,7 +10,7 @@
 //!   store payload;
 //! * `engine_iter` — the current `Engine::run` over a materialised
 //!   `Vec<TraceOp>` (quiet loads, stack store buffers);
-//! * `packed_batched` — `Engine::run_pack`: ops batch-decoded from the
+//! * `packed_batched` — `Engine::replay`: ops batch-decoded from the
 //!   compact binary pack into a fixed ring (decode cost included).
 //!
 //! Multi-core rows (2/4 cores by default, `--cores` to override) on the
@@ -42,8 +42,8 @@
 //!
 //! With `--telemetry` (implied by `--metrics-out`/`--trace-out`), the
 //! highest-core-count shared-stream packed replay is re-run instrumented:
-//! its counter/latency summary plus the per-core weave wall-clock and
-//! per-shard batched/contended split go to stdout, the counter snapshot +
+//! its counter/latency summary plus the per-core weave wall-clock go to
+//! stdout, the counter snapshot +
 //! histograms to `--metrics-out PATH`, and the per-core bound/weave/
 //! barrier span timeline as Chrome trace-event JSON to `--trace-out PATH`
 //! (open in <https://ui.perfetto.dev>). `--telemetry-check` gates that
@@ -61,7 +61,7 @@ use califorms_bench::legacy_replay::run_legacy;
 use califorms_bench::{render_telemetry_summary, write_json};
 use califorms_sim::multicore::shard_ops;
 use califorms_sim::{
-    Engine, MulticoreConfig, MulticoreEngine, MulticoreOutcome, TraceOp, TracePack,
+    Engine, MulticoreConfig, MulticoreEngine, MulticoreOutcome, Source, TraceOp, TracePack,
 };
 use califorms_workloads::{
     generate, generate_mt, spec, MtPattern, MtWorkloadConfig, WorkloadConfig,
@@ -339,7 +339,7 @@ fn main() {
         true,
     ));
 
-    let (packed_out, packed_elapsed) = time(|| Engine::westmere().run_pack(&pack));
+    let (packed_out, packed_elapsed) = time(|| Engine::westmere().replay(&pack, None));
     let packed_identical =
         packed_out.stats == iter_out.stats && packed_out.exceptions == iter_out.exceptions;
     assert!(packed_identical, "packed replay must be bit-identical");
@@ -360,7 +360,12 @@ fn main() {
         // (Generated workloads carry no mask windows, so round-robin
         // sharding is mask-safe.)
         let shards = shard_ops(ops.iter().copied(), cores);
-        let (mc_vec, mc_vec_elapsed) = time(|| MulticoreEngine::new(mc_config(cores)).run(shards));
+        let (mc_vec, mc_vec_elapsed) = time(|| {
+            MulticoreEngine::new(mc_config(cores))
+                .replay(Source::Shards(shards))
+                .expect("replay")
+                .0
+        });
         push(mc_row(
             "mc_shared_iter",
             cores,
@@ -370,8 +375,15 @@ fn main() {
             true,
             &mc_vec,
         ));
-        let (mc_pack, mc_pack_elapsed) =
-            time(|| MulticoreEngine::new(mc_config(cores)).run_pack(&pack));
+        let (mc_pack, mc_pack_elapsed) = time(|| {
+            MulticoreEngine::new(mc_config(cores))
+                .replay(Source::Pack {
+                    pack: &pack,
+                    checkpoints: None,
+                })
+                .expect("replay")
+                .0
+        });
         let identical = mc_identical(&mc_pack, &mc_vec);
         assert!(identical, "packed multicore replay must be bit-identical");
         push(mc_row(
@@ -391,8 +403,12 @@ fn main() {
             .map(|s| TracePack::from_ops(s.iter().copied()))
             .collect();
         let dis_ops = total_ops * cores as u64;
-        let (dis_vec, dis_vec_elapsed) =
-            time(|| MulticoreEngine::new(mc_config(cores)).run(dis_shards));
+        let (dis_vec, dis_vec_elapsed) = time(|| {
+            MulticoreEngine::new(mc_config(cores))
+                .replay(Source::Shards(dis_shards))
+                .expect("replay")
+                .0
+        });
         push(mc_row(
             "mc_disjoint_iter",
             cores,
@@ -402,8 +418,12 @@ fn main() {
             true,
             &dis_vec,
         ));
-        let (dis_pack, dis_pack_elapsed) =
-            time(|| MulticoreEngine::new(mc_config(cores)).run_packs(&dis_packs));
+        let (dis_pack, dis_pack_elapsed) = time(|| {
+            MulticoreEngine::new(mc_config(cores))
+                .replay(Source::Packs(&dis_packs))
+                .expect("replay")
+                .0
+        });
         let identical = mc_identical(&dis_pack, &dis_vec);
         assert!(
             identical,
@@ -436,8 +456,12 @@ fn main() {
         let rm_ops: u64 = rm.shards.iter().map(|s| s.len() as u64).sum();
         let rm_packs: Vec<TracePack> = rm.to_packs();
         let rm_shards = rm.shards.clone();
-        let (rm_vec, rm_vec_elapsed) =
-            time(|| MulticoreEngine::new(mc_config(cores)).run(rm_shards));
+        let (rm_vec, rm_vec_elapsed) = time(|| {
+            MulticoreEngine::new(mc_config(cores))
+                .replay(Source::Shards(rm_shards))
+                .expect("replay")
+                .0
+        });
         push(mc_row(
             "mc_readmostly_iter",
             cores,
@@ -447,8 +471,12 @@ fn main() {
             true,
             &rm_vec,
         ));
-        let (rm_pack, rm_pack_elapsed) =
-            time(|| MulticoreEngine::new(mc_config(cores)).run_packs(&rm_packs));
+        let (rm_pack, rm_pack_elapsed) = time(|| {
+            MulticoreEngine::new(mc_config(cores))
+                .replay(Source::Packs(&rm_packs))
+                .expect("replay")
+                .0
+        });
         let identical = mc_identical(&rm_pack, &rm_vec);
         assert!(
             identical,
@@ -475,9 +503,22 @@ fn main() {
     // asserted before anything is written. ---
     if telemetry {
         let cores = *core_counts.iter().max().expect("--cores is non-empty");
-        let (tel_out, tel_elapsed) =
-            time(|| MulticoreEngine::new(mc_config(cores).with_telemetry()).run_pack(&pack));
-        let base = MulticoreEngine::new(mc_config(cores)).run_pack(&pack);
+        let (tel_out, tel_elapsed) = time(|| {
+            MulticoreEngine::new(mc_config(cores).with_telemetry())
+                .replay(Source::Pack {
+                    pack: &pack,
+                    checkpoints: None,
+                })
+                .expect("replay")
+                .0
+        });
+        let base = MulticoreEngine::new(mc_config(cores))
+            .replay(Source::Pack {
+                pack: &pack,
+                checkpoints: None,
+            })
+            .expect("replay")
+            .0;
         let identical = mc_identical(&tel_out, &base);
         assert!(identical, "telemetry must not perturb simulation results");
         let row = mc_row(
@@ -526,7 +567,12 @@ fn main() {
         // must hand back byte-identical snapshots.
         let snap = |_: usize| {
             MulticoreEngine::new(mc_config(cores).with_telemetry())
-                .run_pack(&pack)
+                .replay(Source::Pack {
+                    pack: &pack,
+                    checkpoints: None,
+                })
+                .expect("replay")
+                .0
                 .telemetry
                 .expect("telemetry was enabled")
                 .counters
@@ -555,7 +601,13 @@ fn main() {
                     } else {
                         mc_config(cores)
                     };
-                    time(|| MulticoreEngine::new(cfg).run_packs(&rm_packs)).1
+                    time(|| {
+                        MulticoreEngine::new(cfg)
+                            .replay(Source::Packs(&rm_packs))
+                            .expect("replay")
+                            .0
+                    })
+                    .1
                 })
                 .fold(f64::INFINITY, f64::min)
         };

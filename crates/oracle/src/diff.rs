@@ -36,9 +36,10 @@ use califorms_sim::dma::DmaEngine;
 use califorms_sim::hierarchy::Hierarchy;
 use califorms_sim::os::SwapManager;
 use califorms_sim::{
-    CoherentHierarchy, Engine, FaultPlan, MulticoreConfig, MulticoreEngine, RunError, SimStats,
-    TraceOp, TracePack,
+    Checkpoints, CoherentHierarchy, Engine, FaultPlan, MulticoreConfig, MulticoreEngine, RunError,
+    SimStats, Source, TraceOp, TracePack,
 };
+use std::num::NonZeroU64;
 
 /// A deliberate, harness-side fault injected into the engine-observed
 /// state, used to prove the fuzzer catches real bugs (the seeded-fault
@@ -107,7 +108,7 @@ pub struct DiffConfig {
     /// decode batches), resume from **every** captured checkpoint, and
     /// require each resumed run to be bit-identical (stats, runtime and
     /// weave counters, exceptions) to the straight-through run.
-    pub resume_at: Option<u64>,
+    pub resume_at: Option<NonZeroU64>,
 }
 
 impl Default for DiffConfig {
@@ -499,7 +500,11 @@ fn oracle_replay_lanes(pack: &TracePack, cores: usize) -> (FlatMemory, Vec<Oracl
 
 fn diff_multicore(pack: &TracePack, cfg: &DiffConfig) -> Option<Divergence> {
     let mc = MulticoreEngine::new(engine_config(cfg));
-    let (outcome, hierarchy): (_, CoherentHierarchy) = match mc.try_run_pack_with_state(pack) {
+    let source = Source::Pack {
+        pack,
+        checkpoints: None,
+    };
+    let (outcome, hierarchy): (_, CoherentHierarchy) = match mc.replay(source) {
         Ok(pair) => pair,
         Err(err) => {
             // An engine panic is a divergence only if the oracle replays
@@ -553,12 +558,21 @@ fn diff_multicore(pack: &TracePack, cfg: &DiffConfig) -> Option<Divergence> {
 fn diff_resume_multicore(
     pack: &TracePack,
     cfg: &DiffConfig,
-    interval: u64,
+    every: NonZeroU64,
     reference: &califorms_sim::MulticoreOutcome,
 ) -> Option<Divergence> {
     let mc = MulticoreEngine::new(engine_config(cfg));
-    let (full, checkpoints) = match mc.try_run_pack_checkpointed(pack, interval) {
-        Ok(pair) => pair,
+    let mut checkpoints = Vec::new();
+    let mut sink = |bytes| checkpoints.push(bytes);
+    let source = Source::Pack {
+        pack,
+        checkpoints: Some(Checkpoints {
+            every,
+            sink: &mut sink,
+        }),
+    };
+    let full = match mc.replay(source) {
+        Ok((full, _)) => full,
         Err(err) => {
             return Some(Divergence::Resume {
                 checkpoint: usize::MAX,
@@ -573,8 +587,8 @@ fn diff_resume_multicore(
         });
     }
     for (i, bytes) in checkpoints.iter().enumerate() {
-        match MulticoreEngine::try_resume_pack(pack, bytes) {
-            Ok(resumed) => {
+        match MulticoreEngine::resume(pack, bytes, None) {
+            Ok((resumed, _)) => {
                 if resumed.stats != reference.stats {
                     return Some(Divergence::Resume {
                         checkpoint: i,
@@ -602,9 +616,16 @@ fn diff_resume_multicore(
 /// The `resume_at` check, single-core: as
 /// [`diff_resume_multicore`], with the interval counted in decode
 /// batches ([`Engine::REPLAY_BATCH`] ops each).
-fn diff_resume_single(pack: &TracePack, interval: u64) -> Option<Divergence> {
-    let reference = Engine::westmere().run_pack(pack);
-    let (full, checkpoints) = Engine::westmere().run_pack_checkpointed(pack, interval);
+fn diff_resume_single(pack: &TracePack, every: NonZeroU64) -> Option<Divergence> {
+    let reference = Engine::westmere().replay(pack, None);
+    let mut checkpoints = Vec::new();
+    let full = Engine::westmere().replay(
+        pack,
+        Some(Checkpoints {
+            every,
+            sink: &mut |bytes| checkpoints.push(bytes),
+        }),
+    );
     if full != reference {
         return Some(Divergence::Resume {
             checkpoint: usize::MAX,
@@ -612,7 +633,7 @@ fn diff_resume_single(pack: &TracePack, interval: u64) -> Option<Divergence> {
         });
     }
     for (i, bytes) in checkpoints.iter().enumerate() {
-        match Engine::resume_pack(pack, bytes) {
+        match Engine::resume(pack, bytes, None) {
             Ok(resumed) if resumed == reference => {}
             Ok(_) => {
                 return Some(Divergence::Resume {
@@ -688,7 +709,10 @@ pub fn run_fault_campaign(
                 kill_at: Some((core, quantum)),
                 ..FaultPlan::default()
             }));
-            match mc.try_run_pack(pack) {
+            match mc.replay(Source::Pack {
+                pack,
+                checkpoints: None,
+            }) {
                 Err(RunError::Panic(p)) if p.core == core => Ok(format!("typed worker panic: {p}")),
                 Err(other) => Err(format!("wrong error class for a kill: {other}")),
                 Ok(_) => Err("killed worker went unnoticed".into()),
@@ -702,7 +726,10 @@ pub fn run_fault_campaign(
                         ..FaultPlan::default()
                     }),
             );
-            match mc.try_run_pack(pack) {
+            match mc.replay(Source::Pack {
+                pack,
+                checkpoints: None,
+            }) {
                 Err(RunError::Stall(s)) if s.core == core => Ok(format!("typed worker stall: {s}")),
                 Err(other) => Err(format!("wrong error class for a stall: {other}")),
                 Ok(_) => Err("stalled worker went unnoticed".into()),
@@ -711,7 +738,7 @@ pub fn run_fault_campaign(
         FaultCampaign::TruncateCheckpoint { keep } => {
             let bytes = first_checkpoint(pack, &base)?;
             let cut = &bytes[..keep.min(bytes.len().saturating_sub(1))];
-            match MulticoreEngine::try_resume_pack(pack, cut) {
+            match MulticoreEngine::resume(pack, cut, None) {
                 Err(RunError::Checkpoint(e)) => Ok(format!("typed checkpoint error: {e}")),
                 Err(other) => Err(format!("wrong error class for truncation: {other}")),
                 Ok(_) => Err(format!("truncation to {} bytes went unnoticed", cut.len())),
@@ -721,7 +748,7 @@ pub fn run_fault_campaign(
             let mut bytes = first_checkpoint(pack, &base)?;
             let at = at % bytes.len();
             bytes[at] ^= 0xFF;
-            match MulticoreEngine::try_resume_pack(pack, &bytes) {
+            match MulticoreEngine::resume(pack, &bytes, None) {
                 Err(RunError::Checkpoint(e)) => Ok(format!("typed checkpoint error: {e}")),
                 Err(other) => Err(format!("wrong error class for corruption: {other}")),
                 Ok(_) => Err(format!("flipped byte {at} went unnoticed")),
@@ -736,12 +763,20 @@ fn first_checkpoint(pack: &TracePack, base: &MulticoreConfig) -> Result<Vec<u8>,
     // Stream the checkpoints and keep only the first — accumulating
     // them all at interval 1 is O(quanta × checkpoint size) memory.
     let mut first = None;
+    let mut sink = |bytes| {
+        if first.is_none() {
+            first = Some(bytes);
+        }
+    };
+    let source = Source::Pack {
+        pack,
+        checkpoints: Some(Checkpoints {
+            every: NonZeroU64::MIN,
+            sink: &mut sink,
+        }),
+    };
     MulticoreEngine::new(*base)
-        .try_run_pack_checkpointed_with(pack, 1, |bytes| {
-            if first.is_none() {
-                first = Some(bytes);
-            }
-        })
+        .replay(source)
         .map_err(|e| format!("checkpointed run failed: {e}"))?;
     first.ok_or_else(|| "run too short to checkpoint".into())
 }
@@ -867,7 +902,7 @@ mod tests {
         for cores in [1usize, 2, 4] {
             for batch in [1u32, 64] {
                 let cfg = DiffConfig {
-                    resume_at: Some(2),
+                    resume_at: NonZeroU64::new(2),
                     ..DiffConfig::multicore(cores, batch)
                 };
                 assert_eq!(
@@ -914,7 +949,7 @@ mod tests {
             let pack = TracePack::from_ops(sharing_ops(cores as u64));
             for batch in [1u32, 64] {
                 let cfg = DiffConfig {
-                    resume_at: Some(2),
+                    resume_at: NonZeroU64::new(2),
                     ..DiffConfig::multicore(cores, batch)
                 };
                 assert_eq!(

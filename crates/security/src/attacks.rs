@@ -9,7 +9,7 @@
 use califorms_alloc::{AllocatorConfig, CaliformsHeap};
 use califorms_layout::{CaliformedLayout, InsertionPolicy, StructDef};
 use califorms_sim::lsq::{ForwardResult, LoadStoreQueue};
-use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine};
+use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine, Source};
 use califorms_sim::{Engine, TraceOp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -175,7 +175,9 @@ pub fn cross_core_probe(policy: InsertionPolicy, seed: u64) -> AttackReport {
     }
 
     let engine = MulticoreEngine::new(MulticoreConfig::westmere(2));
-    let out = engine.run(vec![victim_ops, attacker_ops]);
+    let (out, _) = engine
+        .replay(Source::Shards(vec![victim_ops, attacker_ops]))
+        .expect("cross-core probe replays");
     let name = "cross-core probe";
     match out.exceptions[1].first() {
         Some(exc) => AttackReport {

@@ -4,8 +4,8 @@
 //! A checkpoint captures everything that feeds the bit-identity contract
 //! — core state (pc, exception masks, counters), the full hierarchy
 //! (L1 lines with their MESI state and dirty/recency state, the shared
-//! levels, the MESI directory), optional OS swap maps and LSQ state, the runtime
-//! counters, and the replay cursor ([`crate::tracepack::ResumePoint`]
+//! levels, the MESI directory), the runtime counters, and the replay
+//! cursor ([`crate::tracepack::ResumePoint`]
 //! per lane) — so a run killed at any quantum boundary can be resumed
 //! from its last checkpoint and produce results byte-identical to a
 //! straight-through run (verified by the `resume_at` mode of the
@@ -34,6 +34,10 @@
 //! is single-threaded (the drain protocol model-checked in
 //! `califorms-analyze`). No worker coordination beyond that drain is
 //! needed, so serialization itself is plain single-threaded code.
+//!
+//! A replay asks for checkpoints with a [`Checkpoints`] request
+//! (`Engine::replay`, `Source::Pack` on `MulticoreEngine::replay`), and
+//! each engine's `resume` continues from any checkpoint it captured.
 
 use crate::trace::TraceOp;
 use crate::tracepack::{access_wraps, ResumePoint, TracePackError, MAX_ACCESS_BYTES};
@@ -41,6 +45,22 @@ use califorms_core::{
     AccessKind, CaliformedLine, CaliformsException, ExceptionKind, ExceptionMask, L1Line, L2Line,
     LINE_BYTES,
 };
+use std::num::NonZeroU64;
+
+/// A request to checkpoint a replay: capture the whole machine after
+/// every `every`-th boundary and hand each checkpoint to `sink` the
+/// moment it is taken, in capture order. A boundary is a quantum on the
+/// [`crate::multicore::MulticoreEngine`] and a decode batch of
+/// [`crate::engine::Engine::REPLAY_BATCH`] ops on the
+/// [`crate::engine::Engine`]. A resumed run keeps the original run's
+/// cadence when it is given the same `every`, so a crash-tolerant driver
+/// can pass one request to the first run and to every resume.
+pub struct Checkpoints<'s> {
+    /// Boundaries from one checkpoint to the next.
+    pub every: NonZeroU64,
+    /// Receives each checkpoint's bytes.
+    pub sink: &'s mut dyn FnMut(Vec<u8>),
+}
 
 /// The four magic bytes opening every checkpoint.
 pub const MAGIC: [u8; 4] = *b"CFCK";
@@ -390,14 +410,6 @@ pub(crate) fn require<'a>(sections: &[Section<'a>], tag: u8, name: &'static str)
         .ok_or(CheckpointError::MissingSection(name))
 }
 
-/// Finds an optional section by tag.
-pub(crate) fn optional<'a>(sections: &[Section<'a>], tag: u8) -> Option<Rd<'a>> {
-    sections
-        .iter()
-        .find(|s| s.tag == tag)
-        .map(|s| Rd::new(s.payload))
-}
-
 /// Checks that a section's payload was consumed exactly.
 pub(crate) fn consumed(r: &Rd<'_>, tag: u8) -> Result<()> {
     if r.remaining() == 0 {
@@ -423,10 +435,6 @@ pub(crate) const SEC_COHERENT: u8 = 0x05;
 pub(crate) const SEC_RUNTIME: u8 = 0x06;
 /// Replay cursor(s): one `ResumePoint` (+ ring leftovers) per lane.
 pub(crate) const SEC_CURSOR: u8 = 0x07;
-/// OS swap-manager maps (optional).
-pub(crate) const SEC_OS: u8 = 0x08;
-/// Load/store-queue state (optional).
-pub(crate) const SEC_LSQ: u8 = 0x09;
 
 /// Engine kind discriminants in [`SEC_META`].
 pub(crate) const KIND_SINGLE: u8 = 0;
@@ -739,6 +747,11 @@ pub(crate) fn get_cache<V>(
         .map_err(CheckpointError::Corrupt)
 }
 
+/// The largest cache level a checkpoint may describe: 8× the 2 MiB
+/// Westmere L3, the largest geometry the workspace builds. A bigger
+/// level in a checkpoint is corrupt, not a machine to allocate.
+const MAX_LEVEL_BYTES: usize = 16 << 20;
+
 fn usize_from(v: u64) -> Result<usize> {
     usize::try_from(v).map_err(|_| CheckpointError::Corrupt("size exceeds the address space"))
 }
@@ -777,15 +790,19 @@ pub(crate) fn get_hier_config(r: &mut Rd<'_>) -> Result<crate::hierarchy::Hierar
         stream_prefetcher: r.bool()?,
         prefetch_residual: r.u32()?,
     };
-    // Reject geometries the cache constructors would panic on — a
-    // corrupt config section must stay a typed error.
-    let line = LINE_BYTES;
+    // Reject geometries the cache constructors would panic on, or that
+    // would allocate more than any modelled machine holds — a corrupt
+    // config section must stay a typed error.
     for (size, ways, what) in [
         (cfg.l1d_size, cfg.l1d_ways, "L1D geometry"),
         (cfg.l2_size, cfg.l2_ways, "L2 geometry"),
         (cfg.l3_size, cfg.l3_ways, "L3 geometry"),
     ] {
-        if ways == 0 || size % (ways * line) != 0 || !(size / (ways * line)).is_power_of_two() {
+        let sets = ways
+            .checked_mul(LINE_BYTES)
+            .filter(|&set_bytes| set_bytes != 0 && size % set_bytes == 0)
+            .map(|set_bytes| size / set_bytes);
+        if size > MAX_LEVEL_BYTES || !sets.is_some_and(usize::is_power_of_two) {
             return Err(CheckpointError::Corrupt(what));
         }
     }

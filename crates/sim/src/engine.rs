@@ -1,14 +1,12 @@
 //! The simulation engine: runs a trace through the core model and the
 //! memory hierarchy, handling Califorms exceptions and whitelist masks.
 
-use crate::checkpoint::{self as ck, CheckpointError};
+use crate::checkpoint::{self as ck, CheckpointError, Checkpoints};
 use crate::cpu::{CoreConfig, CoreState};
 use crate::hierarchy::{Hierarchy, HierarchyConfig};
-use crate::lsq::LoadStoreQueue;
-use crate::os::SwapManager;
 use crate::stats::SimStats;
 use crate::trace::TraceOp;
-use crate::tracepack::{self, ResumePoint, TracePack, MAX_ACCESS_BYTES};
+use crate::tracepack::{self, PackDecoder, ResumePoint, TracePack, MAX_ACCESS_BYTES};
 use califorms_core::{CaliformsException, CformInstruction};
 
 /// Outcome of a simulation run.
@@ -74,7 +72,9 @@ impl Engine {
         self.core.commit_mem(&op, r);
     }
 
-    /// Runs a whole trace to completion and returns the outcome.
+    /// Runs a whole trace to completion and returns the outcome — the
+    /// convenience wrapper over [`Self::step`] and [`Self::finish`] for
+    /// traces held as ops.
     pub fn run<I>(mut self, trace: I) -> SimOutcome
     where
         I: IntoIterator<Item = TraceOp>,
@@ -86,7 +86,7 @@ impl Engine {
     }
 
     /// Ops batch-decoded into the replay ring at a time (see
-    /// [`Self::run_pack`]).
+    /// [`Self::replay`]); the single-core checkpoint boundary.
     pub const REPLAY_BATCH: usize = 1024;
 
     /// Replays a packed trace to completion: ops are batch-decoded into a
@@ -95,82 +95,68 @@ impl Engine {
     /// per-op decode/dispatch cost is amortised. Bit-identical in stats
     /// and exceptions to [`Self::run`] over the same ops.
     ///
+    /// With `checkpoints`, the whole engine is captured after every
+    /// `every`-th decode batch; [`Self::resume`] continues from any of
+    /// those checkpoints bit-identically.
+    ///
     /// # Panics
     ///
     /// Panics on a corrupt pack — packs built by
     /// [`TracePack::from_ops`] or validated by [`TracePack::from_bytes`]
     /// are always well-formed.
-    pub fn run_pack(self, pack: &TracePack) -> SimOutcome {
-        let mut dec = pack.decoder();
-        self.run_batches(|ring| dec.next_batch(ring))
+    pub fn replay(self, pack: &TracePack, checkpoints: Option<Checkpoints<'_>>) -> SimOutcome {
+        self.replay_from(pack.decoder(), checkpoints)
             .expect("validated pack is well-formed")
     }
 
-    /// [`Self::run_pack`] with telemetry: alternating decode/bound spans
-    /// per [`Self::REPLAY_BATCH`]-op batch on one track, plus the
-    /// deterministic counter snapshot (including `decode.*` progress).
-    /// Results are bit-identical to [`Self::run_pack`] — the spans are
-    /// host-time-only output and every counter is derived from the same
-    /// [`SimStats`] the plain path produces.
+    /// Restores an engine from checkpoint bytes taken by [`Self::replay`]
+    /// and replays the rest of `pack` to completion — the crash-recovery
+    /// path. The outcome is bit-identical (stats, exceptions) to
+    /// [`Self::replay`] over the whole pack. `checkpoints` keeps
+    /// checkpointing: the checkpoint being resumed sits on a multiple of
+    /// the original `every`, so counting batches afresh from it with the
+    /// same `every` reproduces the original run's later checkpoints byte
+    /// for byte.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a corrupt pack — packs built by
-    /// [`TracePack::from_ops`] or validated by [`TracePack::from_bytes`]
-    /// are always well-formed.
-    pub fn run_pack_telemetry(
-        mut self,
+    /// Typed [`CheckpointError`] on corrupt checkpoint bytes, a
+    /// multicore checkpoint, or a cursor that does not fit `pack`
+    /// (truncated/wrong pack).
+    pub fn resume(
         pack: &TracePack,
-    ) -> (SimOutcome, califorms_telemetry::TelemetryReport) {
-        use califorms_telemetry::{Phase, TelemetryClock, TelemetryReport, TrackRecorder};
-        let clock = TelemetryClock::start();
-        let mut track = TrackRecorder::new(0, clock);
-        let mut dec = pack.decoder();
-        let mut ring = [TraceOp::Exec(0); Self::REPLAY_BATCH];
-        loop {
-            let decode_start = track.start();
-            let n = dec
-                .next_batch(&mut ring)
-                .expect("validated pack is well-formed");
-            if n == 0 {
-                break;
-            }
-            track.record_since(Phase::Decode, 0, decode_start);
-            let exec_start = track.start();
-            for &op in &ring[..n] {
-                self.step(op);
-            }
-            track.record_since(Phase::Bound, 0, exec_start);
-        }
-        let decode = Some((dec.ops_read(), dec.bytes_consumed()));
-        let outcome = self.finish();
-        let counters = crate::telemetry::single_core_counters(&outcome.stats, decode).snapshot();
-        let dropped_spans = track.dropped();
-        let (spans, _) = track.into_parts();
-        let report = TelemetryReport {
-            counters,
-            spans,
-            track_names: vec![(0, "core 0".to_string())],
-            dropped_spans,
-            ..TelemetryReport::default()
-        };
-        (outcome, report)
+        bytes: &[u8],
+        checkpoints: Option<Checkpoints<'_>>,
+    ) -> ck::Result<SimOutcome> {
+        let (engine, cursor) = Self::restore(bytes)?;
+        let dec = pack.resume_from(cursor)?;
+        Ok(engine.replay_from(dec, checkpoints)?)
     }
 
-    /// The shared batch-replay drain: fills the fixed ring from `next`
-    /// until it runs dry, stepping every decoded op.
-    fn run_batches(
+    /// The one batch-replay loop of [`Self::replay`] and
+    /// [`Self::resume`]: fills the fixed ring from `dec` until it runs
+    /// dry, stepping every decoded op, and checkpoints at the requested
+    /// batch boundaries.
+    fn replay_from(
         mut self,
-        mut next: impl FnMut(&mut [TraceOp]) -> tracepack::Result<usize>,
+        mut dec: PackDecoder<'_>,
+        mut checkpoints: Option<Checkpoints<'_>>,
     ) -> tracepack::Result<SimOutcome> {
         let mut ring = [TraceOp::Exec(0); Self::REPLAY_BATCH];
+        let mut batches = 0u64;
         loop {
-            let n = next(&mut ring)?;
+            let n = dec.next_batch(&mut ring)?;
             if n == 0 {
                 break;
             }
             for &op in &ring[..n] {
                 self.step(op);
+            }
+            if let Some(c) = checkpoints.as_mut() {
+                batches += 1;
+                if batches.is_multiple_of(c.every.get()) {
+                    (c.sink)(self.checkpoint(dec.resume_point()));
+                }
             }
         }
         Ok(self.finish())
@@ -200,24 +186,9 @@ impl Engine {
     // --- checkpoint / resume ------------------------------------------
 
     /// Serializes the complete engine state (core counters, exception
-    /// mask, hierarchy, configuration) plus the replay `cursor` into a
-    /// self-contained checkpoint. Taking `cursor` from
-    /// [`crate::tracepack::PackDecoder::resume_point`] at a decode-batch
-    /// boundary makes [`Self::resume_pack`] bit-identical to a
-    /// straight-through [`Self::run_pack`].
-    pub fn checkpoint(&self, cursor: ResumePoint) -> Vec<u8> {
-        self.checkpoint_with(cursor, None, None)
-    }
-
-    /// [`Self::checkpoint`] with optional attachments: the OS swap state
-    /// and an in-flight LSQ, for drivers that thread those alongside the
-    /// engine.
-    pub fn checkpoint_with(
-        &self,
-        cursor: ResumePoint,
-        os: Option<&SwapManager>,
-        lsq: Option<&LoadStoreQueue>,
-    ) -> Vec<u8> {
+    /// mask, hierarchy, configuration) plus the replay `cursor`, taken
+    /// at a decode-batch boundary, into a self-contained checkpoint.
+    fn checkpoint(&self, cursor: ResumePoint) -> Vec<u8> {
         let mut w = ck::Wr::checkpoint();
         let s = w.begin_section(ck::SEC_META);
         w.u8(ck::KIND_SINGLE);
@@ -237,47 +208,15 @@ impl Engine {
         w.u64(1);
         ck::put_resume_point(&mut w, &cursor);
         w.end_section(s);
-        if let Some(os) = os {
-            let s = w.begin_section(ck::SEC_OS);
-            os.save_state(&mut w);
-            w.end_section(s);
-        }
-        if let Some(lsq) = lsq {
-            let s = w.begin_section(ck::SEC_LSQ);
-            lsq.save_state(&mut w);
-            w.end_section(s);
-        }
         w.finish()
     }
 
     /// Reconstructs an engine and its replay cursor from checkpoint
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// Every malformed input — bad magic, truncation, checksum mismatch,
-    /// section-length lies, semantically impossible payloads, or a
-    /// multicore checkpoint — returns a typed [`CheckpointError`], never
-    /// panics.
-    pub fn restore(bytes: &[u8]) -> ck::Result<(Self, ResumePoint)> {
-        let (engine, cursor, _, _) = Self::restore_with(bytes)?;
-        Ok((engine, cursor))
-    }
-
-    /// [`Self::restore`] that also returns the optional OS swap state and
-    /// LSQ attachments if the checkpoint carried them.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::restore`].
-    pub fn restore_with(
-        bytes: &[u8],
-    ) -> ck::Result<(
-        Self,
-        ResumePoint,
-        Option<SwapManager>,
-        Option<LoadStoreQueue>,
-    )> {
+    /// bytes. Every malformed input — bad magic, truncation, checksum
+    /// mismatch, section-length lies, semantically impossible payloads,
+    /// or a multicore checkpoint — returns a typed [`CheckpointError`],
+    /// never panics.
+    fn restore(bytes: &[u8]) -> ck::Result<(Self, ResumePoint)> {
         let sections = ck::parse_sections(bytes)?;
         let mut r = ck::require(&sections, ck::SEC_META, "meta")?;
         if r.u8()? != ck::KIND_SINGLE {
@@ -316,76 +255,7 @@ impl Engine {
         }
         let cursor = ck::get_resume_point(&mut r)?;
         ck::consumed(&r, ck::SEC_CURSOR)?;
-
-        let os = match ck::optional(&sections, ck::SEC_OS) {
-            Some(mut r) => {
-                let os = SwapManager::restore_state(&mut r)?;
-                ck::consumed(&r, ck::SEC_OS)?;
-                Some(os)
-            }
-            None => None,
-        };
-        let lsq = match ck::optional(&sections, ck::SEC_LSQ) {
-            Some(mut r) => {
-                let lsq = LoadStoreQueue::restore_state(&mut r)?;
-                ck::consumed(&r, ck::SEC_LSQ)?;
-                Some(lsq)
-            }
-            None => None,
-        };
-        Ok((engine, cursor, os, lsq))
-    }
-
-    /// Restores an engine from checkpoint bytes and replays the rest of
-    /// `pack` to completion — the crash-recovery path. The outcome is
-    /// bit-identical (stats, exceptions) to [`Self::run_pack`] over the
-    /// whole pack when the checkpoint was taken by
-    /// [`Self::run_pack_checkpointed`] on the same pack.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`CheckpointError`] on corrupt checkpoint bytes or a cursor
-    /// that does not fit `pack` (truncated/wrong pack).
-    pub fn resume_pack(pack: &TracePack, bytes: &[u8]) -> ck::Result<SimOutcome> {
-        let (engine, cursor) = Self::restore(bytes)?;
-        let mut dec = pack.resume_from(cursor)?;
-        Ok(engine.run_batches(|ring| dec.next_batch(ring))?)
-    }
-
-    /// [`Self::run_pack`] that also emits a checkpoint every
-    /// `interval_batches` decode batches (each batch is
-    /// [`Self::REPLAY_BATCH`] ops), in order taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a corrupt pack (like [`Self::run_pack`]) or if
-    /// `interval_batches` is zero.
-    pub fn run_pack_checkpointed(
-        mut self,
-        pack: &TracePack,
-        interval_batches: u64,
-    ) -> (SimOutcome, Vec<Vec<u8>>) {
-        assert!(interval_batches > 0, "checkpoint interval must be positive");
-        let mut dec = pack.decoder();
-        let mut ring = [TraceOp::Exec(0); Self::REPLAY_BATCH];
-        let mut checkpoints = Vec::new();
-        let mut batch = 0u64;
-        loop {
-            let n = dec
-                .next_batch(&mut ring)
-                .expect("validated pack is well-formed");
-            if n == 0 {
-                break;
-            }
-            for &op in &ring[..n] {
-                self.step(op);
-            }
-            batch += 1;
-            if batch.is_multiple_of(interval_batches) {
-                checkpoints.push(self.checkpoint(dec.resume_point()));
-            }
-        }
-        (self.finish(), checkpoints)
+        Ok((engine, cursor))
     }
 }
 
@@ -546,33 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_replay_is_bit_identical_and_reports_decode_progress() {
-        use califorms_telemetry::Phase;
-        let trace: Vec<TraceOp> = (0..3000)
-            .map(|i| TraceOp::Load {
-                addr: (i * 4099) % 65536,
-                size: 8,
-            })
-            .collect();
-        let pack = TracePack::from_ops(trace.iter().copied());
-        let plain = Engine::westmere().run_pack(&pack);
-        let (out, report) = Engine::westmere().run_pack_telemetry(&pack);
-        assert_eq!(out.stats, plain.stats);
-        assert_eq!(out.exceptions, plain.exceptions);
-        assert_eq!(
-            report.counters.total("decode.ops"),
-            Some(trace.len() as u64)
-        );
-        assert_eq!(
-            report.counters.total("core.cycles_fp_bits"),
-            Some(plain.stats.cycles.to_bits())
-        );
-        assert!(report.spans.iter().any(|s| s.phase == Phase::Decode));
-        assert!(report.spans.iter().any(|s| s.phase == Phase::Bound));
-        assert_eq!(report.dropped_spans, 0);
-    }
-
-    #[test]
     fn checkpoint_resume_is_bit_identical_at_every_boundary() {
         // A trace mixing every op kind, long enough for several decode
         // batches, with califormed lines, suppressed stores and both
@@ -609,8 +452,15 @@ mod tests {
             }
         }
         let pack = TracePack::from_ops(trace.iter().copied());
-        let straight = Engine::westmere().run_pack(&pack);
-        let (out, checkpoints) = Engine::westmere().run_pack_checkpointed(&pack, 1);
+        let straight = Engine::westmere().replay(&pack, None);
+        let mut checkpoints = Vec::new();
+        let out = Engine::westmere().replay(
+            &pack,
+            Some(Checkpoints {
+                every: std::num::NonZeroU64::MIN,
+                sink: &mut |b| checkpoints.push(b),
+            }),
+        );
         assert_eq!(out.stats, straight.stats);
         assert_eq!(out.exceptions, straight.exceptions);
         assert!(
@@ -619,7 +469,7 @@ mod tests {
             checkpoints.len()
         );
         for (i, cp) in checkpoints.iter().enumerate() {
-            let resumed = Engine::resume_pack(&pack, cp)
+            let resumed = Engine::resume(&pack, cp, None)
                 .unwrap_or_else(|e| panic!("resume from checkpoint {i} failed: {e}"));
             assert_eq!(resumed.stats, straight.stats, "checkpoint {i} stats");
             assert_eq!(
@@ -627,49 +477,6 @@ mod tests {
                 "checkpoint {i} exceptions"
             );
         }
-    }
-
-    #[test]
-    fn checkpoint_round_trips_os_and_lsq_attachments() {
-        use crate::os::SwapManager;
-        let mut engine = Engine::westmere();
-        engine.step(TraceOp::Store {
-            addr: 0x10_0000,
-            size: 8,
-        });
-        let mut swap = SwapManager::new();
-        swap.swap_out(&mut engine.hierarchy, 0x10_0000);
-        let mut lsq = crate::lsq::LoadStoreQueue::new();
-        lsq.push_store(0x200, vec![1, 2, 3]);
-        lsq.push_cform(0x1000, 0xFF);
-        let _ = lsq.resolve_load(0x200, 2);
-
-        let bytes = engine.checkpoint_with(
-            crate::tracepack::ResumePoint::default(),
-            Some(&swap),
-            Some(&lsq),
-        );
-        let (engine2, _, os2, lsq2) = Engine::restore_with(&bytes).expect("restore");
-        let mut swap2 = os2.expect("OS section round-trips");
-        assert_eq!(swap2.swapped_pages(), 1);
-        let mut lsq2 = lsq2.expect("LSQ section round-trips");
-        assert_eq!(lsq2.len(), 2);
-        assert_eq!(lsq2.stats(), lsq.stats());
-        // The restored swap state swaps back in against the restored
-        // hierarchy exactly like the original would.
-        let mut h2 = engine2.hierarchy;
-        swap2.swap_in(&mut h2, 0x10_0000);
-        let mut data = Vec::new();
-        h2.load(0x10_0000, 8, 0, Some(&mut data));
-        assert_eq!(
-            data,
-            store_pattern(0x10_0000, 8),
-            "swapped-out data survives the checkpoint"
-        );
-        assert_eq!(
-            lsq2.resolve_load(0x200, 2),
-            crate::lsq::ForwardResult::Forwarded(vec![1, 2])
-        );
     }
 
     #[test]

@@ -61,13 +61,13 @@ pub mod trace;
 pub mod tracepack;
 pub mod vector;
 
-pub use checkpoint::CheckpointError;
+pub use checkpoint::{CheckpointError, Checkpoints};
 pub use coherence::{CoherenceConfig, CoherentHierarchy, Mesi};
 pub use cpu::CoreConfig;
 pub use engine::{Engine, SimOutcome};
 pub use hierarchy::{Hierarchy, HierarchyConfig, LineHasher, LineMap};
 pub use multicore::{
-    shard_ops, FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError,
+    shard_ops, FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError, Source,
     WorkerPanic, WorkerStall,
 };
 pub use runtime::{RuntimeConfig, RuntimeStats, RuntimeTiming};

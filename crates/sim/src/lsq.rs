@@ -210,78 +210,6 @@ impl LoadStoreQueue {
     }
 }
 
-// --- checkpoint serialization -----------------------------------------
-
-use crate::checkpoint::{self as ck, CheckpointError};
-
-impl LoadStoreQueue {
-    /// Serializes the in-flight entries (program order) and the activity
-    /// counters (the optional `SEC_LSQ` checkpoint payload).
-    pub(crate) fn save_state(&self, w: &mut ck::Wr) {
-        w.u64(self.entries.len() as u64);
-        for entry in &self.entries {
-            match entry {
-                LsqEntry::Store { addr, data } => {
-                    w.u8(0);
-                    w.u64(*addr);
-                    w.u64(data.len() as u64);
-                    w.bytes(data);
-                }
-                LsqEntry::Cform {
-                    line_addr,
-                    affected,
-                } => {
-                    w.u8(1);
-                    w.u64(*line_addr);
-                    w.u64(*affected);
-                }
-            }
-        }
-        w.u64(self.stats.loads_resolved);
-        w.u64(self.stats.forwards);
-        w.u64(self.stats.partial_overlap_stalls);
-        w.u64(self.stats.cform_matches);
-        w.u64(self.stats.store_cform_conflicts);
-    }
-
-    pub(crate) fn restore_state(r: &mut ck::Rd<'_>) -> ck::Result<Self> {
-        let n = r.count()?;
-        let mut q = LoadStoreQueue::new();
-        for _ in 0..n {
-            let entry = match r.u8()? {
-                0 => {
-                    let addr = r.u64()?;
-                    let len = r.count()?;
-                    LsqEntry::Store {
-                        addr,
-                        data: r.take(len)?.to_vec(),
-                    }
-                }
-                1 => {
-                    let line_addr = r.u64()?;
-                    if line_addr % LINE_BYTES != 0 {
-                        return Err(CheckpointError::Corrupt("LSQ CFORM address unaligned"));
-                    }
-                    LsqEntry::Cform {
-                        line_addr,
-                        affected: r.u64()?,
-                    }
-                }
-                _ => return Err(CheckpointError::Corrupt("unknown LSQ entry tag")),
-            };
-            q.entries.push_back(entry);
-        }
-        q.stats = LsqStats {
-            loads_resolved: r.u64()?,
-            forwards: r.u64()?,
-            partial_overlap_stalls: r.u64()?,
-            cform_matches: r.u64()?,
-            store_cform_conflicts: r.u64()?,
-        };
-        Ok(q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,14 +35,16 @@
 //! from any bound-weave simulator: cross-core visibility is
 //! quantum-granular, at the fixed [`MulticoreConfig::quantum`].
 //!
-//! Packed traces replay without pre-sharding: [`MulticoreEngine::run_pack`]
-//! gives every worker its own [`PackDecoder`] lane over the same pack
-//! (core `c` keeps ops with index ≡ `c` mod `cores`), so decode runs in
+//! Packed traces replay without pre-sharding: [`Source::Pack`] gives
+//! every worker its own [`PackDecoder`] lane over the same pack (core
+//! `c` keeps ops with index ≡ `c` mod `cores`), so decode runs in
 //! parallel inside the bound phase instead of materialising
-//! `Vec<TraceOp>` shards up front; [`MulticoreEngine::run_packs`] does
-//! the same for per-core packs.
+//! `Vec<TraceOp>` shards up front; [`Source::Packs`] does the same for
+//! per-core packs. [`MulticoreEngine::replay`] runs any [`Source`];
+//! [`MulticoreEngine::resume`] continues a checkpointed [`Source::Pack`]
+//! run.
 
-use crate::checkpoint::{self as ck, CheckpointError};
+use crate::checkpoint::{self as ck, CheckpointError, Checkpoints};
 use crate::coherence::{Access, CoherenceConfig, CoherentHierarchy, CoreL1};
 use crate::cpu::{CoreConfig, CoreState};
 use crate::engine::with_store_data;
@@ -208,6 +210,30 @@ pub struct MulticoreOutcome {
     pub telemetry: Option<TelemetryReport>,
 }
 
+/// Where a [`MulticoreEngine::replay`] takes each core's ops from.
+pub enum Source<'p, 's> {
+    /// One materialised shard per core.
+    Shards(Vec<Vec<TraceOp>>),
+    /// One pre-encoded pack per core (e.g. from `MtWorkload::to_packs`),
+    /// each decoded by its own worker inside the bound phase.
+    /// Bit-identical in stats and exceptions to [`Source::Shards`] of the
+    /// packs' ops.
+    Packs(&'p [TracePack]),
+    /// One pack shared by every core and dealt round-robin as
+    /// [`shard_ops`] deals it, without materialising the shards: every
+    /// worker owns a [`PackDecoder`] lane over the pack and decodes in
+    /// parallel inside its bound phase. Bit-identical in stats and
+    /// exceptions to [`Source::Shards`] of `shard_ops(pack.iter(), cores)`.
+    /// The one source that can checkpoint, because it is the one source
+    /// [`MulticoreEngine::resume`] can continue.
+    Pack {
+        /// The shared trace.
+        pack: &'p TracePack,
+        /// Checkpoint every `every` quanta into the sink.
+        checkpoints: Option<Checkpoints<'s>>,
+    },
+}
+
 /// Ops a packed shard source decodes ahead into its core-local ring.
 /// 256 ops × 32 B = 8 KB: big enough to amortise refill dispatch, small
 /// enough to stay resident in the host L1 alongside the decode cursor.
@@ -278,6 +304,18 @@ impl ShardSource<'_> {
             ShardSource::Slice { .. } => None,
             ShardSource::Pack { dec, .. } => Some((dec.ops_read(), dec.bytes_consumed())),
         }
+    }
+}
+
+/// A fresh decoder lane over `pack` that keeps the ops with global index
+/// ≡ `lane` (mod `stride`).
+fn pack_lane(pack: &TracePack, lane: u64, stride: u64) -> ShardSource<'_> {
+    ShardSource::Pack {
+        dec: pack.decoder(),
+        lane,
+        stride,
+        ring: Vec::with_capacity(SOURCE_RING),
+        head: 0,
     }
 }
 
@@ -388,7 +426,7 @@ impl<'p> CoreReplay<'p> {
 /// Deterministically shards one op stream across `cores` shards:
 /// round-robin at op granularity (op `i` goes to core `i % cores`), so
 /// the same stream always produces the same shards regardless of how it
-/// was stored. [`MulticoreEngine::run_pack`] applies the same assignment
+/// was stored. [`Source::Pack`] applies the same assignment
 /// through per-core decoder lanes without materialising the shards;
 /// callers replaying a `Vec<TraceOp>` can use this directly to get
 /// bit-identical multi-core results for packed and unpacked forms of the
@@ -434,12 +472,8 @@ struct ResumeSeed {
     quantum_end: f64,
 }
 
-/// A checkpoint interval (in quanta) paired with the sink each captured
-/// checkpoint's bytes are handed to.
-type CheckpointEvery<'a> = (u64, &'a mut dyn FnMut(Vec<u8>));
-
-/// A panic raised on a bound-phase worker thread, surfaced by the
-/// `try_run*` entry points as an error naming the offending core instead
+/// A panic raised on a bound-phase worker thread, surfaced by
+/// [`MulticoreEngine::replay`] as an error naming the offending core instead
 /// of wedging the quantum barrier (the pre-fix behaviour: the panicking
 /// worker never reported done, so the main thread and the surviving
 /// workers hung at the barrier forever).
@@ -698,8 +732,7 @@ pub struct MulticoreEngine {
 }
 
 impl MulticoreEngine {
-    /// Builds an engine; shards are supplied to [`Self::run`],
-    /// [`Self::run_pack`] or [`Self::run_packs`].
+    /// Builds an engine; its trace is supplied to [`Self::replay`].
     ///
     /// # Panics
     ///
@@ -807,163 +840,69 @@ impl MulticoreEngine {
         progressed
     }
 
-    /// Runs one trace shard per core to completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `shards.len()` equals the configured core count, or
-    /// (on the main thread, with a [`WorkerPanic`] message) if a worker
-    /// panicked — use [`Self::try_run`] to handle that as an error.
-    pub fn run(self, shards: Vec<Vec<TraceOp>>) -> MulticoreOutcome {
-        self.try_run(shards).unwrap_or_else(|p| panic!("{p}"))
-    }
-
-    /// Like [`Self::run`], but a panic on a worker thread is surfaced as
-    /// an `Err` naming the offending core instead of wedging the quantum
-    /// barrier (or re-panicking).
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Panic`] if a core's replay panicked;
-    /// [`RunError::Stall`] if a worker exceeded the watchdog deadline.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `shards.len()` equals the configured core count.
-    pub fn try_run(self, shards: Vec<Vec<TraceOp>>) -> Result<MulticoreOutcome, RunError> {
-        assert_eq!(
-            shards.len(),
-            self.cfg.cores,
-            "one shard per configured core"
-        );
-        let sources = shards
-            .into_iter()
-            .map(|ops| ShardSource::Slice { ops, pos: 0 })
-            .collect();
-        self.run_sources(sources).map(|(outcome, _)| outcome)
-    }
-
-    /// Replays a single packed trace, sharding it across the configured
-    /// cores with the deterministic round-robin of [`shard_ops`] — but
-    /// without materialising the shards: every worker owns a
-    /// [`PackDecoder`] lane over the same pack and decodes in parallel
-    /// inside its bound phase, through a fixed core-local ring.
-    /// Bit-identical in stats and exceptions to
-    /// `self.run(shard_ops(pack.iter(), cores))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a corrupt pack (packs built by [`TracePack::from_ops`]
-    /// or validated by [`TracePack::from_bytes`] are always well-formed),
-    /// or with a [`WorkerPanic`] message if a worker panicked.
-    pub fn run_pack(self, pack: &TracePack) -> MulticoreOutcome {
-        self.try_run_pack(pack).unwrap_or_else(|p| panic!("{p}"))
-    }
-
-    /// Like [`Self::run_pack`], but a worker-thread panic is surfaced as
-    /// an `Err` naming the offending core.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Panic`] if a core's replay panicked;
-    /// [`RunError::Stall`] if a worker exceeded the watchdog deadline.
-    pub fn try_run_pack(self, pack: &TracePack) -> Result<MulticoreOutcome, RunError> {
-        self.try_run_pack_with_state(pack)
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// [`Self::try_run_pack`] that additionally hands back the final
-    /// [`CoherentHierarchy`], so callers (the `califorms-oracle`
+    /// Replays `source` to completion and hands back the outcome with the
+    /// final [`CoherentHierarchy`], so callers (the `califorms-oracle`
     /// differential harness) can diff the machine's final memory and
-    /// blacklist state byte-for-byte against a reference model.
+    /// blacklist state byte for byte against a reference model.
+    ///
+    /// A [`Source::Pack`] with checkpoints captures the whole machine at
+    /// every `every`-th quantum boundary (the single-threaded post-weave
+    /// point — every worker has quiesced, the drain protocol
+    /// model-checked in `califorms-analyze`); [`Self::resume`] continues
+    /// from any of them.
     ///
     /// # Errors
     ///
-    /// [`RunError::Panic`] if a core's replay panicked;
-    /// [`RunError::Stall`] if a worker exceeded the watchdog deadline.
-    pub fn try_run_pack_with_state(
+    /// [`RunError::Panic`] if a core's replay panicked (bound or weave
+    /// phase); [`RunError::Stall`] if a worker exceeded the watchdog
+    /// deadline.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Source::Shards`] or [`Source::Packs`] holds one
+    /// entry per configured core.
+    pub fn replay(
         self,
-        pack: &TracePack,
+        source: Source<'_, '_>,
     ) -> Result<(MulticoreOutcome, CoherentHierarchy), RunError> {
-        let sources = Self::pack_lanes(pack, self.cfg.cores);
-        self.run_sources(sources)
-    }
-
-    /// One decoder lane per core over a shared pack (round-robin
-    /// sharding, `stride == cores`).
-    fn pack_lanes(pack: &TracePack, cores: usize) -> Vec<ShardSource<'_>> {
-        let stride = cores as u64;
-        (0..stride)
-            .map(|lane| ShardSource::Pack {
-                dec: pack.decoder(),
-                lane,
-                stride,
-                ring: Vec::with_capacity(SOURCE_RING),
-                head: 0,
-            })
-            .collect()
-    }
-
-    /// [`Self::try_run_pack`] with crash tolerance: a checkpoint of the
-    /// whole machine is captured at every `interval_quanta`-th quantum
-    /// boundary (the single-threaded post-weave point — every worker has
-    /// quiesced, the drain protocol model-checked in `califorms-analyze`)
-    /// and returned alongside the outcome, in capture order. Any of them
-    /// can be handed to [`Self::try_resume_pack`] to reproduce the rest
-    /// of the run bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Panic`] / [`RunError::Stall`] as for
-    /// [`Self::try_run_pack`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_quanta == 0`.
-    pub fn try_run_pack_checkpointed(
-        self,
-        pack: &TracePack,
-        interval_quanta: u64,
-    ) -> Result<(MulticoreOutcome, Vec<Vec<u8>>), RunError> {
-        let mut checkpoints = Vec::new();
-        let outcome =
-            self.try_run_pack_checkpointed_with(pack, interval_quanta, |b| checkpoints.push(b))?;
-        Ok((outcome, checkpoints))
-    }
-
-    /// [`Self::try_run_pack_checkpointed`] with streaming delivery:
-    /// `sink` receives each checkpoint the moment it is captured, so a
-    /// crash-tolerant driver can persist them mid-run instead of
-    /// waiting for completion (the `crashrecovery` bench does exactly
-    /// this before its child process is killed).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::try_run_pack_checkpointed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_quanta == 0`.
-    pub fn try_run_pack_checkpointed_with(
-        self,
-        pack: &TracePack,
-        interval_quanta: u64,
-        mut sink: impl FnMut(Vec<u8>),
-    ) -> Result<MulticoreOutcome, RunError> {
-        assert!(interval_quanta >= 1, "checkpoint interval must be ≥ 1");
-        let sources = Self::pack_lanes(pack, self.cfg.cores);
+        let (sources, checkpoints) = match source {
+            Source::Shards(shards) => {
+                assert_eq!(
+                    shards.len(),
+                    self.cfg.cores,
+                    "one shard per configured core"
+                );
+                let slices = shards
+                    .into_iter()
+                    .map(|ops| ShardSource::Slice { ops, pos: 0 })
+                    .collect();
+                (slices, None)
+            }
+            Source::Packs(packs) => {
+                assert_eq!(packs.len(), self.cfg.cores, "one pack per configured core");
+                let lanes = packs.iter().map(|pack| pack_lane(pack, 0, 1));
+                (lanes.collect(), None)
+            }
+            Source::Pack { pack, checkpoints } => {
+                let stride = self.cfg.cores as u64;
+                let lanes = (0..stride).map(|lane| pack_lane(pack, lane, stride));
+                (lanes.collect(), checkpoints)
+            }
+        };
         let replays = self.seed_replays(sources);
-        self.run_loop(replays, None, Some((interval_quanta, &mut sink)))
-            .map(|(outcome, _)| outcome)
+        self.run_loop(replays, None, checkpoints)
     }
 
-    /// Resumes a run of `pack` from a checkpoint produced by
-    /// [`Self::try_run_pack_checkpointed`], reconstructing the entire
-    /// machine (configuration included) from the checkpoint bytes and
-    /// continuing to completion. The outcome is bit-identical to the
-    /// tail of a straight-through run — stats, exceptions, runtime and
-    /// weave counters all match (host [`RuntimeTiming`] and telemetry
-    /// excluded; they restart at the resume point).
+    /// Resumes a run of `pack` from a checkpoint that [`Self::replay`]
+    /// (or an earlier resume) captured, reconstructing the entire machine
+    /// (configuration included) from the checkpoint bytes and continuing
+    /// to completion. The outcome is bit-identical to the straight-through
+    /// run — stats, exceptions, runtime and weave counters all match (host
+    /// [`RuntimeTiming`] and telemetry excluded; they restart at the
+    /// resume point). `checkpoints` keeps checkpointing: quanta are
+    /// counted from the run's start, so the same `every` reproduces the
+    /// original run's later checkpoints byte for byte, and every recovery
+    /// attempt of a retry driver refreshes its fallback point.
     ///
     /// # Errors
     ///
@@ -971,78 +910,60 @@ impl MulticoreEngine {
     /// by the single-core engine, or do not fit `pack`;
     /// [`RunError::Panic`] / [`RunError::Stall`] if the resumed run
     /// itself fails.
-    pub fn try_resume_pack(pack: &TracePack, bytes: &[u8]) -> Result<MulticoreOutcome, RunError> {
-        let (engine, replays, seed) = Self::restore(pack, bytes)?;
-        engine
-            .run_loop(replays, Some(seed), None)
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// [`Self::try_resume_pack`] that keeps checkpointing while it
-    /// runs: the resumed run again emits a checkpoint to `sink` every
-    /// `interval_quanta` boundaries (counted from the run's start, so
-    /// the cadence matches the original run's). This is what lets the
-    /// retry-with-backoff driver survive repeated failures — every
-    /// recovery attempt refreshes its fallback point.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::try_resume_pack`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_quanta == 0`.
-    pub fn try_resume_pack_checkpointed_with(
+    pub fn resume(
         pack: &TracePack,
         bytes: &[u8],
-        interval_quanta: u64,
-        mut sink: impl FnMut(Vec<u8>),
-    ) -> Result<MulticoreOutcome, RunError> {
-        assert!(interval_quanta >= 1, "checkpoint interval must be ≥ 1");
+        checkpoints: Option<Checkpoints<'_>>,
+    ) -> Result<(MulticoreOutcome, CoherentHierarchy), RunError> {
         let (engine, replays, seed) = Self::restore(pack, bytes)?;
-        engine
-            .run_loop(replays, Some(seed), Some((interval_quanta, &mut sink)))
-            .map(|(outcome, _)| outcome)
+        engine.run_loop(replays, Some(seed), checkpoints)
     }
 
-    /// Replays one pre-encoded pack per core (e.g. from
-    /// `MtWorkload::to_packs`), each decoded by its own worker inside the
-    /// bound phase. Bit-identical in stats and exceptions to
-    /// `self.run(packs.iter().map(|p| p.to_vec()).collect())`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `packs.len()` equals the configured core count, on
-    /// a corrupt pack, or with a [`WorkerPanic`] message if a worker
-    /// panicked.
-    pub fn run_packs(self, packs: &[TracePack]) -> MulticoreOutcome {
-        self.try_run_packs(packs).unwrap_or_else(|p| panic!("{p}"))
-    }
-
-    /// Like [`Self::run_packs`], but a worker-thread panic is surfaced as
-    /// an `Err` naming the offending core.
+    /// [`Self::replay`] of [`Source::Shards`], outcome only. Kept because
+    /// the host benchmark in `perfbench/` calls it; new code calls
+    /// [`Self::replay`].
     ///
     /// # Errors
     ///
-    /// [`RunError::Panic`] if a core's replay panicked;
-    /// [`RunError::Stall`] if a worker exceeded the watchdog deadline.
+    /// As for [`Self::replay`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `shards.len()` equals the configured core count.
+    pub fn try_run(self, shards: Vec<Vec<TraceOp>>) -> Result<MulticoreOutcome, RunError> {
+        self.replay(Source::Shards(shards))
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// [`Self::replay`] of a [`Source::Pack`] without checkpoints,
+    /// outcome only. Kept because the host benchmark in `perfbench/`
+    /// calls it; new code calls [`Self::replay`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::replay`].
+    pub fn try_run_pack(self, pack: &TracePack) -> Result<MulticoreOutcome, RunError> {
+        let source = Source::Pack {
+            pack,
+            checkpoints: None,
+        };
+        self.replay(source).map(|(outcome, _)| outcome)
+    }
+
+    /// [`Self::replay`] of [`Source::Packs`], outcome only. Kept because
+    /// the host benchmark in `perfbench/` calls it; new code calls
+    /// [`Self::replay`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::replay`].
     ///
     /// # Panics
     ///
     /// Panics unless `packs.len()` equals the configured core count.
     pub fn try_run_packs(self, packs: &[TracePack]) -> Result<MulticoreOutcome, RunError> {
-        assert_eq!(packs.len(), self.cfg.cores, "one pack per configured core");
-        let sources = packs
-            .iter()
-            .map(|pack| ShardSource::Pack {
-                dec: pack.decoder(),
-                lane: 0,
-                stride: 1,
-                ring: Vec::with_capacity(SOURCE_RING),
-                head: 0,
-            })
-            .collect();
-        self.run_sources(sources).map(|(outcome, _)| outcome)
+        self.replay(Source::Packs(packs))
+            .map(|(outcome, _)| outcome)
     }
 
     /// Builds the per-core replay states for a fresh (unseeded) run.
@@ -1283,16 +1204,6 @@ impl MulticoreEngine {
         Ok((engine, replays, ResumeSeed { rt, quantum_end }))
     }
 
-    /// The shared run loop entry for fresh runs: persistent workers
-    /// (multi-core only), quantum barrier, batched weave.
-    fn run_sources(
-        self,
-        sources: Vec<ShardSource<'_>>,
-    ) -> Result<(MulticoreOutcome, CoherentHierarchy), RunError> {
-        let replays = self.seed_replays(sources);
-        self.run_loop(replays, None, None)
-    }
-
     /// The run loop proper. `seed` resumes mid-run (runtime counters and
     /// quantum clock restored from a checkpoint); `checkpoint` captures
     /// a checkpoint into its sink at every N-th quantum boundary.
@@ -1300,7 +1211,7 @@ impl MulticoreEngine {
         mut self,
         mut replays: Vec<Option<CoreReplay<'_>>>,
         seed: Option<ResumeSeed>,
-        mut checkpoint: Option<CheckpointEvery<'_>>,
+        mut checkpoint: Option<Checkpoints<'_>>,
     ) -> Result<(MulticoreOutcome, CoherentHierarchy), RunError> {
         let n = self.cfg.cores;
         let mut rt = RuntimeStats::default();
@@ -1454,8 +1365,8 @@ impl MulticoreEngine {
 
                 // Serial (weave) phase: deterministic round-robin. An
                 // engine panic here (e.g. an op that only ever reaches
-                // the weave, like a misaligned CFORM-NT) is part of the
-                // `try_run*` error contract too: catch it per turn,
+                // the weave, like a misaligned CFORM-NT) is part of
+                // `replay`'s error contract too: catch it per turn,
                 // stop the barrier so the scope can join the parked
                 // workers, and surface it as the offending core's
                 // `WorkerPanic`.
@@ -1553,9 +1464,9 @@ impl MulticoreEngine {
                 // so the machine is single-threaded here and the capture
                 // is plain sequential code — the drain protocol
                 // model-checked in `califorms-analyze`.
-                if let Some((k, sink)) = checkpoint.as_mut() {
-                    if rt.quanta % *k == 0 {
-                        sink(self.capture_checkpoint(&replays, &rt, quantum_end));
+                if let Some(c) = checkpoint.as_mut() {
+                    if rt.quanta % c.every.get() == 0 {
+                        (c.sink)(self.capture_checkpoint(&replays, &rt, quantum_end));
                     }
                 }
             }
@@ -1674,6 +1585,23 @@ mod tests {
         MulticoreEngine::new(MulticoreConfig::westmere(cores))
     }
 
+    fn run(cores: usize, shards: Vec<Vec<TraceOp>>) -> MulticoreOutcome {
+        engine(cores)
+            .replay(Source::Shards(shards))
+            .expect("replay")
+            .0
+    }
+
+    fn replay_pack(cfg: MulticoreConfig, pack: &TracePack) -> Result<MulticoreOutcome, RunError> {
+        let source = Source::Pack {
+            pack,
+            checkpoints: None,
+        };
+        MulticoreEngine::new(cfg)
+            .replay(source)
+            .map(|(outcome, _)| outcome)
+    }
+
     fn expect_worker_panic(err: RunError) -> WorkerPanic {
         match err {
             RunError::Panic(p) => p,
@@ -1683,17 +1611,20 @@ mod tests {
 
     #[test]
     fn single_core_runs_a_plain_trace() {
-        let out = engine(1).run(vec![vec![
-            TraceOp::Exec(400),
-            TraceOp::Store {
-                addr: 0x100,
-                size: 8,
-            },
-            TraceOp::Load {
-                addr: 0x100,
-                size: 8,
-            },
-        ]]);
+        let out = run(
+            1,
+            vec![vec![
+                TraceOp::Exec(400),
+                TraceOp::Store {
+                    addr: 0x100,
+                    size: 8,
+                },
+                TraceOp::Load {
+                    addr: 0x100,
+                    size: 8,
+                },
+            ]],
+        );
         let s = &out.stats.per_core[0];
         assert_eq!(s.instructions, 402);
         assert_eq!(s.loads, 1);
@@ -1703,22 +1634,25 @@ mod tests {
 
     #[test]
     fn per_core_counters_split_by_shard() {
-        let out = engine(2).run(vec![
+        let out = run(
+            2,
             vec![
-                TraceOp::Load {
-                    addr: 0x1000,
-                    size: 8
-                };
-                10
+                vec![
+                    TraceOp::Load {
+                        addr: 0x1000,
+                        size: 8
+                    };
+                    10
+                ],
+                vec![
+                    TraceOp::Store {
+                        addr: 0x8000,
+                        size: 8
+                    };
+                    4
+                ],
             ],
-            vec![
-                TraceOp::Store {
-                    addr: 0x8000,
-                    size: 8
-                };
-                4
-            ],
-        ]);
+        );
         assert_eq!(out.stats.per_core[0].loads, 10);
         assert_eq!(out.stats.per_core[0].stores, 0);
         assert_eq!(out.stats.per_core[1].stores, 4);
@@ -1728,10 +1662,10 @@ mod tests {
 
     #[test]
     fn makespan_is_the_slowest_core() {
-        let out = engine(2).run(vec![
-            vec![TraceOp::Exec(4_000)],
-            vec![TraceOp::Exec(400_000)],
-        ]);
+        let out = run(
+            2,
+            vec![vec![TraceOp::Exec(4_000)], vec![TraceOp::Exec(400_000)]],
+        );
         assert!(out.stats.per_core[1].cycles > out.stats.per_core[0].cycles);
         assert_eq!(out.stats.combined.cycles, out.stats.per_core[1].cycles);
         assert!(out.stats.aggregate_ipc() > 0.0);
@@ -1751,7 +1685,7 @@ mod tests {
                 })
                 .collect()
         };
-        let out = engine(2).run(vec![shard(50), shard(50)]);
+        let out = run(2, vec![shard(50), shard(50)]);
         assert!(
             out.stats.combined.coherence.invalidations > 0,
             "write sharing must invalidate"
@@ -1776,10 +1710,13 @@ mod tests {
             addr: 0x2005,
             size: 1,
         };
-        let out = engine(2).run(vec![
-            vec![cform, TraceOp::MaskPush, probe, TraceOp::MaskPop],
-            vec![TraceOp::Exec(100_000), probe],
-        ]);
+        let out = run(
+            2,
+            vec![
+                vec![cform, TraceOp::MaskPush, probe, TraceOp::MaskPop],
+                vec![TraceOp::Exec(100_000), probe],
+            ],
+        );
         assert_eq!(out.stats.per_core[0].exceptions_suppressed, 1);
         assert_eq!(out.stats.per_core[0].exceptions_delivered, 0);
         assert_eq!(out.stats.per_core[1].exceptions_delivered, 1);
@@ -1799,7 +1736,7 @@ mod tests {
                 })
                 .collect()
         };
-        let out = engine(2).run(vec![shard(0x10_0000), shard(0x90_0000)]);
+        let out = run(2, vec![shard(0x10_0000), shard(0x90_0000)]);
         assert_eq!(out.stats.runtime.contended_transactions, 0);
         assert_eq!(out.stats.combined.coherence.invalidations, 0);
         assert!(
@@ -1826,7 +1763,7 @@ mod tests {
                 64
             ],
         ];
-        let out = engine(2).run(shards);
+        let out = run(2, shards);
         assert!(out.stats.runtime.quanta >= 1);
         assert_eq!(
             out.stats.runtime.barrier_waits,
@@ -1838,7 +1775,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one shard per configured core")]
     fn shard_count_mismatch_panics() {
-        engine(2).run(vec![vec![]]);
+        run(2, vec![vec![]]);
     }
 
     /// A panicking worker used to leave the quantum barrier waiting for a
@@ -1856,7 +1793,7 @@ mod tests {
                 mask: 1,
             }],
         ];
-        let err = expect_worker_panic(engine(2).try_run(shards).unwrap_err());
+        let err = expect_worker_panic(engine(2).replay(Source::Shards(shards)).unwrap_err());
         assert_eq!(err.core, 1);
         assert!(
             err.message.contains("aligned"),
@@ -1880,7 +1817,7 @@ mod tests {
                 mask: 1,
             }],
         ];
-        let err = expect_worker_panic(engine(2).try_run(shards).unwrap_err());
+        let err = expect_worker_panic(engine(2).replay(Source::Shards(shards)).unwrap_err());
         assert_eq!(err.core, 1);
         assert!(err.message.contains("aligned"), "{}", err.message);
     }
@@ -1893,29 +1830,14 @@ mod tests {
             attrs: 1,
             mask: 1,
         }]];
-        let err = expect_worker_panic(engine(1).try_run(shards).unwrap_err());
+        let err = expect_worker_panic(engine(1).replay(Source::Shards(shards)).unwrap_err());
         assert_eq!(err.core, 0);
-    }
-
-    /// The panicking `run` wrapper re-panics on the main thread (instead
-    /// of hanging) with the core id in the message.
-    #[test]
-    #[should_panic(expected = "worker thread for core 0 panicked")]
-    fn run_wrapper_repanics_with_core_id() {
-        engine(2).run(vec![
-            vec![TraceOp::Cform {
-                line_addr: 0x33,
-                attrs: 1,
-                mask: 1,
-            }],
-            vec![TraceOp::Exec(1)],
-        ]);
     }
 
     #[test]
     #[should_panic(expected = "one pack per configured core")]
     fn pack_count_mismatch_panics() {
-        engine(2).run_packs(&[TracePack::from_ops(std::iter::empty())]);
+        let _ = engine(2).replay(Source::Packs(&[TracePack::from_ops(std::iter::empty())]));
     }
 
     /// A poisoned worker slot must not take down the worker loop with a
@@ -1948,7 +1870,7 @@ mod tests {
 
     /// A panic in the replay must land in the panic log even when the log
     /// mutex is already poisoned (e.g. by a concurrently panicking
-    /// sibling) — the recorded entry is what `try_run*` surfaces as the
+    /// sibling) — the recorded entry is what `replay` surfaces as the
     /// `WorkerPanic` error instead of a nested panic.
     #[test]
     fn panic_log_records_through_poison() {
@@ -2011,10 +1933,16 @@ mod tests {
         for &cores in &[1usize, 2, 4] {
             for &batch in &[1u32, 64] {
                 let cfg = MulticoreConfig::westmere(cores).with_weave_batch(batch);
-                let reference = MulticoreEngine::new(cfg).try_run_pack(&pack).unwrap();
-                let (full, checkpoints) = MulticoreEngine::new(cfg)
-                    .try_run_pack_checkpointed(&pack, 2)
-                    .unwrap();
+                let reference = replay_pack(cfg, &pack).unwrap();
+                let mut checkpoints = Vec::new();
+                let source = Source::Pack {
+                    pack: &pack,
+                    checkpoints: Some(Checkpoints {
+                        every: std::num::NonZeroU64::new(2).unwrap(),
+                        sink: &mut |b| checkpoints.push(b),
+                    }),
+                };
+                let (full, _) = MulticoreEngine::new(cfg).replay(source).unwrap();
                 assert_eq!(
                     full.stats, reference.stats,
                     "checkpointing itself must not perturb the run \
@@ -2025,7 +1953,7 @@ mod tests {
                     "run too short to checkpoint (cores={cores} batch={batch})"
                 );
                 for (i, bytes) in checkpoints.iter().enumerate() {
-                    let resumed = MulticoreEngine::try_resume_pack(&pack, bytes).unwrap();
+                    let (resumed, _) = MulticoreEngine::resume(&pack, bytes, None).unwrap();
                     assert_eq!(
                         resumed.stats, reference.stats,
                         "resume from checkpoint {i} diverged (cores={cores} batch={batch})"
@@ -2045,7 +1973,7 @@ mod tests {
             kill_at: Some((1, 0)),
             ..FaultPlan::default()
         });
-        let err = expect_worker_panic(MulticoreEngine::new(cfg).try_run_pack(&pack).unwrap_err());
+        let err = expect_worker_panic(replay_pack(cfg, &pack).unwrap_err());
         assert_eq!(err.core, 1);
         assert!(
             err.message.contains("fault injection"),
@@ -2066,7 +1994,7 @@ mod tests {
                 stall_at: Some((1, 0, 400)),
                 ..FaultPlan::default()
             });
-        let err = MulticoreEngine::new(cfg).try_run_pack(&pack).unwrap_err();
+        let err = replay_pack(cfg, &pack).unwrap_err();
         match err {
             RunError::Stall(s) => {
                 assert_eq!(s.core, 1, "the stalled core is named");
@@ -2082,12 +2010,12 @@ mod tests {
     #[test]
     fn dormant_fault_plan_is_invisible() {
         let pack = TracePack::from_ops(crash_test_ops());
-        let reference = engine(2).try_run_pack(&pack).unwrap();
+        let reference = replay_pack(MulticoreConfig::westmere(2), &pack).unwrap();
         let cfg = MulticoreConfig::westmere(2).with_fault(FaultPlan {
             kill_at: Some((0, u64::MAX)),
             stall_at: Some((1, u64::MAX, 1)),
         });
-        let out = MulticoreEngine::new(cfg).try_run_pack(&pack).unwrap();
+        let out = replay_pack(cfg, &pack).unwrap();
         assert_eq!(out.stats, reference.stats);
     }
 }

@@ -131,65 +131,6 @@ impl SwapManager {
     }
 }
 
-// --- checkpoint serialization -----------------------------------------
-
-use crate::checkpoint::{self as ck, CheckpointError};
-
-impl SwapManager {
-    /// Serializes the swap device + reserved-region metadata (the
-    /// optional `SEC_OS` checkpoint payload). Pages are written sorted by
-    /// base address so semantically-equal swap states serialize
-    /// byte-identically regardless of swap history.
-    pub(crate) fn save_state(&self, w: &mut ck::Wr) {
-        let mut pages: Vec<u64> = self.device.keys().copied().collect();
-        pages.sort_unstable();
-        w.u64(pages.len() as u64);
-        for page in pages {
-            w.u64(page);
-            // analyze::allow(hot-path-unwrap): key came from the map one line up
-            let payload = self.device.get(&page).expect("page key is present");
-            let meta = self
-                .metadata
-                .get(&page)
-                .copied()
-                .expect("metadata exists for every swapped page");
-            w.u64(meta);
-            for line in payload {
-                w.bytes(line);
-            }
-        }
-    }
-
-    pub(crate) fn restore_state(r: &mut ck::Rd<'_>) -> ck::Result<Self> {
-        let n = r.count()?;
-        let mut swap = SwapManager::new();
-        let mut prev = None;
-        for _ in 0..n {
-            let page = r.u64()?;
-            if page % PAGE_BYTES != 0 {
-                return Err(CheckpointError::Corrupt("swap page address unaligned"));
-            }
-            if prev.is_some_and(|p| page <= p) {
-                return Err(CheckpointError::Corrupt(
-                    "swap pages out of canonical order",
-                ));
-            }
-            prev = Some(page);
-            let meta = r.u64()?;
-            let mut payload = Vec::with_capacity(LINES_PER_PAGE as usize);
-            for _ in 0..LINES_PER_PAGE {
-                let raw = r.take(LINE_BYTES as usize)?;
-                let mut line = [0u8; LINE_BYTES as usize];
-                line.copy_from_slice(raw);
-                payload.push(line);
-            }
-            swap.device.insert(page, payload);
-            swap.metadata.insert(page, meta);
-        }
-        Ok(swap)
-    }
-}
-
 /// Result of exporting memory across the I/O boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoExport {

@@ -2,9 +2,9 @@
 //! `califorms-telemetry` counter registry (DESIGN.md §13).
 //!
 //! Everything in here is a pure function of already-deterministic inputs
-//! ([`SimStats`], [`MulticoreStats`]), so the
-//! snapshots it produces are **bit-identical across runs** — two replays
-//! of the same trace yield byte-equal
+//! ([`MulticoreStats`]), so the snapshots it produces are
+//! **bit-identical across runs** — two replays of the same trace yield
+//! byte-equal
 //! [`CounterSnapshot::to_bytes`](califorms_telemetry::CounterSnapshot::to_bytes)
 //! buffers, which is exactly what the cross-run determinism tests and the
 //! oracle diff.
@@ -13,12 +13,10 @@
 //! per-core axis. Per-core families (`core.*`, `l1d.*`, `weave.*`,
 //! `decode.*`, `exceptions.*`) use lane = core id; the whole-machine
 //! families (`dir.*`, `spill.*`, `fill.*`, `l2.*`, `l3.*`, `dram.*`,
-//! `runtime.*`, `coherence.*`) use lane 0. Single-core snapshots use
-//! lane 0 everywhere. `core.cycles_fp_bits` stores the *bit pattern* of the
-//! fractional cycle counter (`f64::to_bits`), so cycle counts join the
-//! byte-exact comparison without rounding.
+//! `runtime.*`, `coherence.*`) use lane 0. `core.cycles_fp_bits` stores
+//! the *bit pattern* of the fractional cycle counter (`f64::to_bits`), so
+//! cycle counts join the byte-exact comparison without rounding.
 
-use crate::lsq::LsqStats;
 use crate::stats::{CacheStats, MulticoreStats, SimStats};
 use califorms_telemetry::CounterRegistry;
 
@@ -97,45 +95,30 @@ pub fn multicore_counters(stats: &MulticoreStats, decode: &[(u64, u64)]) -> Coun
     reg
 }
 
-/// Builds the deterministic counter registry of a single-core
-/// [`crate::engine::Engine`] run (all lanes 0). `decode` is the pack
-/// decoder's `(ops, bytes)` progress, or `None` for unpacked replay.
-pub fn single_core_counters(stats: &SimStats, decode: Option<(u64, u64)>) -> CounterRegistry {
-    let mut reg = CounterRegistry::new();
-    core_lanes(&mut reg, 0, stats);
-    shared_lanes(&mut reg, stats);
-    if let Some((ops, bytes)) = decode {
-        reg.set("decode.ops", 0, ops);
-        reg.set("decode.bytes", 0, bytes);
-    }
-    reg
-}
-
-/// Adds a [`crate::lsq::LoadStoreQueue`]'s counters at `lane` — the LSQ
-/// stall/forward split the pipeline-semantics tests assert on.
-pub fn lsq_lanes(reg: &mut CounterRegistry, lane: usize, s: &LsqStats) {
-    reg.set("lsq.loads_resolved", lane, s.loads_resolved);
-    reg.set("lsq.forwards", lane, s.forwards);
-    reg.set("lsq.stalls", lane, s.partial_overlap_stalls);
-    reg.set("lsq.cform_matches", lane, s.cform_matches);
-    reg.set("lsq.store_cform_conflicts", lane, s.store_cform_conflicts);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsq::LoadStoreQueue;
+
+    /// The stats of a one-core run: the core's counters are also the
+    /// whole machine's.
+    fn one_core(stats: SimStats) -> MulticoreStats {
+        MulticoreStats {
+            per_core: vec![stats.clone()],
+            combined: stats,
+            ..MulticoreStats::default()
+        }
+    }
 
     #[test]
     fn single_core_registry_has_the_core_families() {
-        let stats = SimStats {
+        let stats = one_core(SimStats {
             instructions: 100,
             loads: 40,
             spills: 3,
             cycles: 123.5,
             ..SimStats::default()
-        };
-        let snap = single_core_counters(&stats, Some((100, 321))).snapshot();
+        });
+        let snap = multicore_counters(&stats, &[(100, 321)]).snapshot();
         assert_eq!(snap.total("core.instructions"), Some(100));
         assert_eq!(snap.total("spill.bytes"), Some(3 * LINE));
         assert_eq!(snap.total("decode.bytes"), Some(321));
@@ -144,19 +127,7 @@ mod tests {
 
     #[test]
     fn unpacked_replay_omits_decode_counters() {
-        let snap = single_core_counters(&SimStats::default(), None).snapshot();
+        let snap = multicore_counters(&one_core(SimStats::default()), &[]).snapshot();
         assert_eq!(snap.total("decode.ops"), None);
-    }
-
-    #[test]
-    fn lsq_lanes_expose_the_stall_split() {
-        let mut q = LoadStoreQueue::new();
-        q.push_store(0x100, vec![1, 2]);
-        let _ = q.resolve_load(0x101, 4); // partial overlap → stall
-        let mut reg = CounterRegistry::new();
-        lsq_lanes(&mut reg, 0, &q.stats());
-        let snap = reg.snapshot();
-        assert_eq!(snap.total("lsq.stalls"), Some(1));
-        assert_eq!(snap.total("lsq.loads_resolved"), Some(1));
     }
 }

@@ -29,7 +29,7 @@
 //! and a `Cform`/`CformNt` target is line (64-byte) aligned.
 //!
 //! [`TracePack`] is the owned in-memory form the replay hot path
-//! batch-decodes from (see [`crate::engine::Engine::run_pack`]).
+//! batch-decodes from (see [`crate::engine::Engine::replay`]).
 //!
 //! **One op decoder.** The per-op rules (tags, varint limits, access
 //! sizes, the address context) are written once, as an inlined decoder
@@ -509,7 +509,6 @@ impl TracePack {
     /// Decodes the whole pack into a `Vec` (tests and tools; replay paths
     /// should batch-decode instead).
     pub fn to_vec(&self) -> Vec<TraceOp> {
-        // analyze::allow(hot-path-alloc): tests-and-tools convenience; replay engines batch-decode instead
         self.iter().collect()
     }
 }

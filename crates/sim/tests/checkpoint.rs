@@ -3,15 +3,18 @@
 //! checksum mismatch, section-length lies, framing garbage, wrong
 //! engine kind, wrong pack — must surface as a typed
 //! [`CheckpointError`], never a panic, through **both** resume entry
-//! points (`Engine::resume_pack` and
-//! `MulticoreEngine::try_resume_pack`). The positive controls at the
-//! top prove the uncorrupted bytes resume bit-identically, so a
-//! rejection really is the corruption being caught.
+//! points ([`Engine::resume`] and [`MulticoreEngine::resume`]). The
+//! positive controls at the top prove the uncorrupted bytes resume
+//! bit-identically, so a rejection really is the corruption being
+//! caught, and a resumed run keeps checkpointing on the original
+//! cadence.
 
 use califorms_sim::checkpoint::{CheckpointError, MAGIC, VERSION};
 use califorms_sim::{
-    Engine, MulticoreConfig, MulticoreEngine, RunError, TraceOp, TracePack, TracePackError,
+    Checkpoints, Engine, MulticoreConfig, MulticoreEngine, RunError, Source, TraceOp, TracePack,
+    TracePackError,
 };
+use std::num::NonZeroU64;
 
 /// A small deterministic workload: enough ops to cross several decode
 /// batches / quanta, touching loads, stores and CFORMs.
@@ -33,18 +36,53 @@ fn pack() -> TracePack {
     TracePack::from_ops(ops)
 }
 
+/// A checkpoint request every `interval` boundaries into `sink`.
+fn every(interval: u64, sink: &mut dyn FnMut(Vec<u8>)) -> Option<Checkpoints<'_>> {
+    Some(Checkpoints {
+        every: NonZeroU64::new(interval).expect("a positive interval"),
+        sink,
+    })
+}
+
+/// Every checkpoint a single-core replay of `pack` captures, one per
+/// `interval` decode batches.
+fn single_checkpoints(pack: &TracePack, interval: u64) -> Vec<Vec<u8>> {
+    let mut checkpoints = Vec::new();
+    Engine::westmere().replay(pack, every(interval, &mut |b| checkpoints.push(b)));
+    checkpoints
+}
+
+/// The multicore machine these tests checkpoint: a short quantum, so
+/// the small workload crosses many boundaries.
+fn mc_config(cores: usize) -> MulticoreConfig {
+    MulticoreConfig::westmere(cores).with_quantum(500.0)
+}
+
+/// Every checkpoint a multicore replay of `pack` captures, one per
+/// `interval` quanta.
+fn multicore_checkpoints(pack: &TracePack, cores: usize, interval: u64) -> Vec<Vec<u8>> {
+    let mut checkpoints = Vec::new();
+    let mut sink = |b| checkpoints.push(b);
+    let source = Source::Pack {
+        pack,
+        checkpoints: every(interval, &mut sink),
+    };
+    MulticoreEngine::new(mc_config(cores))
+        .replay(source)
+        .expect("checkpointed run");
+    checkpoints
+}
+
 /// A valid mid-run single-core checkpoint (the corruption substrate).
 fn single_checkpoint(pack: &TracePack) -> Vec<u8> {
-    let (_, checkpoints) = Engine::westmere().run_pack_checkpointed(pack, 1);
+    let checkpoints = single_checkpoints(pack, 1);
     assert!(checkpoints.len() >= 2, "workload must span several batches");
     checkpoints[0].clone()
 }
 
 /// A valid mid-run multicore checkpoint.
 fn multicore_checkpoint(pack: &TracePack) -> Vec<u8> {
-    let (_, checkpoints) = MulticoreEngine::new(MulticoreConfig::westmere(2).with_quantum(500.0))
-        .try_run_pack_checkpointed(pack, 2)
-        .expect("checkpointed run");
+    let checkpoints = multicore_checkpoints(pack, 2, 2);
     assert!(!checkpoints.is_empty(), "workload must span several quanta");
     checkpoints[0].clone()
 }
@@ -71,13 +109,13 @@ fn reseal(bytes: &mut [u8]) {
 /// Resumes corrupted bytes on the single-core engine, expecting a typed
 /// error.
 fn single_err(pack: &TracePack, bytes: &[u8]) -> CheckpointError {
-    Engine::resume_pack(pack, bytes).expect_err("corrupt checkpoint resumed cleanly")
+    Engine::resume(pack, bytes, None).expect_err("corrupt checkpoint resumed cleanly")
 }
 
 /// Resumes corrupted bytes on the multicore engine, expecting the typed
 /// error to arrive wrapped in [`RunError::Checkpoint`].
 fn multicore_err(pack: &TracePack, bytes: &[u8]) -> CheckpointError {
-    match MulticoreEngine::try_resume_pack(pack, bytes) {
+    match MulticoreEngine::resume(pack, bytes, None) {
         Err(RunError::Checkpoint(e)) => e,
         Err(other) => panic!("expected RunError::Checkpoint, got {other:?}"),
         Ok(_) => panic!("corrupt checkpoint resumed cleanly"),
@@ -87,17 +125,75 @@ fn multicore_err(pack: &TracePack, bytes: &[u8]) -> CheckpointError {
 #[test]
 fn uncorrupted_controls_resume_bit_identically() {
     let pack = pack();
-    let reference = Engine::westmere().run_pack(&pack);
-    let resumed = Engine::resume_pack(&pack, &single_checkpoint(&pack)).expect("valid checkpoint");
+    let reference = Engine::westmere().replay(&pack, None);
+    let resumed = Engine::resume(&pack, &single_checkpoint(&pack), None).expect("valid checkpoint");
     assert_eq!(resumed, reference, "single-core positive control");
 
-    let mc_ref = MulticoreEngine::new(MulticoreConfig::westmere(2).with_quantum(500.0))
-        .try_run_pack(&pack)
-        .expect("reference run");
-    let mc = MulticoreEngine::try_resume_pack(&pack, &multicore_checkpoint(&pack))
+    let mc_ref = multicore_run(&pack, 2);
+    let (mc, _) = MulticoreEngine::resume(&pack, &multicore_checkpoint(&pack), None)
         .expect("valid checkpoint");
     assert_eq!(mc.stats, mc_ref.stats, "multicore positive control");
     assert_eq!(mc.exceptions, mc_ref.exceptions);
+}
+
+/// A straight multicore replay of `pack` without checkpoints.
+fn multicore_run(pack: &TracePack, cores: usize) -> califorms_sim::MulticoreOutcome {
+    let source = Source::Pack {
+        pack,
+        checkpoints: None,
+    };
+    let (outcome, _) = MulticoreEngine::new(mc_config(cores))
+        .replay(source)
+        .expect("reference run");
+    outcome
+}
+
+#[test]
+fn resumed_runs_keep_checkpointing_on_the_original_cadence() {
+    // Resuming from the first or a middle checkpoint with the same
+    // request must reproduce the straight run's later checkpoints byte
+    // for byte, and its outcome: every 2 decode batches on the
+    // single-core engine, every 2 quanta at 1, 2 and 3 cores.
+    let pack = pack();
+    let reference = Engine::westmere().replay(&pack, None);
+    let all = single_checkpoints(&pack, 2);
+    assert!(all.len() >= 3, "workload must span several checkpoints");
+    for from in [0, all.len() / 2] {
+        let mut tail = Vec::new();
+        let resumed = Engine::resume(&pack, &all[from], every(2, &mut |b| tail.push(b)))
+            .expect("valid checkpoint");
+        assert_eq!(resumed, reference, "single: resumed from checkpoint {from}");
+        assert!(
+            tail == all[from + 1..],
+            "single: resumed from checkpoint {from}, {} of the straight run's {} later \
+             checkpoints, not byte-identical",
+            tail.len(),
+            all.len() - from - 1
+        );
+    }
+    for cores in 1..=3 {
+        let reference = multicore_run(&pack, cores);
+        let all = multicore_checkpoints(&pack, cores, 2);
+        assert!(
+            all.len() >= 3,
+            "{cores} cores: workload must span several checkpoints"
+        );
+        for from in [0, all.len() / 2] {
+            let mut tail = Vec::new();
+            let (resumed, _) =
+                MulticoreEngine::resume(&pack, &all[from], every(2, &mut |b| tail.push(b)))
+                    .expect("valid checkpoint");
+            assert_eq!(resumed.stats, reference.stats, "{cores} cores, from {from}");
+            assert_eq!(resumed.exceptions, reference.exceptions);
+            assert!(
+                tail == all[from + 1..],
+                "{cores} cores: resumed from checkpoint {from}, {} of the straight run's {} \
+                 later checkpoints, not byte-identical",
+                tail.len(),
+                all.len() - from - 1
+            );
+        }
+    }
 }
 
 #[test]
@@ -181,6 +277,43 @@ fn impossible_cycle_counts_are_rejected_on_both_engines() {
             assert!(
                 matches!(err, CheckpointError::Corrupt(_)),
                 "{which}: cycles {cycles} gave {err:?}"
+            );
+        }
+    }
+}
+
+/// CONFIG section tag. On both engines its payload leads with the
+/// hierarchy geometry: L1D size and ways (u64 each), L1D latency (u32),
+/// then L2 size and ways.
+const SEC_CONFIG: u8 = 0x02;
+
+#[test]
+fn impossible_cache_geometries_are_rejected_on_both_engines() {
+    // An L1D way count whose set size overflows `ways * 64`, and a 2⁶² B
+    // one-way L2 the cache constructor would try to allocate: both are
+    // corrupt, never an overflow panic or an allocation abort.
+    let pack = pack();
+    let edits: [(&str, &[(usize, u64)]); 2] =
+        [("L1D", &[(8, 1 << 58)]), ("L2", &[(20, 1 << 62), (28, 1)])];
+    for (bytes, which) in [
+        (single_checkpoint(&pack), "single"),
+        (multicore_checkpoint(&pack), "multi"),
+    ] {
+        let config = payload_at(&bytes, SEC_CONFIG);
+        for (level, fields) in edits {
+            let mut b = bytes.clone();
+            for &(off, value) in fields {
+                b[config + off..config + off + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            reseal(&mut b);
+            let err = if which == "single" {
+                single_err(&pack, &b)
+            } else {
+                multicore_err(&pack, &b)
+            };
+            assert!(
+                matches!(err, CheckpointError::Corrupt(what) if what.starts_with(level)),
+                "{which}: {level} geometry gave {err:?}"
             );
         }
     }
@@ -347,7 +480,7 @@ fn unknown_section_tags_are_skipped_for_forward_compat() {
     // A newer minor revision may append sections this decoder doesn't
     // know; the length prefix lets it skip them and still resume.
     let pack = pack();
-    let reference = Engine::westmere().run_pack(&pack);
+    let reference = Engine::westmere().replay(&pack, None);
     let mut bytes = single_checkpoint(&pack);
     let trailer_at = bytes.len() - 8;
     // end marker sits right before the trailer; insert ahead of it.
@@ -357,7 +490,7 @@ fn unknown_section_tags_are_skipped_for_forward_compat() {
     extra.extend_from_slice(&[1, 2, 3, 4]);
     bytes.splice(insert_at..insert_at, extra);
     reseal(&mut bytes);
-    let resumed = Engine::resume_pack(&pack, &bytes).expect("unknown section must be skipped");
+    let resumed = Engine::resume(&pack, &bytes, None).expect("unknown section must be skipped");
     assert_eq!(resumed, reference, "skipping must not perturb the resume");
 }
 
@@ -481,9 +614,7 @@ fn ring_leftovers_are_held_to_the_pack_contract() {
     // whose target is not line aligned, or an access that wraps past the
     // address space, is corrupt, never replayed into a panic.
     let pack = pack();
-    let (_, checkpoints) = MulticoreEngine::new(MulticoreConfig::westmere(2).with_quantum(500.0))
-        .try_run_pack_checkpointed(&pack, 1)
-        .expect("checkpointed run");
+    let checkpoints = multicore_checkpoints(&pack, 2, 1);
     let misalign: fn(u64) -> u64 = |line_addr| line_addr + 1;
     let wrap: fn(u64) -> u64 = |_| u64::MAX;
     for (tags, edit) in [(&[3u8, 4][..], misalign), (&[1, 2][..], wrap)] {
@@ -508,7 +639,7 @@ fn ring_leftovers_are_held_to_the_pack_contract() {
             b[at]
         );
         // The unedited checkpoint resumes.
-        assert!(MulticoreEngine::try_resume_pack(&pack, &bytes).is_ok());
+        assert!(MulticoreEngine::resume(&pack, &bytes, None).is_ok());
     }
 }
 

@@ -4,7 +4,7 @@
 //! invariants under coherence.
 
 use califorms_sim::coherence::{CoherenceConfig, CoherentHierarchy};
-use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine};
+use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine, Source};
 use califorms_sim::{Engine, HierarchyConfig, TraceOp, LINE_BYTES};
 use proptest::prelude::*;
 
@@ -40,7 +40,10 @@ fn cross_core_security_byte_access_traps_at_exact_byte() {
             size: 1,
         },
     ];
-    let out = MulticoreEngine::new(MulticoreConfig::westmere(2)).run(vec![victim, attacker]);
+    let out = MulticoreEngine::new(MulticoreConfig::westmere(2))
+        .replay(Source::Shards(vec![victim, attacker]))
+        .expect("replay")
+        .0;
 
     assert_eq!(
         out.stats.per_core[0].exceptions_delivered, 0,
@@ -105,7 +108,10 @@ fn same_seed_runs_are_bit_identical() {
         let shards: Vec<_> = (0..4)
             .map(|c| chaotic_shard(c, 0xDEAD_BEEF, 4_000))
             .collect();
-        MulticoreEngine::new(MulticoreConfig::westmere(4)).run(shards)
+        MulticoreEngine::new(MulticoreConfig::westmere(4))
+            .replay(Source::Shards(shards))
+            .expect("replay")
+            .0
     };
     let a = run();
     let b = run();
@@ -125,7 +131,10 @@ fn same_seed_runs_are_bit_identical() {
 fn different_seeds_diverge() {
     let run = |seed| {
         let shards: Vec<_> = (0..2).map(|c| chaotic_shard(c, seed, 1_000)).collect();
-        MulticoreEngine::new(MulticoreConfig::westmere(2)).run(shards)
+        MulticoreEngine::new(MulticoreConfig::westmere(2))
+            .replay(Source::Shards(shards))
+            .expect("replay")
+            .0
     };
     assert_ne!(run(1).stats, run(2).stats);
 }
@@ -166,7 +175,7 @@ fn a_wrapping_access_in_a_shard_fails_on_both_engines() {
         );
 
         let err = MulticoreEngine::new(MulticoreConfig::westmere(1))
-            .try_run(vec![vec![op]])
+            .replay(Source::Shards(vec![vec![op]]))
             .expect_err("the multi-core engine must refuse the access");
         assert_eq!(err.core(), Some(0));
         assert!(

@@ -4,7 +4,7 @@
 //! guarantee for disjoint working sets, and recorded constants that pin
 //! the weave's simulated results across commits.
 
-use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine, MulticoreOutcome};
+use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine, MulticoreOutcome, Source};
 use califorms_sim::{CoherenceStats, TraceOp, TracePack, LINE_BYTES};
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -84,7 +84,12 @@ fn determinism_holds_across_quantum_sizings() {
         ("10k", MulticoreConfig::westmere(4)),
     ];
     for (name, cfg) in configs {
-        let run = || MulticoreEngine::new(cfg).run(chaotic_shards(4, 0xDEAD_BEEF, 3_000));
+        let run = || {
+            MulticoreEngine::new(cfg)
+                .replay(Source::Shards(chaotic_shards(4, 0xDEAD_BEEF, 3_000)))
+                .expect("replay")
+                .0
+        };
         let a = run();
         let b = run();
         assert_eq!(a.stats, b.stats, "{name}: runs must be bit-identical");
@@ -100,20 +105,30 @@ fn determinism_holds_across_quantum_sizings() {
 fn weave_batching_depths_are_each_deterministic() {
     for batch in [1u32, 8, 64] {
         let cfg = MulticoreConfig::westmere(2).with_weave_batch(batch);
-        let run = || MulticoreEngine::new(cfg).run(chaotic_shards(2, 99, 2_000));
+        let run = || {
+            MulticoreEngine::new(cfg)
+                .replay(Source::Shards(chaotic_shards(2, 99, 2_000)))
+                .expect("replay")
+                .0
+        };
         assert_identical(&run(), &run());
     }
     // batch == 1 reproduces the strict one-transaction-per-turn weave:
     // no transaction ever rides another's turn.
     let strict = MulticoreEngine::new(MulticoreConfig::westmere(2).with_weave_batch(1))
-        .run(chaotic_shards(2, 99, 2_000));
+        .replay(Source::Shards(chaotic_shards(2, 99, 2_000)))
+        .expect("replay")
+        .0;
     assert_eq!(strict.stats.runtime.batched_transactions, 0);
 }
 
 #[test]
 fn disjoint_working_sets_need_zero_cross_core_coherence() {
     let shards: Vec<_> = (0..4).map(|c| disjoint_shard(c, 2_000)).collect();
-    let out = MulticoreEngine::new(MulticoreConfig::westmere(4)).run(shards);
+    let out = MulticoreEngine::new(MulticoreConfig::westmere(4))
+        .replay(Source::Shards(shards))
+        .expect("replay")
+        .0;
     // Every miss is private: the weave orders transactions but never
     // arbitrates between cores.
     let coh = &out.stats.combined.coherence;
@@ -144,8 +159,14 @@ fn per_core_packs_replay_bit_identically() {
             .iter()
             .map(|s| TracePack::from_ops(s.iter().copied()))
             .collect();
-        let unpacked = MulticoreEngine::new(MulticoreConfig::westmere(cores)).run(shards);
-        let packed = MulticoreEngine::new(MulticoreConfig::westmere(cores)).run_packs(&packs);
+        let unpacked = MulticoreEngine::new(MulticoreConfig::westmere(cores))
+            .replay(Source::Shards(shards))
+            .expect("replay")
+            .0;
+        let packed = MulticoreEngine::new(MulticoreConfig::westmere(cores))
+            .replay(Source::Packs(&packs))
+            .expect("replay")
+            .0;
         assert_identical(&unpacked, &packed);
     }
 }
@@ -171,7 +192,10 @@ fn fast_forward_handles_a_trace_landing_exactly_on_the_boundary() {
             ],
             vec![TraceOp::Exec(4)],
         ];
-        let out = MulticoreEngine::new(cfg).run(shards);
+        let out = MulticoreEngine::new(cfg)
+            .replay(Source::Shards(shards))
+            .expect("replay")
+            .0;
         // Quantum 1 runs the huge Exec (and all of core 1); every
         // boundary it sails over is skipped — `cycles == quantum_end`
         // is *not* runnable, so the landing boundary is skipped too —
@@ -194,7 +218,10 @@ fn fast_forward_handles_a_trace_landing_exactly_on_the_boundary() {
         vec![TraceOp::Exec(2_000 * 4 - 4), TraceOp::Exec(4)],
         vec![TraceOp::Exec(4)],
     ];
-    let out = MulticoreEngine::new(cfg).run(shards);
+    let out = MulticoreEngine::new(cfg)
+        .replay(Source::Shards(shards))
+        .expect("replay")
+        .0;
     assert_eq!(out.stats.runtime.quanta, 2);
     assert_eq!(out.stats.combined.cycles, 2_000.0);
 }
@@ -337,7 +364,10 @@ fn serial_weave_results_match_recorded_constants() {
     ];
     for (cores, batch, want) in cases {
         let cfg = MulticoreConfig::westmere(cores as usize).with_weave_batch(batch);
-        let out = MulticoreEngine::new(cfg).run(chaotic_shards(cores, 0xC0FFEE, 4_000));
+        let out = MulticoreEngine::new(cfg)
+            .replay(Source::Shards(chaotic_shards(cores, 0xC0FFEE, 4_000)))
+            .expect("replay")
+            .0;
         assert_eq!(Pinned::of(&out), want, "{cores} cores, batch {batch}");
     }
 }
@@ -345,11 +375,10 @@ fn serial_weave_results_match_recorded_constants() {
 #[test]
 fn barrier_waits_track_quanta_and_cores() {
     for cores in [2usize, 4] {
-        let out = MulticoreEngine::new(MulticoreConfig::westmere(cores)).run(chaotic_shards(
-            cores as u64,
-            5,
-            1_000,
-        ));
+        let out = MulticoreEngine::new(MulticoreConfig::westmere(cores))
+            .replay(Source::Shards(chaotic_shards(cores as u64, 5, 1_000)))
+            .expect("replay")
+            .0;
         assert_eq!(
             out.stats.runtime.barrier_waits,
             out.stats.runtime.quanta * cores as u64

@@ -1,13 +1,14 @@
 //! Packed replay is bit-identical to unpacked replay: the same trace run
 //! through `Engine::run` (iterator over a `Vec<TraceOp>`) and through
-//! `Engine::run_pack` (batch-decoded from the binary pack) must produce
+//! `Engine::replay` (batch-decoded from the binary pack) must produce
 //! the same stats — every counter and every cycle — and the same
-//! exception list; likewise for `MulticoreEngine::run` vs `run_pack`
-//! under the deterministic round-robin sharding.
+//! exception list; likewise for `MulticoreEngine::replay` of
+//! `Source::Shards` vs `Source::Pack` under the deterministic round-robin
+//! sharding.
 
 use califorms_sim::multicore::shard_ops;
 use califorms_sim::tracepack::TracePack;
-use califorms_sim::{Engine, MulticoreConfig, MulticoreEngine, TraceOp};
+use califorms_sim::{Engine, MulticoreConfig, MulticoreEngine, Source, TraceOp};
 use proptest::prelude::*;
 
 /// A trace shaped like real workload output: mixed strided loads/stores,
@@ -87,7 +88,7 @@ fn packed_single_core_replay_is_bit_identical() {
     assert_eq!(pack.len_ops() as usize, trace.len());
 
     let unpacked = Engine::westmere().run(trace.iter().copied());
-    let packed = Engine::westmere().run_pack(&pack);
+    let packed = Engine::westmere().replay(&pack, None);
     assert_eq!(unpacked.stats, packed.stats);
     assert_eq!(unpacked.exceptions, packed.exceptions);
     assert!(
@@ -103,8 +104,16 @@ fn packed_multicore_replay_is_bit_identical() {
         let pack = TracePack::from_ops(trace.iter().copied());
 
         let unpacked = MulticoreEngine::new(MulticoreConfig::westmere(cores))
-            .run(shard_ops(trace.iter().copied(), cores));
-        let packed = MulticoreEngine::new(MulticoreConfig::westmere(cores)).run_pack(&pack);
+            .replay(Source::Shards(shard_ops(trace.iter().copied(), cores)))
+            .expect("replay")
+            .0;
+        let packed = MulticoreEngine::new(MulticoreConfig::westmere(cores))
+            .replay(Source::Pack {
+                pack: &pack,
+                checkpoints: None,
+            })
+            .expect("replay")
+            .0;
         assert_eq!(
             unpacked.stats.combined, packed.stats.combined,
             "combined stats must match at {cores} cores"
@@ -133,7 +142,9 @@ fn engines_agree_at_one_core() {
             hierarchy,
             ..MulticoreConfig::westmere(1)
         })
-        .run(vec![trace]);
+        .replay(Source::Shards(vec![trace]))
+        .expect("replay")
+        .0;
         let (s, m) = (&single.stats, &multi.stats.combined);
         assert_eq!(single.exceptions, multi.exceptions[0], "seed {seed}");
         assert_eq!(
@@ -247,7 +258,7 @@ proptest! {
         let trace = mixed_trace(2_000, seed);
         let pack = TracePack::from_ops(trace.iter().copied());
         let unpacked = Engine::westmere().run(trace.iter().copied());
-        let packed = Engine::westmere().run_pack(&pack);
+        let packed = Engine::westmere().replay(&pack, None);
         prop_assert_eq!(unpacked.stats, packed.stats);
         prop_assert_eq!(unpacked.exceptions, packed.exceptions);
     }

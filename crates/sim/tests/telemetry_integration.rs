@@ -6,8 +6,8 @@
 //! track, and the per-core weave breakdown must sum back to the
 //! aggregate runtime counters.
 
-use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine};
-use califorms_sim::{Engine, TraceOp, TracePack, LINE_BYTES};
+use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine, Source};
+use califorms_sim::{TraceOp, TracePack, LINE_BYTES};
 use califorms_telemetry::Phase;
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -60,8 +60,13 @@ fn instrumented(cores: usize) -> MulticoreConfig {
 fn telemetry_never_perturbs_results() {
     let shards = contended_shards(4, 6_000);
     let off = MulticoreEngine::new(MulticoreConfig::westmere(4).with_quantum(2_000.0))
-        .run(shards.clone());
-    let on = MulticoreEngine::new(instrumented(4)).run(shards);
+        .replay(Source::Shards(shards.clone()))
+        .expect("replay")
+        .0;
+    let on = MulticoreEngine::new(instrumented(4))
+        .replay(Source::Shards(shards))
+        .expect("replay")
+        .0;
     assert_eq!(on.stats, off.stats, "telemetry changed simulated results");
     assert_eq!(on.exceptions, off.exceptions);
     assert!(off.telemetry.is_none(), "disabled run must carry no report");
@@ -70,7 +75,10 @@ fn telemetry_never_perturbs_results() {
 
 #[test]
 fn four_core_run_emits_spans_on_every_core_track() {
-    let out = MulticoreEngine::new(instrumented(4)).run(contended_shards(4, 6_000));
+    let out = MulticoreEngine::new(instrumented(4))
+        .replay(Source::Shards(contended_shards(4, 6_000)))
+        .expect("replay")
+        .0;
     let report = out.telemetry.expect("telemetry enabled");
     assert_eq!(report.dropped_spans, 0);
 
@@ -118,7 +126,9 @@ fn counter_snapshots_are_byte_identical_across_runs() {
     let shards = contended_shards(4, 6_000);
     let snap = |shards: Vec<Vec<TraceOp>>| {
         MulticoreEngine::new(instrumented(4))
-            .run(shards)
+            .replay(Source::Shards(shards))
+            .expect("replay")
+            .0
             .telemetry
             .expect("telemetry enabled")
             .counters
@@ -137,8 +147,14 @@ fn packed_replay_matches_unpacked_on_all_shared_counter_families() {
         .map(|s| TracePack::from_ops(s.iter().copied()))
         .collect();
     let total_ops: u64 = shards.iter().map(|s| s.len() as u64).sum();
-    let unpacked = MulticoreEngine::new(instrumented(4)).run(shards);
-    let packed = MulticoreEngine::new(instrumented(4)).run_packs(&packs);
+    let unpacked = MulticoreEngine::new(instrumented(4))
+        .replay(Source::Shards(shards))
+        .expect("replay")
+        .0;
+    let packed = MulticoreEngine::new(instrumented(4))
+        .replay(Source::Packs(&packs))
+        .expect("replay")
+        .0;
     assert_eq!(packed.stats, unpacked.stats, "packed replay diverged");
     assert_eq!(packed.exceptions, unpacked.exceptions);
 
@@ -161,7 +177,10 @@ fn packed_replay_matches_unpacked_on_all_shared_counter_families() {
 
 #[test]
 fn weave_breakdown_sums_match_the_aggregate_runtime_counters() {
-    let out = MulticoreEngine::new(instrumented(4)).run(contended_shards(4, 6_000));
+    let out = MulticoreEngine::new(instrumented(4))
+        .replay(Source::Shards(contended_shards(4, 6_000)))
+        .expect("replay")
+        .0;
     let rt = &out.stats.runtime;
     let wb = &out.stats.weave;
 
@@ -198,7 +217,10 @@ fn weave_breakdown_sums_match_the_aggregate_runtime_counters() {
 ///    (turns may progress local replay without committing a txn).
 #[test]
 fn weave_turn_accounting_reconciles_across_all_views() {
-    let out = MulticoreEngine::new(instrumented(4)).run(contended_shards(4, 6_000));
+    let out = MulticoreEngine::new(instrumented(4))
+        .replay(Source::Shards(contended_shards(4, 6_000)))
+        .expect("replay")
+        .0;
     let rt = &out.stats.runtime;
     let wb = &out.stats.weave;
     let hist = &out
@@ -228,25 +250,4 @@ fn weave_turn_accounting_reconciles_across_all_views() {
         "non-empty turns are a subset of turns"
     );
     assert!(rt.weave_transactions > 0, "the workload must weave");
-}
-
-#[test]
-fn counters_and_spans_cover_a_single_core_packed_replay() {
-    let ops: Vec<TraceOp> = (0..5_000)
-        .map(|i| TraceOp::Load {
-            addr: (i * 4099) % (1 << 20),
-            size: 8,
-        })
-        .collect();
-    let pack = TracePack::from_ops(ops.iter().copied());
-    let plain = Engine::westmere().run_pack(&pack);
-    let (out, report) = Engine::westmere().run_pack_telemetry(&pack);
-    assert_eq!(out.stats, plain.stats);
-    assert_eq!(report.counters.total("decode.ops"), Some(ops.len() as u64));
-    assert_eq!(
-        report.counters.total("l1d.hits"),
-        Some(plain.stats.l1d.hits)
-    );
-    assert!(report.spans.iter().any(|s| s.phase == Phase::Decode));
-    assert!(report.spans.iter().any(|s| s.phase == Phase::Bound));
 }

@@ -14,7 +14,7 @@
 //!   when fed simulated values (weave batch sizes), host-side when fed
 //!   span durations (weave-turn latency, barrier waits).
 //! * [`TelemetryClock`] / [`TrackRecorder`] / [`SpanEvent`] — host
-//!   wall-clock phase spans (bound/weave/barrier/decode, per core, per
+//!   wall-clock phase spans (bound/weave/barrier, per core, per
 //!   quantum). Host time is scheduling-dependent by nature, so spans are
 //!   confined to telemetry-only output and never feed a simulated result;
 //!   the `califorms-analyze` determinism linter allowlists exactly one

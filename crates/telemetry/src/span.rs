@@ -20,8 +20,6 @@ pub enum Phase {
     Weave,
     /// Barrier wait / quantum bookkeeping.
     Barrier,
-    /// Trace-pack batch decode.
-    Decode,
 }
 
 impl Phase {
@@ -31,7 +29,6 @@ impl Phase {
             Phase::Bound => "bound",
             Phase::Weave => "weave",
             Phase::Barrier => "barrier",
-            Phase::Decode => "decode",
         }
     }
 }
@@ -208,6 +205,5 @@ mod tests {
         assert_eq!(Phase::Bound.as_str(), "bound");
         assert_eq!(Phase::Weave.as_str(), "weave");
         assert_eq!(Phase::Barrier.as_str(), "barrier");
-        assert_eq!(Phase::Decode.as_str(), "decode");
     }
 }

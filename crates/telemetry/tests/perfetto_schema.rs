@@ -256,7 +256,7 @@ fn sample_events() -> Vec<SpanEvent> {
         ev(1, Phase::Barrier, 0, 3_400, 600),
         ev(0, Phase::Bound, 1, 7_000, 1_100),
         ev(2, Phase::Bound, 0, 1_000, 2_900),
-        ev(1, Phase::Decode, 1, 8_000, 50),
+        ev(1, Phase::Weave, 1, 8_000, 50),
     ]
 }
 
@@ -306,7 +306,7 @@ fn every_event_is_a_complete_or_metadata_record_with_required_fields() {
             "X" => {
                 let name = e.get("name").and_then(Json::as_str).unwrap();
                 assert!(
-                    ["bound", "weave", "barrier", "decode"].contains(&name),
+                    ["bound", "weave", "barrier"].contains(&name),
                     "phase name: {name}"
                 );
                 assert_eq!(e.get("cat").and_then(Json::as_str), Some("phase"));

@@ -96,7 +96,7 @@ pub struct Workload {
 impl Workload {
     /// Encodes the whole trace (warmup + steady state) into a
     /// [`TracePack`](califorms_sim::TracePack) for the batch-decoding
-    /// replay path ([`califorms_sim::Engine::run_pack`]).
+    /// replay path ([`califorms_sim::Engine::replay`]).
     pub fn to_pack(&self) -> califorms_sim::TracePack {
         califorms_sim::TracePack::from_ops(self.ops.iter().copied())
     }

@@ -21,7 +21,7 @@
 //! exception-free while every coherence transfer of those lines runs the
 //! real bitvector↔sentinel conversions.
 
-use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine};
+use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine, Source};
 use califorms_sim::stats::MulticoreStats;
 use califorms_sim::{HierarchyConfig, TraceOp, LINE_BYTES};
 use rand::rngs::SmallRng;
@@ -108,7 +108,7 @@ pub struct MtWorkloadConfig {
 }
 
 /// A generated multi-threaded workload, ready for
-/// [`califorms_sim::MulticoreEngine::run`].
+/// [`califorms_sim::MulticoreEngine::replay`].
 #[derive(Debug, Clone)]
 pub struct MtWorkload {
     /// Pattern name.
@@ -378,7 +378,10 @@ pub fn run_mt_outcome(
     workload: &MtWorkload,
     cfg: MulticoreConfig,
 ) -> califorms_sim::MulticoreOutcome {
-    MulticoreEngine::new(cfg).run(workload.shards.clone())
+    MulticoreEngine::new(cfg)
+        .replay(Source::Shards(workload.shards.clone()))
+        .expect("multi-threaded workload replays")
+        .0
 }
 
 /// Runs a multi-threaded workload and returns its statistics — the

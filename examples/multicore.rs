@@ -8,7 +8,7 @@
 
 use califorms::layout::InsertionPolicy;
 use califorms::security::attacks::cross_core_probe;
-use califorms::sim::multicore::{MulticoreConfig, MulticoreEngine};
+use califorms::sim::multicore::{MulticoreConfig, MulticoreEngine, Source};
 use califorms::sim::{HierarchyConfig, TraceOp};
 use califorms::workloads::{generate_mt, run_mt, MtPattern, MtWorkloadConfig};
 
@@ -74,7 +74,9 @@ fn main() {
             size: 1,
         },
     ];
-    let out = MulticoreEngine::new(MulticoreConfig::westmere(2)).run(vec![victim, attacker]);
+    let (out, _) = MulticoreEngine::new(MulticoreConfig::westmere(2))
+        .replay(Source::Shards(vec![victim, attacker]))
+        .expect("cross-core probe replays");
     let exc = out.exceptions[1][0];
     println!(
         "cross-core probe of byte 21: trapped at {:#x} (expected {:#x})",

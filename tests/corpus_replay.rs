@@ -5,6 +5,7 @@
 
 use califorms::oracle::corpus::{cores_from_file_name, read_pack, replay_pack_file};
 use califorms::oracle::diff::{diff_pack, DiffConfig};
+use std::num::NonZeroU64;
 
 fn corpus_entries() -> Vec<std::path::PathBuf> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
@@ -68,7 +69,7 @@ fn multicore_corpus_packs_agree_across_core_matrix() {
         for replay_cores in [2usize, 4] {
             for batch in [1u32, 64] {
                 let cfg = DiffConfig {
-                    resume_at: (batch == 64).then_some(2),
+                    resume_at: NonZeroU64::new(2).filter(|_| batch == 64),
                     ..DiffConfig::multicore(replay_cores, batch)
                 };
                 let d = diff_pack(&pack, &[], &cfg);

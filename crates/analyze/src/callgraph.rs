@@ -164,7 +164,7 @@ impl CallGraph {
         parent
     }
 
-    /// `worker_loop → run_task_caught → panic_message`-style chain from
+    /// `bound_phase → run_quantum_local → peek`-style chain from
     /// a reachability root to `f`, given the parent map.
     pub fn chain(
         &self,

@@ -1,6 +1,6 @@
 //! Lint configuration: which crates are result-bearing, which modules
-//! are allowed host timing or thread spawns, and which functions form
-//! the worker-loop hot path.
+//! are allowed host timing or thread spawns, and which functions root
+//! the replay hot path.
 //!
 //! The defaults encode this repo's policy (DESIGN.md §12). They are data
 //! rather than hard-coded checks so the fixture tests can exercise the
@@ -24,18 +24,18 @@ pub struct LintConfig {
     /// Files allowed to use `Instant`/`SystemTime` (host-only timing
     /// that never feeds simulated results, e.g. `RuntimeTiming`).
     pub host_time_allow: Vec<&'static str>,
-    /// Files allowed to spawn threads (the parallel runtime itself).
+    /// Files allowed to spawn threads or processes.
     pub spawn_allow: Vec<&'static str>,
     /// Functions in which bare `unwrap()`/`expect()` is banned. These
-    /// are also the reachability roots of the workspace hot-path passes.
+    /// are also the reachability roots of the workspace hot-path pass.
     pub hot_paths: Vec<HotPath>,
     /// Free functions that acquire the lock passed as their argument
     /// (the pass treats a call like `lock_recover(&self.state)` as an
     /// acquisition of the `state` lock class).
     pub lock_helpers: Vec<&'static str>,
     /// Raw lock field/binding names → canonical lock-class names, so
-    /// `slot`/`slots` and the barrier `state` report under their runtime
-    /// names in lock-order witnesses.
+    /// `slot`/`slots` and the barrier `state` report under their
+    /// protocol names in lock-order witnesses.
     pub lock_aliases: Vec<(&'static str, &'static str)>,
 }
 
@@ -46,7 +46,6 @@ impl Default for LintConfig {
             host_time_allow: vec![
                 // RuntimeTiming measures host wall-clock for the perf
                 // report only; simulated results never read it.
-                "crates/sim/src/runtime.rs",
                 "crates/sim/src/multicore.rs",
                 // Bench harness timing is host-side by definition.
                 "crates/bench/src/lib.rs",
@@ -57,49 +56,19 @@ impl Default for LintConfig {
                 "crates/telemetry/src/span.rs",
             ],
             spawn_allow: vec![
-                "crates/sim/src/runtime.rs",
-                "crates/sim/src/multicore.rs",
                 // The model checker's explorer runs real OS threads
                 // under its virtual scheduler.
                 "crates/analyze/src/sched/explorer.rs",
                 "crates/analyze/src/sched/shim.rs",
                 // The crash-recovery harness spawns a child *process*
                 // (its own binary, the `kill -9` target) — a
-                // `Command::spawn`, not a worker thread.
+                // `Command::spawn`, not a thread.
                 "crates/bench/src/bin/crashrecovery.rs",
             ],
             hot_paths: vec![
                 HotPath {
                     file: "crates/sim/src/multicore.rs",
-                    function: "worker_loop",
-                },
-                HotPath {
-                    file: "crates/sim/src/multicore.rs",
-                    function: "run_task_caught",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "wait_for_quantum",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "worker_done",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "release",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "wait_all_done",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "wait_all_done_deadline",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "stop",
+                    function: "bound_phase",
                 },
                 HotPath {
                     file: "crates/sim/src/multicore.rs",
@@ -107,18 +76,20 @@ impl Default for LintConfig {
                 },
             ],
             lock_helpers: vec![
-                // Production poison-recovering lock helper (runtime.rs)
-                // and the model checker's internal std-mutex helpers.
+                // The poison-recovering helper of the threaded runtime
+                // (git 6e6b514) and the model checker's internal
+                // std-mutex helpers.
                 "lock_recover",
                 "lk",
                 "lk_handles",
             ],
+            // The lock classes of the threaded bound-phase protocol that
+            // the sched models mirror.
             lock_aliases: vec![
                 ("slot", "worker-slot"),
                 ("slots", "worker-slot"),
                 ("panics", "panic-list"),
                 ("state", "barrier-state"),
-                ("tracks", "telemetry-recorder"),
                 // Drain-protocol model: per-core bound-phase progress
                 // counters the checkpoint snapshot reads after quiesce.
                 ("counters", "core-progress"),
@@ -141,7 +112,7 @@ impl LintConfig {
         self.host_time_allow.contains(&path)
     }
 
-    /// Whether `path` may spawn threads.
+    /// Whether `path` may spawn threads or processes.
     pub fn allows_spawn(&self, path: &str) -> bool {
         self.spawn_allow.contains(&path)
     }

@@ -6,17 +6,16 @@
 //! functions reachable from those roots over the workspace call graph
 //! and scans every reachable body in a result-bearing crate for:
 //!
-//! * `hot-path-unwrap` — bare `.unwrap()` / `.expect(...)`: a panic in
-//!   a worker tears down the deterministic quantum protocol;
+//! * `hot-path-unwrap` — bare `.unwrap()` / `.expect(...)`: a panic on
+//!   the replay path aborts the run;
 //! * `hot-path-alloc` — `Vec::new` / `Box::new` / `vec!` / `format!` /
-//!   `.to_string()` / `.collect()`: allocation on the per-quantum path
-//!   is both a throughput tax and a source of allocator-lock contention
-//!   across workers;
+//!   `.to_string()` / `.collect()`: allocation on the per-op path is a
+//!   throughput tax;
 //! * `hot-path-blocking` — `println!`-family macros and file I/O: a
-//!   blocked worker stalls the whole quantum barrier.
+//!   blocking call on the per-op path stalls the whole replay.
 //!
 //! Every finding's help carries the reachability chain from a root
-//! (`worker_loop → run_task_caught → panic_message`), so the reader can
+//! (`bound_phase → panic_message`), so the reader can
 //! see *why* the function is hot. Suppression is the ordinary
 //! `// analyze::allow(<lint>): <reason>` directive, applied by the
 //! caller per file.
@@ -68,7 +67,7 @@ pub fn run(ws: &Workspace, cg: &CallGraph, config: &LintConfig) -> Vec<Finding> 
                     .nth(t[i].line as usize - 1)
                     .unwrap_or("")
                     .to_string(),
-                help: format!("reachable from a worker root: {chain}; {}", site.remedy),
+                help: format!("reachable from a replay root: {chain}; {}", site.remedy),
             });
         }
     }
@@ -109,7 +108,7 @@ fn classify(t: &[Token], i: usize) -> Option<Site> {
         return Some(Site {
             lint: "hot-path-unwrap",
             what: format!("`{id}()`"),
-            remedy: "a panic here tears down the worker protocol; return the error \
+            remedy: "a panic here aborts the replay; return the error \
                      or use a checked accessor",
         });
     }
@@ -145,7 +144,7 @@ fn classify(t: &[Token], i: usize) -> Option<Site> {
             lint: "hot-path-blocking",
             what: format!("blocking console I/O (`{id}!`)"),
             remedy: "route output through the telemetry recorder instead of \
-                     blocking a worker on the console lock",
+                     blocking the replay on the console lock",
         });
     }
     if id == "File" && t.get(i + 1).is_some_and(|x| x.is_punct(':')) {
@@ -154,7 +153,7 @@ fn classify(t: &[Token], i: usize) -> Option<Site> {
             return Some(Site {
                 lint: "hot-path-blocking",
                 what: "file I/O (`File::…`)".to_string(),
-                remedy: "perform file I/O outside the worker loop",
+                remedy: "perform file I/O outside the replay loop",
             });
         }
     }
@@ -162,7 +161,7 @@ fn classify(t: &[Token], i: usize) -> Option<Site> {
         return Some(Site {
             lint: "hot-path-blocking",
             what: format!("file I/O (`fs::{id}`)"),
-            remedy: "perform file I/O outside the worker loop",
+            remedy: "perform file I/O outside the replay loop",
         });
     }
     None
@@ -175,7 +174,7 @@ mod tests {
 
     fn run_on(src: &str) -> Vec<Finding> {
         // Place the hot root in multicore.rs so the default config's
-        // `worker_loop` root matches.
+        // `bound_phase` root matches.
         let ws = Workspace::from_sources(vec![(
             "crates/sim/src/multicore.rs".to_string(),
             src.to_string(),
@@ -187,19 +186,19 @@ mod tests {
     #[test]
     fn unwrap_behind_one_call_of_indirection_is_caught() {
         let findings = run_on(
-            "fn worker_loop() { helper(); }\n\
+            "fn bound_phase() { helper(); }\n\
              fn helper() { thing.unwrap(); }",
         );
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].lint, "hot-path-unwrap");
         assert_eq!((findings[0].line, findings[0].col), (2, 21));
-        assert!(findings[0].help.contains("worker_loop → helper"));
+        assert!(findings[0].help.contains("bound_phase → helper"));
     }
 
     #[test]
     fn alloc_and_blocking_sites_are_classified() {
         let findings = run_on(
-            "fn worker_loop() {\n\
+            "fn bound_phase() {\n\
                  let v = Vec::new();\n\
                  let s = x.to_string();\n\
                  println!(\"hi\");\n\
@@ -223,7 +222,7 @@ mod tests {
     fn cold_functions_are_not_scanned() {
         let findings = run_on(
             "fn cold() { thing.unwrap(); let v = Vec::new(); }\n\
-             fn worker_loop() { }",
+             fn bound_phase() { }",
         );
         assert!(findings.is_empty(), "{findings:?}");
     }
@@ -233,7 +232,7 @@ mod tests {
         let ws = Workspace::from_sources(vec![
             (
                 "crates/sim/src/multicore.rs".to_string(),
-                "fn worker_loop() { bench_hook(); }".to_string(),
+                "fn bound_phase() { bench_hook(); }".to_string(),
             ),
             (
                 "crates/bench/src/lib.rs".to_string(),

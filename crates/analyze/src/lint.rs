@@ -14,8 +14,8 @@
 //! | `nondet-map-iter` | iterating a default-hasher map (`.iter()`, `.keys()`, ...) |
 //! | `host-time` | `Instant`/`SystemTime` in a simulated-result path |
 //! | `host-rand` | OS randomness (`thread_rng`, `OsRng`, `from_entropy`, `getrandom`) |
-//! | `thread-spawn` | spawning threads outside the parallel runtime |
-//! | `hot-path-unwrap` | bare `.unwrap()`/`.expect()` in a worker-loop hot-path function |
+//! | `thread-spawn` | spawning a thread or process outside the allowlist |
+//! | `hot-path-unwrap` | bare `.unwrap()`/`.expect()` in a replay hot-path function |
 //! | `missing-forbid-unsafe` | crate/bin root without `#![forbid(unsafe_code)]` |
 //! | `malformed-allow` | an `analyze::allow` directive that doesn't parse |
 //! | `unused-allow` | an `analyze::allow` directive that suppresses nothing (never itself suppressible) |
@@ -224,9 +224,9 @@ pub(crate) fn lint_file(
                 raw.push(mk(
                     "thread-spawn",
                     at,
-                    "thread spawn outside the parallel runtime".to_string(),
-                    "all worker threads belong to runtime.rs/multicore.rs so the \
-                     persistent pool and barrier protocol stay the single concurrency site",
+                    "thread spawn outside the allowlist".to_string(),
+                    "the simulator runs on the calling thread, so a spawn can only enter \
+                     through a reviewed LintConfig::spawn_allow entry",
                 ));
             }
         }
@@ -254,10 +254,9 @@ pub(crate) fn lint_file(
                         &t[i + 1],
                         format!(
                             "bare `.{m}()` in hot-path function `{func}`: a panic here \
-                             poisons the barrier and hangs every worker"
+                             aborts the replay"
                         ),
-                        "recover explicitly (e.g. `unwrap_or_else(PoisonError::into_inner)`) \
-                         or surface the error as WorkerPanic",
+                        "recover explicitly or surface the error as a typed result",
                     ));
                 }
             }
@@ -562,19 +561,28 @@ mod tests {
     fn host_time_respects_the_allowlist() {
         let src = "fn f() { let t = Instant::now(); }";
         assert_eq!(lints("crates/sim/src/os.rs", src), vec!["host-time"]);
-        assert!(lints("crates/sim/src/runtime.rs", src).is_empty());
+        assert_eq!(lints("crates/sim/src/runtime.rs", src), vec!["host-time"]);
+        assert!(lints("crates/sim/src/multicore.rs", src).is_empty());
     }
 
     #[test]
     fn spawn_fires_outside_the_runtime() {
         let src = "fn f() { thread::spawn(|| {}); }";
         assert_eq!(lints("crates/sim/src/os.rs", src), vec!["thread-spawn"]);
-        assert!(lints("crates/sim/src/multicore.rs", src).is_empty());
+        // The runtime itself runs on the calling thread, so it is no
+        // longer exempt; only the allowlisted harness is.
+        assert_eq!(
+            lints("crates/sim/src/multicore.rs", src),
+            vec!["thread-spawn"]
+        );
+        assert!(
+            !lints("crates/bench/src/bin/crashrecovery.rs", src).contains(&"thread-spawn".into())
+        );
     }
 
     #[test]
     fn hot_path_unwrap_is_function_scoped() {
-        let src = "fn worker_loop() { x.lock().unwrap(); }\n\
+        let src = "fn bound_phase() { x.lock().unwrap(); }\n\
                    fn elsewhere() { y.lock().unwrap(); }";
         let out = lint("crates/sim/src/multicore.rs", src);
         assert_eq!(out.findings.len(), 1);

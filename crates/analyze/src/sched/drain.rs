@@ -1,7 +1,9 @@
 //! Model of the checkpoint **drain protocol**: workers quiesce at the
 //! quantum barrier, the main thread takes a single-threaded snapshot,
-//! then releases the next quantum
-//! (`califorms-sim/src/multicore.rs::run_loop`'s checkpoint hook).
+//! then releases the next quantum (the checkpoint hook of
+//! `califorms-sim/src/multicore.rs::run_loop` at git `6e6b514`; the
+//! serial run loop keeps the same order — every core's bound phase,
+//! the weave, then the snapshot — on one thread).
 //!
 //! Checkpoint capture has no locking of its own — its entire safety
 //! argument is *ordering*: the snapshot runs strictly after

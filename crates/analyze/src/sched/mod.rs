@@ -1,5 +1,8 @@
-//! Loom-style concurrency model checking for the parallel runtime's
-//! protocols.
+//! Loom-style concurrency model checking for the protocols of the
+//! threaded bound phase, which `califorms-sim` ran on one host thread
+//! per core until git `6e6b514`. The simulator now runs the bound phase
+//! on the calling thread; these models keep the protocol a re-threaded
+//! bound phase must follow, and the checker that proves it.
 //!
 //! Real OS threads run the model code, but a virtual scheduler
 //! serializes them: exactly one model thread holds the "baton" at a
@@ -22,7 +25,7 @@
 //!   trace.
 //! * [`models`] — faithful state-machine models of the
 //!   `QuantumBarrier` epoch protocol and the worker-slot task handoff
-//!   from `califorms-sim`, with deliberately-broken variants
+//!   of that threaded runtime, with deliberately-broken variants
 //!   (`notify_one` release, check-then-wait gap, done-before-return)
 //!   that prove the detectors actually fire.
 //! * [`drain`] — the checkpoint drain protocol (workers quiesce at the

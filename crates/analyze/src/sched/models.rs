@@ -1,8 +1,9 @@
-//! Protocol models of the parallel runtime's two concurrency cores:
+//! Protocol models of the threaded runtime's two concurrency cores:
 //! the `QuantumBarrier` epoch protocol and the worker-slot task
-//! handoff (`califorms-sim/src/runtime.rs` / `multicore.rs`).
+//! handoff (`califorms-sim/src/runtime.rs` / `multicore.rs` at git
+//! `6e6b514`, the last commit whose bound phase ran on worker threads).
 //!
-//! Each model mirrors the production control flow statement for
+//! Each model mirrors that runtime's control flow statement for
 //! statement over the shim sync types, with the simulated payloads
 //! (cycle bounds, replay cursors, L1s) reduced to counters. Deliberately
 //! broken variants re-introduce the classic bug in each protocol so the

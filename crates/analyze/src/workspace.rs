@@ -131,8 +131,8 @@ mod tests {
         let report = analyze_sources(
             vec![(
                 "crates/sim/src/multicore.rs".to_string(),
-                "fn worker_loop() {\n\
-                     // analyze::allow(hot-path-unwrap): slot invariant, cannot be empty here\n\
+                "fn bound_phase() {\n\
+                     // analyze::allow(hot-path-unwrap): cursor invariant, cannot be empty here\n\
                      thing.unwrap();\n\
                  }"
                 .to_string(),

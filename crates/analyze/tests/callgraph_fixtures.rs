@@ -79,7 +79,7 @@ fn hot_path_violations_are_caught_one_call_from_the_root() {
     // in the root itself.
     for f in &report.findings {
         assert!(
-            f.help.contains("worker_loop") && f.help.contains("helper"),
+            f.help.contains("bound_phase") && f.help.contains("helper"),
             "{}",
             f.help
         );

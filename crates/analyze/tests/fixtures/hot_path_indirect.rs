@@ -1,8 +1,8 @@
-//! Seeded hot-path violations one call away from the worker root: the
-//! old per-function name heuristic only saw `worker_loop`'s own body;
+//! Seeded hot-path violations one call away from the replay root: the
+//! old per-function name heuristic only saw `bound_phase`'s own body;
 //! the reachability pass must follow the call into `helper`.
 
-pub fn worker_loop(src: &S) {
+pub fn bound_phase(src: &S) {
     helper(src);
 }
 

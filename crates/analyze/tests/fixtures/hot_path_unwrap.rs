@@ -1,6 +1,6 @@
 //! Fixture: bare unwrap/expect inside a hot-path function.
 
-fn worker_loop(slot: &std::sync::Mutex<u64>) -> u64 {
+fn bound_phase(slot: &std::sync::Mutex<u64>) -> u64 {
     let g = slot.lock().unwrap();
     let v = std::env::var("X").expect("env");
     *g + v.len() as u64

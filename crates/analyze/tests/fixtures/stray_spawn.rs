@@ -1,4 +1,4 @@
-//! Fixture: thread spawns outside the parallel runtime.
+//! Fixture: thread spawns outside the spawn allowlist.
 
 pub fn run() {
     let h = std::thread::spawn(|| 1 + 1);

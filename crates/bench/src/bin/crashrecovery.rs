@@ -8,15 +8,13 @@
 //!    at each configured interval; the JSON records checkpoint count,
 //!    size, amortized write latency, the restore latency of the last
 //!    checkpoint, and the checkpointing overhead in percent.
-//! 2. **In-process kill→resume→verify** — a worker is killed by the
-//!    fault-injection hook mid-run; the retry-with-backoff driver falls
-//!    back to the latest checkpoint and the recovered outcome must be
-//!    bit-identical to the straight-through run.
-//! 3. **Stall→watchdog** — a stalled worker must surface as a typed
-//!    `RunError::Stall` within the watchdog deadline, never a hang.
-//! 4. **Corruption campaign** — truncated and bit-flipped checkpoints
+//! 2. **In-process kill→resume→verify** — a core's replay is killed by
+//!    the fault-injection hook mid-run; the retry-with-backoff driver
+//!    falls back to the latest checkpoint and the recovered outcome must
+//!    be bit-identical to the straight-through run.
+//! 3. **Corruption campaign** — truncated and bit-flipped checkpoints
 //!    must fail typed (`RunError::Checkpoint`), never panic.
-//! 5. **Child-process `kill -9`** (`--smoke`) — the bin re-spawns
+//! 4. **Child-process `kill -9`** (`--smoke`) — the bin re-spawns
 //!    itself (`--child`), the child streams checkpoints to disk
 //!    (atomic rename), the parent SIGKILLs it mid-run, resumes from the
 //!    newest on-disk checkpoint (falling back to older ones if the
@@ -130,7 +128,7 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Runs `f` with the panic hook silenced: injected worker kills panic
+/// Runs `f` with the panic hook silenced: injected kills panic
 /// by design (the engine catches them and returns typed errors), and
 /// their backtraces would drown the real output.
 fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
@@ -166,14 +164,6 @@ struct KillResumeRow {
 }
 
 #[derive(Debug, Serialize)]
-struct StallRow {
-    typed: bool,
-    core: usize,
-    phase: String,
-    elapsed_ms: f64,
-}
-
-#[derive(Debug, Serialize)]
 struct CampaignRow {
     case: String,
     ok: bool,
@@ -198,7 +188,6 @@ struct RecoveryReport {
     quantum: f64,
     intervals: Vec<IntervalRow>,
     kill_resume: KillResumeRow,
-    stall: StallRow,
     campaign: Vec<CampaignRow>,
     child_kill: Option<ChildKillRow>,
 }
@@ -442,7 +431,7 @@ fn main() -> ExitCode {
 
     // 2. In-process kill → retry-with-backoff resume → verify. The
     // interval is tied to the kill point so at least one checkpoint
-    // exists to fall back to when the worker dies.
+    // exists to fall back to when the core is killed.
     let kill_quantum = quanta / 2;
     let kr_interval = NonZeroU64::new(kill_quantum / 2).unwrap_or(NonZeroU64::MIN);
     let cores = args.cores;
@@ -452,7 +441,6 @@ fn main() -> ExitCode {
             || {
                 MulticoreEngine::new(config(cores).with_fault(FaultPlan {
                     kill_at: Some((cores - 1, kill_quantum)),
-                    ..FaultPlan::default()
                 }))
             },
             kr_interval,
@@ -470,36 +458,7 @@ fn main() -> ExitCode {
     assert!(retries_used >= 1, "the kill must actually have fired");
     println!("  kill at quantum {kill_quantum}: recovered in {retries_used} retry, bit-identical");
 
-    // 3. Stall → watchdog.
-    let t = Instant::now();
-    let stall_err = MulticoreEngine::new(
-        config(args.cores)
-            .with_watchdog(Some(Duration::from_millis(50)))
-            .with_fault(FaultPlan {
-                stall_at: Some((0, kill_quantum, 400)),
-                ..FaultPlan::default()
-            }),
-    )
-    .replay(Source::Pack {
-        pack: &pack,
-        checkpoints: None,
-    });
-    let stall_elapsed = t.elapsed();
-    let stall = match stall_err {
-        Err(RunError::Stall(s)) => StallRow {
-            typed: true,
-            core: s.core,
-            phase: s.phase.to_string(),
-            elapsed_ms: ms(stall_elapsed),
-        },
-        other => panic!("stall did not surface typed: {other:?}"),
-    };
-    println!(
-        "  stall: typed WorkerStall on core {} in {:.0} ms",
-        stall.core, stall.elapsed_ms
-    );
-
-    // 4. Corruption campaign: truncations and bit flips must fail
+    // 3. Corruption campaign: truncations and bit flips must fail
     // typed. A small pack suffices — the campaign checks error paths,
     // not throughput — and keeps the interval-1 checkpointed runs
     // inside `run_fault_campaign` cheap.
@@ -511,7 +470,6 @@ fn main() -> ExitCode {
             core: 1,
             quantum: 0,
         },
-        FaultCampaign::StallWorker { core: 0 },
         FaultCampaign::TruncateCheckpoint { keep: 0 },
         FaultCampaign::TruncateCheckpoint { keep: 64 },
         FaultCampaign::FlipCheckpointByte { at: 5 },
@@ -536,7 +494,7 @@ fn main() -> ExitCode {
         campaign.len()
     );
 
-    // 5. Child-process kill -9 (smoke only — spawns a real process).
+    // 4. Child-process kill -9 (smoke only — spawns a real process).
     let child_kill = args
         .smoke
         .then(|| child_kill_smoke(&pack, &reference, &args));
@@ -556,7 +514,6 @@ fn main() -> ExitCode {
         quantum: QUANTUM,
         intervals: rows,
         kill_resume,
-        stall,
         campaign,
         child_kill,
     };

@@ -1,6 +1,6 @@
 //! Host replay-throughput study: how fast the simulator itself chews
-//! through trace ops, before and after the trace-pack + parallel-runtime
-//! overhauls.
+//! through trace ops, before and after the trace-pack and multicore
+//! runtime overhauls.
 //!
 //! Single-core rows over the same streaming workload:
 //!
@@ -14,7 +14,7 @@
 //!   compact binary pack into a fixed ring (decode cost included).
 //!
 //! Multi-core rows (2/4 cores by default, `--cores` to override) on the
-//! persistent-worker-pool `MulticoreEngine`:
+//! `MulticoreEngine`, which runs on the calling thread:
 //!
 //! * `mc_shared_*` — the single stream round-robin-sharded across cores
 //!   (heavy artificial sharing: a worst case that stays weave-bound);
@@ -23,19 +23,24 @@
 //!   sets, but stream-dominated, so throughput tracks the (serial,
 //!   batched) private-miss transaction path;
 //! * `mc_readmostly_*` — the `shared-table-hot` multicore workload
-//!   (97 % loads over an L1-resident shared table, califormed spans):
-//!   nearly every op completes in the parallel bound phase — the shape
-//!   the persistent-worker runtime is built for.
+//!   (97 % loads over an L1-resident shared table, califormed spans).
+//!   Its hits need no transaction, yet under 1 % of its ops complete in
+//!   the bound phase: a core's bound phase ends at its first op that
+//!   needs one, and the weave turn that follows runs the rest of the
+//!   quantum.
 //!
 //! `*_iter` rows replay pre-materialised `Vec` shards; `*_packed` rows
 //! replay packs through per-core decoder lanes. Every packed run is
 //! asserted bit-identical (stats + exceptions) to its unpacked twin
 //! before its throughput is reported, and every multicore row carries the
-//! bound/weave/barrier wall-clock breakdown plus the deterministic
-//! runtime counters.
+//! bound/weave/bookkeeping wall-clock breakdown, the count (and, on
+//! stdout, the share) of ops the bound phase committed, and the
+//! deterministic runtime counters.
 //!
-//! Results go to stdout and `BENCH_replay.json` in the working directory
-//! (the perf-trajectory artifact CI uploads per PR). With `--check`, the
+//! Results go to stdout and to `target/experiment-results/BENCH_replay.json`,
+//! or to `--out PATH` (the perf-trajectory artifact CI uploads per PR;
+//! the committed root file is regenerated with `--out BENCH_replay.json`
+//! on a full-size run). With `--check`, the
 //! process exits non-zero unless the best 2-core packed scaling row
 //! (disjoint or read-mostly) is at least 1.0x legacy single-core
 //! throughput — the CI scaling gate.
@@ -44,21 +49,21 @@
 //! highest-core-count shared-stream packed replay is re-run instrumented:
 //! its counter/latency summary plus the per-core weave wall-clock go to
 //! stdout, the counter snapshot +
-//! histograms to `--metrics-out PATH`, and the per-core bound/weave/
-//! barrier span timeline as Chrome trace-event JSON to `--trace-out PATH`
+//! histograms to `--metrics-out PATH`, and the per-core bound/weave span
+//! timeline as Chrome trace-event JSON to `--trace-out PATH`
 //! (open in <https://ui.perfetto.dev>). `--telemetry-check` gates that
 //! two instrumented runs produce byte-identical counter snapshots and
 //! that telemetry costs ≤ 3% on the best-of-3 read-mostly packed row.
 //!
 //! Usage:
 //! `cargo run --release --bin replay [--smoke] [--check] [--cores 2,4]
-//!  [--quantum N] [--telemetry] [--metrics-out PATH]
+//!  [--quantum N] [--out PATH] [--telemetry] [--metrics-out PATH]
 //!  [--trace-out PATH] [--telemetry-check] [steady_ops]`
 
 #![forbid(unsafe_code)]
 
 use califorms_bench::legacy_replay::run_legacy;
-use califorms_bench::{render_telemetry_summary, write_json};
+use califorms_bench::{render_telemetry_summary, results_dir, write_json};
 use califorms_sim::multicore::shard_ops;
 use califorms_sim::{
     Engine, MulticoreConfig, MulticoreEngine, MulticoreOutcome, Source, TraceOp, TracePack,
@@ -75,22 +80,18 @@ struct ReplayRow {
     mode: String,
     /// Simulated cores.
     cores: u64,
-    /// Host worker threads driving the replay (1 for single-core rows;
-    /// the pool spawns one per simulated core otherwise).
-    threads: u64,
-    /// Execution runtime: `single` (one-thread engine), or `pool`
-    /// (persistent worker pool + epoch barrier).
-    runtime: String,
     ops: u64,
     elapsed_s: f64,
     mops_per_s: f64,
     speedup_vs_legacy: f64,
     bit_identical_to_unpacked: bool,
-    /// Bound/weave/barrier wall-clock breakdown (multicore rows only;
-    /// zero for single-core rows).
+    /// Bound/weave/bookkeeping wall-clock breakdown (multicore rows
+    /// only; zero for single-core rows).
     bound_s: f64,
     weave_s: f64,
     barrier_s: f64,
+    /// Ops committed in the bound phase (multicore rows only).
+    bound_ops: u64,
     /// Deterministic runtime counters (multicore rows only).
     quanta: u64,
     weave_turns: u64,
@@ -99,7 +100,7 @@ struct ReplayRow {
     contended_transactions: u64,
 }
 
-/// The whole report written to `BENCH_replay.json`.
+/// The whole report written as `BENCH_replay.json`.
 #[derive(Debug, Clone, Serialize)]
 struct ReplayReport {
     workload: String,
@@ -121,7 +122,15 @@ fn positional_number(args: &[String]) -> Option<usize> {
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
-        if a == "--cores" || a == "--quantum" || a == "--metrics-out" || a == "--trace-out" {
+        if [
+            "--cores",
+            "--quantum",
+            "--out",
+            "--metrics-out",
+            "--trace-out",
+        ]
+        .contains(&a.as_str())
+        {
             i += 2; // skip the flag and its value
             continue;
         }
@@ -205,6 +214,10 @@ fn main() {
     let quantum: f64 = flag_value("--quantum")
         .map(|v| v.parse().expect("--quantum takes a cycle count"))
         .unwrap_or(10_000.0);
+    let out_path = flag_value("--out").map_or_else(
+        || results_dir().join("BENCH_replay.json"),
+        std::path::PathBuf::from,
+    );
     let metrics_out = flag_value("--metrics-out");
     let trace_out = flag_value("--trace-out");
     let telemetry =
@@ -238,7 +251,7 @@ fn main() {
     );
     println!();
     println!(
-        "{:<18} | {:>5} | {:>9} | {:>11} | {:>9} | {:>8} | {:>7} | {:>7} | {:>7}",
+        "{:<18} | {:>5} | {:>9} | {:>11} | {:>9} | {:>8} | {:>7} | {:>7} | {:>7} | {:>7}",
         "mode",
         "cores",
         "elapsed s",
@@ -247,14 +260,21 @@ fn main() {
         "ident",
         "bound s",
         "weave s",
-        "barr s"
+        "barr s",
+        "bound %"
     );
-    println!("{}", "-".repeat(104));
+    println!("{}", "-".repeat(114));
 
     let mut rows: Vec<ReplayRow> = Vec::new();
     let mut push = |row: ReplayRow| {
+        // The bound-phase share means nothing for the one-thread engine.
+        let bound_share = if row.cores > 1 {
+            format!("{:.2}", 100.0 * row.bound_ops as f64 / row.ops as f64)
+        } else {
+            "—".to_string()
+        };
         println!(
-            "{:<18} | {:>5} | {:>9.3} | {:>11.2} | {:>8.2}x | {:>8} | {:>7.3} | {:>7.3} | {:>7.3}",
+            "{:<18} | {:>5} | {:>9.3} | {:>11.2} | {:>8.2}x | {:>8} | {:>7.3} | {:>7.3} | {:>7.3} | {:>7}",
             row.mode,
             row.cores,
             row.elapsed_s,
@@ -264,6 +284,7 @@ fn main() {
             row.bound_s,
             row.weave_s,
             row.barrier_s,
+            bound_share,
         );
         rows.push(row);
     };
@@ -271,8 +292,6 @@ fn main() {
         |mode: &str, ops_run: u64, elapsed: f64, legacy_mops: f64, identical: bool| ReplayRow {
             mode: mode.to_string(),
             cores: 1,
-            threads: 1,
-            runtime: "single".to_string(),
             ops: ops_run,
             elapsed_s: elapsed,
             mops_per_s: ops_run as f64 / elapsed / 1e6,
@@ -281,6 +300,7 @@ fn main() {
             bound_s: 0.0,
             weave_s: 0.0,
             barrier_s: 0.0,
+            bound_ops: 0,
             quanta: 0,
             weave_turns: 0,
             weave_transactions: 0,
@@ -296,8 +316,6 @@ fn main() {
                   out: &MulticoreOutcome| ReplayRow {
         mode: mode.to_string(),
         cores: cores as u64,
-        threads: cores as u64,
-        runtime: "pool".to_string(),
         ops: ops_run,
         elapsed_s: elapsed,
         mops_per_s: ops_run as f64 / elapsed / 1e6,
@@ -306,6 +324,7 @@ fn main() {
         bound_s: out.timing.bound_s,
         weave_s: out.timing.weave_s,
         barrier_s: out.timing.barrier_s,
+        bound_ops: out.timing.bound_ops,
         quanta: out.stats.runtime.quanta,
         weave_turns: out.stats.runtime.weave_turns,
         weave_transactions: out.stats.runtime.weave_transactions,
@@ -444,8 +463,7 @@ fn main() {
         push(row);
 
         // Read-mostly shared table that fits the private L1s: after
-        // warm-up nearly every op is a clean Shared hit completed in the
-        // bound phase.
+        // warm-up nearly every op is a clean Shared hit.
         let rm = generate_mt(&MtWorkloadConfig {
             pattern: MtPattern::SharedTableHot,
             cores,
@@ -555,10 +573,11 @@ fn main() {
         packed_vs_legacy_speedup: packed_speedup,
         rows,
     };
-    write_json("BENCH_replay.json", &report).expect("write results");
+    write_json(&out_path, &report).expect("write results");
     println!();
     println!(
-        "packed_batched vs legacy_iter: {packed_speedup:.2}x — JSON written to BENCH_replay.json"
+        "packed_batched vs legacy_iter: {packed_speedup:.2}x — JSON written to {}",
+        out_path.display()
     );
 
     if telemetry_check {

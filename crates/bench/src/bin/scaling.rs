@@ -8,9 +8,10 @@
 //!   patterns (shared-table) and stalls for pathological ones
 //!   (false-sharing ping-pong);
 //! * *host* throughput (trace ops replayed per wall-clock second) shows
-//!   where the persistent-worker runtime spends its time — the
-//!   bound/weave/barrier breakdown and the weave-transaction counters
-//!   make a scaling regression diagnosable straight from the JSON;
+//!   where the runtime spends its time — the bound/weave/bookkeeping
+//!   breakdown, the share of ops the bound phase committed and the
+//!   weave-transaction counters make a scaling regression diagnosable
+//!   straight from the JSON;
 //! * the `contended` vs total weave-transaction split shows how much of
 //!   each pattern's coherence traffic genuinely needs cross-core
 //!   arbitration.
@@ -36,10 +37,6 @@ use std::time::Instant;
 struct ScalingRow {
     pattern: String,
     cores: u64,
-    /// Host worker threads (the pool spawns one per simulated core).
-    threads: u64,
-    /// Execution runtime identifier (`pool` = persistent worker pool).
-    runtime: String,
     quantum: f64,
     sim_ipc: f64,
     sim_cycles: f64,
@@ -49,6 +46,10 @@ struct ScalingRow {
     bound_s: f64,
     weave_s: f64,
     barrier_s: f64,
+    /// Trace ops the row replayed, and those committed in the bound
+    /// phase.
+    ops: u64,
+    bound_ops: u64,
     /// Deterministic runtime counters.
     quanta: u64,
     weave_turns: u64,
@@ -113,7 +114,7 @@ fn main() {
     println!("Multi-core scaling ({ops_per_core} trace ops per core, califormed lines)");
     println!();
     println!(
-        "{:<18} | {:>5} | {:>8} | {:>12} | {:>7} | {:>7} | {:>7} | {:>9} | {:>9} | {:>10}",
+        "{:<18} | {:>5} | {:>8} | {:>12} | {:>7} | {:>7} | {:>7} | {:>7} | {:>9} | {:>9} | {:>10}",
         "pattern",
         "cores",
         "sim IPC",
@@ -121,11 +122,12 @@ fn main() {
         "bound s",
         "weave s",
         "barr s",
+        "bound %",
         "weave txn",
         "contended",
         "c2c xfers"
     );
-    println!("{}", "-".repeat(120));
+    println!("{}", "-".repeat(130));
     for pattern in MtPattern::all() {
         for &cores in &core_counts {
             let w = generate_mt(&MtWorkloadConfig {
@@ -147,8 +149,6 @@ fn main() {
             let row = ScalingRow {
                 pattern: w.name.to_string(),
                 cores: cores as u64,
-                threads: cores as u64,
-                runtime: "pool".to_string(),
                 quantum: cfg.quantum,
                 sim_ipc: stats.aggregate_ipc(),
                 sim_cycles: stats.combined.cycles,
@@ -157,6 +157,8 @@ fn main() {
                 bound_s: out.timing.bound_s,
                 weave_s: out.timing.weave_s,
                 barrier_s: out.timing.barrier_s,
+                ops: total_ops as u64,
+                bound_ops: out.timing.bound_ops,
                 quanta: stats.runtime.quanta,
                 weave_turns: stats.runtime.weave_turns,
                 weave_transactions: stats.runtime.weave_transactions,
@@ -168,7 +170,7 @@ fn main() {
                 califormed_transfers: stats.combined.coherence.califormed_transfers,
             };
             println!(
-                "{:<18} | {:>5} | {:>8.3} | {:>12.2} | {:>7.3} | {:>7.3} | {:>7.3} | {:>9} | {:>9} | {:>10}",
+                "{:<18} | {:>5} | {:>8.3} | {:>12.2} | {:>7.3} | {:>7.3} | {:>7.3} | {:>7.2} | {:>9} | {:>9} | {:>10}",
                 row.pattern,
                 row.cores,
                 row.sim_ipc,
@@ -176,13 +178,14 @@ fn main() {
                 row.bound_s,
                 row.weave_s,
                 row.barrier_s,
+                100.0 * row.bound_ops as f64 / row.ops as f64,
                 row.weave_transactions,
                 row.contended_transactions,
                 row.cache_to_cache
             );
             rows.push(row);
         }
-        println!("{}", "-".repeat(120));
+        println!("{}", "-".repeat(130));
     }
 
     write_json(results_dir().join("scaling.json"), &rows).expect("write results");

@@ -200,11 +200,11 @@ pub enum Divergence {
         /// The oracle-side value.
         oracle: u64,
     },
-    /// The engine panicked on a worker thread (multi-core replays) —
+    /// The engine panicked while replaying a core (multi-core replays) —
     /// a divergence by definition: the oracle never panics on a valid
     /// pack.
     EnginePanic {
-        /// Core whose worker panicked.
+        /// Core whose replay panicked.
         core: usize,
         /// The panic message.
         message: String,
@@ -266,7 +266,7 @@ impl std::fmt::Display for Divergence {
                  engine={engine} oracle={oracle}"
             ),
             Divergence::EnginePanic { core, message } => {
-                write!(f, "engine worker for core {core} panicked: {message}")
+                write!(f, "engine replay of core {core} panicked: {message}")
             }
             Divergence::Resume { checkpoint, detail } => {
                 write!(f, "checkpoint {checkpoint} resume diverged: {detail}")
@@ -654,23 +654,18 @@ fn diff_resume_single(pack: &TracePack, every: NonZeroU64) -> Option<Divergence>
 
 /// One case of the crash/corruption fault campaign (DESIGN.md §14) —
 /// the harness-driven faults beyond [`FaultInjection::L1MaskOffByOne`].
-/// Every case must surface as a *typed* error within the watchdog
-/// deadline; [`run_fault_campaign`] verifies that.
+/// Every case must surface as a *typed* error; [`run_fault_campaign`]
+/// verifies that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultCampaign {
-    /// Kill `core`'s worker thread (in-process panic hook) at the start
-    /// of quantum `quantum` — must surface as `RunError::Panic`.
+    /// Kill `core`'s replay (in-process panic hook) at the start of its
+    /// bound phase in quantum `quantum` — must surface as
+    /// `RunError::Panic`.
     KillWorker {
-        /// Core whose worker is killed.
+        /// Core whose replay is killed.
         core: usize,
         /// Quantum at which the kill fires.
         quantum: u64,
-    },
-    /// Stall `core`'s worker long enough to trip the barrier watchdog —
-    /// must surface as `RunError::Stall` naming the core.
-    StallWorker {
-        /// Core whose worker stalls.
-        core: usize,
     },
     /// Truncate a captured checkpoint to `keep` bytes before resuming —
     /// must surface as `RunError::Checkpoint`, never a panic.
@@ -693,8 +688,7 @@ pub enum FaultCampaign {
 /// `Err` means the campaign found a robustness bug (wrong error class,
 /// or no error at all).
 ///
-/// The stall case uses a deliberately short watchdog so the campaign
-/// stays fast; kill/stall need `cfg.cores ≥ 2`.
+/// The kill case needs `cfg.cores ≥ 2`.
 pub fn run_fault_campaign(
     pack: &TracePack,
     campaign: FaultCampaign,
@@ -707,7 +701,6 @@ pub fn run_fault_campaign(
         FaultCampaign::KillWorker { core, quantum } => {
             let mc = MulticoreEngine::new(base.with_fault(FaultPlan {
                 kill_at: Some((core, quantum)),
-                ..FaultPlan::default()
             }));
             match mc.replay(Source::Pack {
                 pack,
@@ -715,24 +708,7 @@ pub fn run_fault_campaign(
             }) {
                 Err(RunError::Panic(p)) if p.core == core => Ok(format!("typed worker panic: {p}")),
                 Err(other) => Err(format!("wrong error class for a kill: {other}")),
-                Ok(_) => Err("killed worker went unnoticed".into()),
-            }
-        }
-        FaultCampaign::StallWorker { core } => {
-            let mc = MulticoreEngine::new(
-                base.with_watchdog(Some(std::time::Duration::from_millis(50)))
-                    .with_fault(FaultPlan {
-                        stall_at: Some((core, 0, 400)),
-                        ..FaultPlan::default()
-                    }),
-            );
-            match mc.replay(Source::Pack {
-                pack,
-                checkpoints: None,
-            }) {
-                Err(RunError::Stall(s)) if s.core == core => Ok(format!("typed worker stall: {s}")),
-                Err(other) => Err(format!("wrong error class for a stall: {other}")),
-                Ok(_) => Err("stalled worker went unnoticed".into()),
+                Ok(_) => Err("killed core went unnoticed".into()),
             }
         }
         FaultCampaign::TruncateCheckpoint { keep } => {
@@ -842,7 +818,7 @@ mod tests {
     #[test]
     fn invalid_stream_faulting_on_both_sides_is_agreement() {
         // An unbalanced MaskPop (the kind of stream a shrinker's
-        // candidate reductions manufacture) panics the engine worker
+        // candidate reductions manufacture) panics the engine replay
         // *and* the oracle: that is agreement, not an EnginePanic
         // divergence — otherwise shrinking would converge on unrelated
         // invalid packs.
@@ -971,7 +947,6 @@ mod tests {
                 core: 1,
                 quantum: 0,
             },
-            FaultCampaign::StallWorker { core: 0 },
             FaultCampaign::TruncateCheckpoint { keep: 9 },
             FaultCampaign::FlipCheckpointByte { at: 1234 },
         ] {

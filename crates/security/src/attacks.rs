@@ -161,8 +161,8 @@ pub fn cross_core_probe(policy: InsertionPolicy, seed: u64) -> AttackReport {
         });
     }
 
-    // Attacker shard: sit out the victim's setup (the engine's quantum
-    // barrier makes prior-quantum state visible), then sweep byte by byte
+    // Attacker shard: sit out the victim's setup (a quantum boundary
+    // makes prior-quantum state visible), then sweep byte by byte
     // from `buf` towards the function pointer behind it.
     let buf = l.field_offset("buf").expect("paper example has buf") as u64;
     let fp = l.field_offset("fp").expect("paper example has fp") as u64;

@@ -96,20 +96,6 @@ impl<V> SetAssocCache<V> {
         }
     }
 
-    /// A zero-set placeholder left behind while the real cache is lent to
-    /// a bound-phase worker (see `crate::multicore`). Must never be
-    /// accessed.
-    pub(crate) fn detached() -> Self {
-        Self {
-            sets: Vec::new(),
-            set_bits: 0,
-            ways: 1,
-            clock: 0,
-            latency: 0,
-            stats: CacheStats::default(),
-        }
-    }
-
     /// Number of sets.
     pub fn set_count(&self) -> usize {
         self.sets.len()
@@ -130,8 +116,8 @@ impl<V> SetAssocCache<V> {
         self.sets.len() * self.ways
     }
 
-    /// Fraction of line slots occupied, in `[0, 1]` (0 for a detached
-    /// stand-in cache, which has no sets).
+    /// Fraction of line slots occupied, in `[0, 1]` (0 for a cache with
+    /// no line slots).
     pub fn occupancy(&self) -> f64 {
         let cap = self.capacity_lines();
         if cap == 0 {

@@ -29,11 +29,9 @@
 //!
 //! Checkpoints are only taken at *quantum boundaries*: for the
 //! single-core [`crate::engine::Engine`] that is a decode-batch edge,
-//! for the [`crate::multicore::MulticoreEngine`] it is the
-//! weave-complete point where every worker has quiesced and the engine
-//! is single-threaded (the drain protocol model-checked in
-//! `califorms-analyze`). No worker coordination beyond that drain is
-//! needed, so serialization itself is plain single-threaded code.
+//! for the [`crate::multicore::MulticoreEngine`] it is the point after
+//! the weave, where no op is in flight on any core. The whole run is on
+//! the calling thread, so serialization is plain sequential code.
 //!
 //! A replay asks for checkpoints with a [`Checkpoints`] request
 //! (`Engine::replay`, `Source::Pack` on `MulticoreEngine::replay`), and

@@ -14,9 +14,9 @@
 //!   shared levels through its stream prefetcher, so its lines are always
 //!   E or M;
 //! * [`CoherentHierarchy`] runs the MESI directory below;
-//! * a bound-phase worker ([`crate::multicore::MulticoreEngine`]) does not
-//!   make it resident at all: it defers the access to the weave without
-//!   counting a hit or miss.
+//! * a core's bound phase ([`crate::multicore::MulticoreEngine`]) does
+//!   not make it resident at all: it defers the access to the weave
+//!   without counting a hit or miss.
 //!
 //! **Coherence** (DESIGN.md §7). Every core owns a `CoreL1`, and all cores
 //! share the sentinel-format L2/L3/DRAM levels ([`SharedLevels`]). A
@@ -116,12 +116,11 @@ impl Default for CoherenceConfig {
 
 /// One core's private L1D with its MESI states.
 ///
-/// During the parallel phase of a quantum
-/// ([`crate::multicore::MulticoreEngine`]) each worker thread holds `&mut`
-/// to exactly one `CoreL1` and completes through `try_access` only
-/// the accesses that need no directory transaction (hits with sufficient
-/// MESI permission). Everything else is deferred and replayed through
-/// [`CoherentHierarchy`] in the deterministic serial phase.
+/// In a core's bound phase ([`crate::multicore::MulticoreEngine`]) the
+/// replay holds `&mut` to exactly that core's `CoreL1` and completes
+/// through `try_access` only the accesses that need no directory
+/// transaction (hits with sufficient MESI permission). Everything else is
+/// deferred and replayed through [`CoherentHierarchy`] in the weave.
 #[derive(Debug)]
 pub struct CoreL1 {
     pub(crate) cache: SetAssocCache<CoherentLine>,
@@ -137,14 +136,6 @@ impl CoreL1 {
     /// Hit/miss/eviction counters of this L1.
     pub fn stats(&self) -> CacheStats {
         self.cache.stats
-    }
-
-    /// A structurally empty stand-in left behind while the real L1 is
-    /// lent to a bound-phase worker. Never accessed.
-    pub(crate) fn detached() -> Self {
-        Self {
-            cache: SetAssocCache::detached(),
-        }
     }
 
     /// Whether every line of `[addr, end)` is resident (`write`
@@ -513,17 +504,6 @@ impl CoherentHierarchy {
     /// Mutable access to one core's L1.
     pub fn l1_mut(&mut self, c: usize) -> &mut CoreL1 {
         &mut self.l1s[c]
-    }
-
-    /// Lends core `c`'s L1 out for a bound phase, leaving a detached
-    /// stand-in; pair with [`Self::put_l1`].
-    pub(crate) fn take_l1(&mut self, c: usize) -> CoreL1 {
-        std::mem::replace(&mut self.l1s[c], CoreL1::detached())
-    }
-
-    /// Returns a lent L1.
-    pub(crate) fn put_l1(&mut self, c: usize, l1: CoreL1) {
-        self.l1s[c] = l1;
     }
 
     /// L1→L2 spill conversions of califormed lines (all cores).

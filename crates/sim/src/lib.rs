@@ -19,8 +19,8 @@
 //!   access path, and the multi-core extension: a MESI directory over
 //!   per-core bitvector-format L1Ds sharing the sentinel-format L2/L3,
 //!   with the real spill/fill conversions on every cross-core transfer.
-//! * [`multicore`] — parallel sharded trace replay on `std::thread`
-//!   workers with a deterministic cycle-quantum barrier.
+//! * [`multicore`] — sharded trace replay in deterministic cycle quanta,
+//!   each a bound phase per core and a round-robin weave.
 //! * [`lsq`] — load/store-queue semantics for in-flight `CFORM`s
 //!   (Section 5.3): no store-to-load forwarding, zero on match.
 //! * [`cpu`] — a simple width/overlap core timing model.
@@ -68,7 +68,7 @@ pub use engine::{Engine, SimOutcome};
 pub use hierarchy::{Hierarchy, HierarchyConfig, LineHasher, LineMap};
 pub use multicore::{
     shard_ops, FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError, Source,
-    WorkerPanic, WorkerStall,
+    WorkerPanic,
 };
 pub use runtime::{RuntimeConfig, RuntimeStats, RuntimeTiming};
 pub use stats::{CoherenceStats, MulticoreStats, SimStats};

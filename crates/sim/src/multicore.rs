@@ -1,27 +1,23 @@
-//! The multi-core engine: parallel sharded trace replay over the
-//! MESI-coherent hierarchy, on a persistent worker pool.
+//! The multi-core engine: sharded trace replay over the MESI-coherent
+//! hierarchy, on the calling thread.
 //!
 //! Each core replays its own trace shard. Simulated time advances in
-//! **cycle quanta** with a barrier between them, and every quantum runs
-//! in two phases (the bound/weave idea of ZSim, adapted — see
-//! DESIGN.md §7 and §10):
+//! **cycle quanta**, and every quantum runs in two phases (the bound/weave
+//! idea of ZSim, adapted — see DESIGN.md §7 and §10):
 //!
-//! 1. **Parallel (bound) phase** — one *persistent* worker thread per
-//!    core (spawned once per run, woken through an epoch/`Condvar`
-//!    barrier; no thread is created or joined on the hot path) replays
-//!    ops its private L1 completes without a directory transaction:
-//!    hits with sufficient MESI permission, plain `Exec`, mask ops.
-//!    Workers touch disjoint state — their own replay cursor, decoder
-//!    lane and L1 — so the phase is data-race-free by construction and
-//!    its outcome is independent of thread scheduling. A core stops at
-//!    its first op needing a transaction, or at quantum end.
-//! 2. **Serial (weave) phase** — cores are resumed on the main thread
-//!    in a deterministic round-robin. A turn executes up to
-//!    [`RuntimeConfig::weave_batch`] coherence transactions through the
-//!    full MESI machinery against the shared levels, but a
-//!    transaction that involved another core (recall, invalidation,
-//!    cross-core upgrade) always ends the turn — so a run of
-//!    independent private misses costs one turn instead of N, while
+//! 1. **Bound phase** — each core in turn, in core order, replays the ops
+//!    its private L1 completes without a directory transaction: hits with
+//!    sufficient MESI permission, plain `Exec`, mask ops. A core reads
+//!    and writes only its own replay cursor, decoder lane and L1, so the
+//!    order in which the cores take their bound phases cannot change any
+//!    result. A core stops at its first op needing a transaction, or at
+//!    quantum end.
+//! 2. **Weave phase** — cores are resumed in a deterministic round-robin.
+//!    A turn executes up to [`RuntimeConfig::weave_batch`] coherence
+//!    transactions through the full MESI machinery against the shared
+//!    levels, but a transaction that involved another core (recall,
+//!    invalidation, cross-core upgrade) always ends the turn — so a run
+//!    of independent private misses costs one turn instead of N, while
 //!    intra-quantum line ping-pong (false sharing, lock bouncing) keeps
 //!    its transaction-granular round-robin interleave.
 //!
@@ -29,18 +25,17 @@
 //! granted by earlier (totally ordered) weave phases, and the weave is
 //! totally ordered, so a run's result — every counter, cycle count and
 //! exception, including the [`RuntimeStats`] — is **bit-identical**
-//! across runs and host thread schedules (tested in
-//! `crates/sim/tests/multicore.rs` and
+//! across runs (tested in `crates/sim/tests/multicore.rs` and
 //! `crates/sim/tests/parallel_runtime.rs`). The trade-off is unchanged
 //! from any bound-weave simulator: cross-core visibility is
 //! quantum-granular, at the fixed [`MulticoreConfig::quantum`].
 //!
 //! Packed traces replay without pre-sharding: [`Source::Pack`] gives
-//! every worker its own [`PackDecoder`] lane over the same pack (core
-//! `c` keeps ops with index ≡ `c` mod `cores`), so decode runs in
-//! parallel inside the bound phase instead of materialising
-//! `Vec<TraceOp>` shards up front; [`Source::Packs`] does the same for
-//! per-core packs. [`MulticoreEngine::replay`] runs any [`Source`];
+//! every core its own [`PackDecoder`] lane over the same pack (core `c`
+//! keeps ops with index ≡ `c` mod `cores`), so decode runs a ring at a
+//! time inside replay instead of materialising `Vec<TraceOp>` shards up
+//! front; [`Source::Packs`] does the same for per-core packs.
+//! [`MulticoreEngine::replay`] runs any [`Source`];
 //! [`MulticoreEngine::resume`] continues a checkpointed [`Source::Pack`]
 //! run.
 
@@ -49,9 +44,7 @@ use crate::coherence::{Access, CoherenceConfig, CoherentHierarchy, CoreL1};
 use crate::cpu::{CoreConfig, CoreState};
 use crate::engine::with_store_data;
 use crate::hierarchy::{HierarchyConfig, MemResult};
-use crate::runtime::{
-    lock_recover, BarrierWaitError, QuantumBarrier, RuntimeConfig, RuntimeStats, RuntimeTiming,
-};
+use crate::runtime::{RuntimeConfig, RuntimeStats, RuntimeTiming};
 use crate::stats::{
     CoreWeaveStats, MulticoreStats, SimStats, WeaveBreakdown, WeaveTimingBreakdown,
 };
@@ -61,8 +54,7 @@ use califorms_core::{CaliformsException, CformInstruction};
 use califorms_telemetry::{LogHistogram, Phase, TelemetryClock, TelemetryReport, TrackRecorder};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of a [`MulticoreEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,7 +76,7 @@ pub struct MulticoreConfig {
     pub coherence: CoherenceConfig,
     /// Core timing model, applied to every core.
     pub core: CoreConfig,
-    /// Parallel-runtime knobs (weave batching, watchdog).
+    /// Runtime knobs (weave batching).
     pub runtime: RuntimeConfig,
     /// Record telemetry: per-core phase spans, latency histograms and the
     /// counter snapshot on [`MulticoreOutcome::telemetry`]. Off by
@@ -101,36 +93,22 @@ pub struct MulticoreConfig {
 
 /// Test/bench-only fault-injection hooks (DESIGN.md §14). A plan that
 /// never fires leaves the run bit-identical to an unfaulted one; a plan
-/// that fires is expected to surface as a typed [`RunError`] (kill →
-/// [`WorkerPanic`], stall → [`WorkerStall`] via the watchdog).
+/// that fires surfaces as a typed [`RunError::Panic`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// `Some((core, quantum))`: panic that core's worker at the start of
+    /// `Some((core, quantum))`: panic that core's replay at the start of
     /// its bound phase in that quantum — the in-process abrupt-death
     /// probe (the `crashrecovery` bench additionally does a real
     /// `kill -9` on a child process).
     pub kill_at: Option<(usize, u64)>,
-    /// `Some((core, quantum, hold_ms))`: block that core's worker for
-    /// `hold_ms` milliseconds at the start of its bound phase in that
-    /// quantum — long enough to trip a short test watchdog, short enough
-    /// that the suite never hangs (the worker wakes, observes the torn
-    /// down barrier and exits cleanly).
-    pub stall_at: Option<(usize, u64, u64)>,
 }
 
 impl FaultPlan {
-    /// Fires this plan's hooks for `core` at `quantum` (called at the
-    /// top of every bound phase, inside the worker's `catch_unwind`).
+    /// Fires this plan's hook for `core` at `quantum` (called at the top
+    /// of every bound phase, inside its `catch_unwind`).
     fn fire(&self, core: usize, quantum: u64) {
-        if let Some((c, q)) = self.kill_at {
-            if c == core && q == quantum {
-                panic!("fault injection: kill worker for core {core} at quantum {quantum}");
-            }
-        }
-        if let Some((c, q, hold_ms)) = self.stall_at {
-            if c == core && q == quantum {
-                std::thread::sleep(Duration::from_millis(hold_ms));
-            }
+        if self.kill_at == Some((core, quantum)) {
+            panic!("fault injection: kill core {core} at quantum {quantum}");
         }
     }
 }
@@ -178,13 +156,6 @@ impl MulticoreConfig {
         self
     }
 
-    /// Same machine with a different bound-phase watchdog deadline
-    /// (`None` disables the watchdog).
-    pub fn with_watchdog(mut self, deadline: Option<Duration>) -> Self {
-        self.runtime.watchdog = deadline;
-        self
-    }
-
     /// Same machine with a fault-injection plan armed.
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
@@ -215,14 +186,14 @@ pub enum Source<'p, 's> {
     /// One materialised shard per core.
     Shards(Vec<Vec<TraceOp>>),
     /// One pre-encoded pack per core (e.g. from `MtWorkload::to_packs`),
-    /// each decoded by its own worker inside the bound phase.
+    /// each decoded through its core's own lane as the core replays.
     /// Bit-identical in stats and exceptions to [`Source::Shards`] of the
     /// packs' ops.
     Packs(&'p [TracePack]),
     /// One pack shared by every core and dealt round-robin as
     /// [`shard_ops`] deals it, without materialising the shards: every
-    /// worker owns a [`PackDecoder`] lane over the pack and decodes in
-    /// parallel inside its bound phase. Bit-identical in stats and
+    /// core owns a [`PackDecoder`] lane over the pack and decodes its
+    /// ops a ring at a time as it replays. Bit-identical in stats and
     /// exceptions to [`Source::Shards`] of `shard_ops(pack.iter(), cores)`.
     /// The one source that can checkpoint, because it is the one source
     /// [`MulticoreEngine::resume`] can continue.
@@ -245,13 +216,12 @@ const SOURCE_RING: usize = 256;
 enum ShardSource<'p> {
     /// Pre-materialised `Vec<TraceOp>` shard with a cursor.
     Slice { ops: Vec<TraceOp>, pos: usize },
-    /// A decoder lane: this core decodes the pack itself (inside its own
-    /// bound phase, in parallel with the other cores' lanes) and keeps
-    /// the ops with global index ≡ `lane` (mod `stride`), batching them
-    /// through a fixed ring. `stride == 1` consumes a whole (per-core)
-    /// pack; `stride == cores` round-robin-shards one shared pack,
-    /// bit-identical to [`shard_ops`]. The global index of the next op
-    /// is the decoder's `ops_read`.
+    /// A decoder lane: this core decodes the pack itself as it replays
+    /// and keeps the ops with global index ≡ `lane` (mod `stride`),
+    /// batching them through a fixed ring. `stride == 1` consumes a
+    /// whole (per-core) pack; `stride == cores` round-robin-shards one
+    /// shared pack, bit-identical to [`shard_ops`]. The global index of
+    /// the next op is the decoder's `ops_read`.
     Pack {
         dec: PackDecoder<'p>,
         lane: u64,
@@ -358,8 +328,7 @@ fn decode_batch(dec: &mut PackDecoder<'_>, out: &mut [TraceOp]) -> usize {
 }
 
 /// Per-core replay state: the shard source, the core's architectural
-/// state and its weave counters. Owned by exactly one worker thread
-/// during the parallel phase and by the main thread during the weave.
+/// state and its weave counters.
 #[derive(Debug)]
 struct CoreReplay<'p> {
     id: usize,
@@ -384,9 +353,10 @@ impl<'p> CoreReplay<'p> {
         self.src.peek().is_none()
     }
 
-    /// Parallel ("bound") phase: replay ops the private L1 can complete
-    /// until the first one needing a coherence transaction, or until
-    /// `quantum_end`.
+    /// Replays ops the private L1 can complete until the first one
+    /// needing a coherence transaction, or until `quantum_end`: the whole
+    /// of the core's bound phase, and the local stretches of its weave
+    /// turns.
     fn run_quantum_local(&mut self, l1: &mut CoreL1, quantum_end: f64) {
         while self.state.cycles < quantum_end {
             let Some(op) = self.src.peek() else { return };
@@ -448,20 +418,6 @@ pub fn shard_ops<I: IntoIterator<Item = TraceOp>>(ops: I, cores: usize) -> Vec<V
     shards
 }
 
-/// State a worker owns for the duration of one bound phase: the core's
-/// replay cursor and its L1, lent through the worker's mutex slot at
-/// the top of each quantum and reclaimed for the weave. On telemetry
-/// runs the core's span track rides along so the worker can stamp its
-/// bound span itself; `track` is `None` (a no-op sink — no clock reads,
-/// no writes) when telemetry is off.
-#[derive(Debug)]
-struct WorkerTask<'p> {
-    replay: CoreReplay<'p>,
-    l1: CoreL1,
-    track: Option<TrackRecorder>,
-    quantum: u64,
-}
-
 /// Run-loop state restored from a checkpoint: the deterministic runtime
 /// counters and the end of the quantum the checkpoint was captured
 /// before. Seeding these (plus the per-core replays and hierarchy)
@@ -472,11 +428,9 @@ struct ResumeSeed {
     quantum_end: f64,
 }
 
-/// A panic raised on a bound-phase worker thread, surfaced by
-/// [`MulticoreEngine::replay`] as an error naming the offending core instead
-/// of wedging the quantum barrier (the pre-fix behaviour: the panicking
-/// worker never reported done, so the main thread and the surviving
-/// workers hung at the barrier forever).
+/// A panic raised while replaying one core's ops (bound or weave phase),
+/// surfaced by [`MulticoreEngine::replay`] as an error naming the
+/// offending core.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanic {
     /// Core whose replay panicked.
@@ -488,54 +442,18 @@ pub struct WorkerPanic {
 
 impl std::fmt::Display for WorkerPanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "worker thread for core {} panicked: {}",
-            self.core, self.message
-        )
+        write!(f, "replay of core {} panicked: {}", self.core, self.message)
     }
 }
 
 impl std::error::Error for WorkerPanic {}
 
-/// A worker that failed to reach the quantum barrier within the
-/// configured watchdog deadline ([`RuntimeConfig::watchdog`]) — the
-/// stall sibling of [`WorkerPanic`]. The run is torn down cleanly: the
-/// barrier is retired, surviving workers exit, and the stalled worker's
-/// eventual late report is a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerStall {
-    /// First core (lowest id) that never reported done.
-    pub core: usize,
-    /// Phase the machine was in when the deadline expired.
-    pub phase: &'static str,
-    /// Quantum (0-based) whose bound phase stalled.
-    pub quantum: u64,
-}
-
-impl std::fmt::Display for WorkerStall {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "worker thread for core {} stalled in the {} phase of quantum {} \
-             (watchdog deadline exceeded)",
-            self.core, self.phase, self.quantum
-        )
-    }
-}
-
-impl std::error::Error for WorkerStall {}
-
-/// Every way a multi-core run can fail with the machine still owned by
-/// the caller: a worker panicked, a worker stalled past the watchdog, or
-/// (on the resume path) the checkpoint was unusable. All variants are
-/// clean-teardown errors — no thread is left parked, no lock held.
+/// Every way a multi-core run can fail: a core's replay panicked, or (on
+/// the resume path) the checkpoint was unusable.
 #[derive(Debug)]
 pub enum RunError {
     /// A core's replay panicked (bound or weave phase).
     Panic(WorkerPanic),
-    /// A worker exceeded the bound-phase watchdog deadline.
-    Stall(WorkerStall),
     /// The checkpoint being resumed failed to decode or did not match
     /// the pack/configuration.
     Checkpoint(CheckpointError),
@@ -546,7 +464,6 @@ impl RunError {
     pub fn core(&self) -> Option<usize> {
         match self {
             RunError::Panic(p) => Some(p.core),
-            RunError::Stall(s) => Some(s.core),
             RunError::Checkpoint(_) => None,
         }
     }
@@ -556,7 +473,6 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::Panic(p) => p.fmt(f),
-            RunError::Stall(s) => s.fmt(f),
             RunError::Checkpoint(e) => e.fmt(f),
         }
     }
@@ -566,7 +482,6 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::Panic(p) => Some(p),
-            RunError::Stall(s) => Some(s),
             RunError::Checkpoint(e) => Some(e),
         }
     }
@@ -578,12 +493,6 @@ impl From<WorkerPanic> for RunError {
     }
 }
 
-impl From<WorkerStall> for RunError {
-    fn from(s: WorkerStall) -> Self {
-        RunError::Stall(s)
-    }
-}
-
 impl From<CheckpointError> for RunError {
     fn from(e: CheckpointError) -> Self {
         RunError::Checkpoint(e)
@@ -591,18 +500,16 @@ impl From<CheckpointError> for RunError {
 }
 
 /// Host-side telemetry state of one run: the shared clock, one span
-/// track per core (lent to the worker with its task during the bound
-/// phase) plus a `runtime` track for whole-machine phase spans, the
-/// latency histograms, and the host-time weave breakdown accumulators.
-/// Exists only when [`MulticoreConfig::telemetry`] is set — a `None`
-/// run records nothing and reads no clocks.
+/// track per core plus a `runtime` track for whole-machine phase spans,
+/// the latency histograms, and the host-time weave breakdown
+/// accumulators. Exists only when [`MulticoreConfig::telemetry`] is set —
+/// a `None` run records nothing and reads no clocks.
 struct RunTelemetry {
     clock: TelemetryClock,
-    tracks: Vec<Option<TrackRecorder>>,
+    tracks: Vec<TrackRecorder>,
     runtime_track: TrackRecorder,
     weave_batch_sizes: LogHistogram,
     weave_turn_ns: LogHistogram,
-    barrier_wait_ns: LogHistogram,
     per_core_weave_ns: Vec<u64>,
     per_quantum_weave_ns: Vec<u64>,
     quantum_samples_dropped: u64,
@@ -614,12 +521,11 @@ impl RunTelemetry {
         Self {
             clock,
             tracks: (0..cores)
-                .map(|c| Some(TrackRecorder::new(c as u32, clock)))
+                .map(|c| TrackRecorder::new(c as u32, clock))
                 .collect(),
             runtime_track: TrackRecorder::new(cores as u32, clock),
             weave_batch_sizes: LogHistogram::new(),
             weave_turn_ns: LogHistogram::new(),
-            barrier_wait_ns: LogHistogram::new(),
             per_core_weave_ns: vec![0; cores],
             per_quantum_weave_ns: Vec::new(),
             quantum_samples_dropped: 0,
@@ -640,90 +546,18 @@ impl RunTelemetry {
 /// Extracts a displayable message from a caught panic payload.
 fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
-        // analyze::allow(hot-path-alloc): panic path: the worker is already down, steady-state never runs this
+        // analyze::allow(hot-path-alloc): panic path: the run is already aborting, steady-state never runs this
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        // analyze::allow(hot-path-alloc): panic path: the worker is already down, steady-state never runs this
+        // analyze::allow(hot-path-alloc): panic path: the run is already aborting, steady-state never runs this
         "non-string panic payload".to_string()
     }
 }
 
-/// Runs one core's bound phase under `catch_unwind`, recording any panic
-/// in `panics` under `core` — shared by the worker loop and the inline
-/// single-core path so the two cannot drift.
-fn run_task_caught(
-    core: usize,
-    task: &mut WorkerTask<'_>,
-    quantum_end: f64,
-    panics: &Mutex<Vec<WorkerPanic>>,
-    fault: &FaultPlan,
-) {
-    let pc_before = task.replay.state.pc;
-    let span_start = task.track.as_ref().map(TrackRecorder::start);
-    let quantum = task.quantum;
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        fault.fire(core, quantum);
-        task.replay.run_quantum_local(&mut task.l1, quantum_end);
-    }));
-    if let (Some(track), Some(start)) = (task.track.as_mut(), span_start) {
-        // Only quanta in which the core actually replayed something get a
-        // bound span — an exhausted core's empty wake-ups would otherwise
-        // bury the timeline in zero-length slices.
-        if task.replay.state.pc != pc_before {
-            track.record_since(Phase::Bound, task.quantum, start);
-        }
-    }
-    if let Err(payload) = result {
-        // `lock_recover`: even if the log mutex was poisoned by an
-        // earlier panic, this panic must still be recorded — nesting a
-        // "panic log poisoned" panic here would unwind past the barrier
-        // notification below and wedge the run.
-        lock_recover(panics).push(WorkerPanic {
-            core,
-            message: panic_message(payload.as_ref()),
-        });
-    }
-}
-
-/// The persistent bound-phase worker loop: park at the barrier, run the
-/// lent task for the released quantum (up to the first op needing a
-/// coherence transaction), report done; repeat until stopped.
-///
-/// The task is *taken out of* the slot while it runs so a panic inside
-/// the replay cannot poison the slot mutex; the panic is caught, recorded
-/// in `panics` under this worker's core id, and the barrier is still
-/// notified — the main thread aborts the run with an `Err` instead of
-/// waiting forever for a completion that will never come.
-fn worker_loop(
-    core: usize,
-    barrier: &QuantumBarrier,
-    slot: &Mutex<Option<WorkerTask<'_>>>,
-    panics: &Mutex<Vec<WorkerPanic>>,
-    fault: &FaultPlan,
-) {
-    let mut seen = 0u64;
-    while let Some(quantum_end) = barrier.wait_for_quantum(&mut seen) {
-        // `lock_recover` throughout: a poisoned slot means another thread
-        // panicked mid-handoff; that root cause is (or is about to be)
-        // recorded in the panic log and surfaced as a `WorkerPanic`, and
-        // a nested "worker slot poisoned" panic here would skip the
-        // `worker_done` below and hang the barrier forever.
-        let task = lock_recover(slot).take();
-        if let Some(mut task) = task {
-            run_task_caught(core, &mut task, quantum_end, panics, fault);
-            // Put the task back even after a panic (its state may be
-            // mid-op, but the run is about to abort and only needs the
-            // pieces accounted for).
-            *lock_recover(slot) = Some(task);
-        }
-        barrier.worker_done(core);
-    }
-}
-
-/// Replays per-core trace shards over a [`CoherentHierarchy`] with a
-/// cycle-quantum barrier, on a persistent worker pool.
+/// Replays per-core trace shards over a [`CoherentHierarchy`] in cycle
+/// quanta, each a bound phase and a weave phase.
 #[derive(Debug)]
 pub struct MulticoreEngine {
     /// The coherent hierarchy (public: attack simulations inspect it).
@@ -781,8 +615,41 @@ impl MulticoreEngine {
         }
     }
 
-    /// Serial ("weave") phase turn for one core: resume local-completable
-    /// ops through the same fast path the parallel phase uses, then
+    /// Bound phase of `core` in quantum number `quantum`: the fault hook,
+    /// then [`CoreReplay::run_quantum_local`] against the core's own L1,
+    /// under `catch_unwind` so that a panic comes back as the core's
+    /// [`WorkerPanic`]. Returns the ops it committed.
+    fn bound_phase(
+        &mut self,
+        core: &mut CoreReplay<'_>,
+        quantum: u64,
+        quantum_end: f64,
+        track: Option<&mut TrackRecorder>,
+    ) -> Result<u64, WorkerPanic> {
+        let pc_before = core.state.pc;
+        let span_start = track.as_ref().map(|t| t.start());
+        let fault = self.cfg.fault;
+        let l1 = self.hierarchy.l1_mut(core.id);
+        catch_unwind(AssertUnwindSafe(|| {
+            fault.fire(core.id, quantum);
+            core.run_quantum_local(l1, quantum_end);
+        }))
+        .map_err(|payload| WorkerPanic {
+            core: core.id,
+            message: panic_message(payload.as_ref()),
+        })?;
+        let ops = core.state.pc - pc_before;
+        // Only quanta in which the core replayed something get a bound
+        // span — an exhausted core's empty passes would otherwise bury
+        // the timeline in zero-length slices.
+        if let (Some(track), Some(start), true) = (track, span_start, ops > 0) {
+            track.record_since(Phase::Bound, quantum, start);
+        }
+        Ok(ops)
+    }
+
+    /// Weave phase turn for one core: resume local-completable ops
+    /// through the same fast path the bound phase uses, then
     /// execute up to [`RuntimeConfig::weave_batch`] coherence
     /// transactions through the full MESI machinery. A transaction that
     /// involved another core (observable as an invalidation or
@@ -846,16 +713,13 @@ impl MulticoreEngine {
     /// blacklist state byte for byte against a reference model.
     ///
     /// A [`Source::Pack`] with checkpoints captures the whole machine at
-    /// every `every`-th quantum boundary (the single-threaded post-weave
-    /// point — every worker has quiesced, the drain protocol
-    /// model-checked in `califorms-analyze`); [`Self::resume`] continues
-    /// from any of them.
+    /// every `every`-th quantum boundary, after the weave;
+    /// [`Self::resume`] continues from any of them.
     ///
     /// # Errors
     ///
     /// [`RunError::Panic`] if a core's replay panicked (bound or weave
-    /// phase); [`RunError::Stall`] if a worker exceeded the watchdog
-    /// deadline.
+    /// phase).
     ///
     /// # Panics
     ///
@@ -908,8 +772,7 @@ impl MulticoreEngine {
     ///
     /// [`RunError::Checkpoint`] if the bytes fail to decode, were taken
     /// by the single-core engine, or do not fit `pack`;
-    /// [`RunError::Panic`] / [`RunError::Stall`] if the resumed run
-    /// itself fails.
+    /// [`RunError::Panic`] if the resumed run itself fails.
     pub fn resume(
         pack: &TracePack,
         bytes: &[u8],
@@ -967,13 +830,13 @@ impl MulticoreEngine {
     }
 
     /// Builds the per-core replay states for a fresh (unseeded) run.
-    fn seed_replays<'p>(&self, sources: Vec<ShardSource<'p>>) -> Vec<Option<CoreReplay<'p>>> {
+    fn seed_replays<'p>(&self, sources: Vec<ShardSource<'p>>) -> Vec<CoreReplay<'p>> {
         sources
             .into_iter()
             .enumerate()
             .map(|(id, src)| {
                 let state = CoreState::new(self.cfg.core, self.cfg.hierarchy.l1d_latency);
-                Some(CoreReplay::new(id, src, state))
+                CoreReplay::new(id, src, state)
             })
             .collect()
     }
@@ -981,11 +844,10 @@ impl MulticoreEngine {
     /// Serializes the whole machine — configuration, per-core
     /// architectural state, coherent hierarchy, runtime counters and
     /// every decoder lane's cursor — into a self-contained checkpoint.
-    /// Called only at the single-threaded post-weave point, where every
-    /// worker has quiesced and each `replays` slot holds its core.
+    /// Called only at a quantum boundary, after the weave.
     fn capture_checkpoint(
         &self,
-        replays: &[Option<CoreReplay<'_>>],
+        replays: &[CoreReplay<'_>],
         rt: &RuntimeStats,
         quantum_end: f64,
     ) -> Vec<u8> {
@@ -1008,8 +870,7 @@ impl MulticoreEngine {
 
         let s = w.begin_section(ck::SEC_CORE);
         w.u64(replays.len() as u64);
-        for slot in replays {
-            let c = slot.as_ref().expect("replay present at a quantum boundary");
+        for c in replays {
             c.state.save(&mut w);
             ck::put_core_weave(&mut w, &c.weave);
         }
@@ -1031,8 +892,7 @@ impl MulticoreEngine {
 
         let s = w.begin_section(ck::SEC_CURSOR);
         w.u64(replays.len() as u64);
-        for slot in replays {
-            let c = slot.as_ref().expect("replay present at a quantum boundary");
+        for c in replays {
             match &c.src {
                 ShardSource::Pack {
                     dec,
@@ -1074,7 +934,7 @@ impl MulticoreEngine {
     fn restore<'p>(
         pack: &'p TracePack,
         bytes: &[u8],
-    ) -> ck::Result<(Self, Vec<Option<CoreReplay<'p>>>, ResumeSeed)> {
+    ) -> ck::Result<(Self, Vec<CoreReplay<'p>>, ResumeSeed)> {
         let sections = ck::parse_sections(bytes)?;
 
         let mut r = ck::require(&sections, ck::SEC_META, "meta")?;
@@ -1178,7 +1038,7 @@ impl MulticoreEngine {
             let state = CoreState::load(&mut r, core, hierarchy.l1d_latency)?;
             let mut c = CoreReplay::new(id, src, state);
             c.weave = ck::get_core_weave(&mut r)?;
-            replays.push(Some(c));
+            replays.push(c);
         }
         ck::consumed(&r, ck::SEC_CORE)?;
 
@@ -1188,10 +1048,7 @@ impl MulticoreEngine {
             hierarchy,
             coherence,
             core,
-            runtime: RuntimeConfig {
-                weave_batch,
-                ..RuntimeConfig::default()
-            },
+            runtime: RuntimeConfig { weave_batch },
             telemetry: false,
             fault: FaultPlan::default(),
         };
@@ -1209,277 +1066,108 @@ impl MulticoreEngine {
     /// a checkpoint into its sink at every N-th quantum boundary.
     fn run_loop(
         mut self,
-        mut replays: Vec<Option<CoreReplay<'_>>>,
+        mut replays: Vec<CoreReplay<'_>>,
         seed: Option<ResumeSeed>,
         mut checkpoint: Option<Checkpoints<'_>>,
     ) -> Result<(MulticoreOutcome, CoherentHierarchy), RunError> {
         let n = self.cfg.cores;
-        let mut rt = RuntimeStats::default();
+        let quantum = self.cfg.quantum;
+        let (mut rt, mut quantum_end) = match seed {
+            Some(s) => (s.rt, s.quantum_end),
+            None => (RuntimeStats::default(), quantum),
+        };
         let mut timing = RuntimeTiming::default();
         // The no-op sink: `None` unless telemetry was requested, so a
         // disabled run takes no clock reads and allocates nothing.
         let mut tel: Option<RunTelemetry> = self.cfg.telemetry.then(|| RunTelemetry::new(n));
 
-        // Persistent pool plumbing, created once per run: the barrier,
-        // one state slot and one lane flag per core. With one core the
-        // bound phase runs inline — there is nobody to overlap with.
-        let use_threads = n > 1;
-        let barrier = QuantumBarrier::new();
-        let slots: Vec<Mutex<Option<WorkerTask<'_>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panics: Mutex<Vec<WorkerPanic>> = Mutex::new(Vec::new());
-        let fault = self.cfg.fault;
-
-        let run_result: Result<(), RunError> = std::thread::scope(|scope| {
-            if use_threads {
-                for (core, slot) in slots.iter().enumerate() {
-                    let barrier = &barrier;
-                    let panics = &panics;
-                    let fault = &fault;
-                    scope.spawn(move || worker_loop(core, barrier, slot, panics, fault));
-                }
+        while !replays.iter_mut().all(CoreReplay::done) {
+            // Bound phase: each core in turn, in core order. A panic
+            // aborts the run before the weave: the panicking core's
+            // cursor is mid-op, so continuing would simulate garbage.
+            let t0 = Instant::now();
+            let t0n = tel.as_ref().map_or(0, |t| t.clock.now_ns());
+            for core in &mut replays {
+                let track = tel.as_mut().map(|t| &mut t.tracks[core.id]);
+                timing.bound_ops += self.bound_phase(core, rt.quanta, quantum_end, track)?;
             }
+            let t1 = Instant::now();
 
-            let quantum = self.cfg.quantum;
-            let mut quantum_end = quantum;
-            if let Some(s) = &seed {
-                rt = s.rt;
-                quantum_end = s.quantum_end;
-            }
-
+            // Weave phase: deterministic round-robin. An engine panic
+            // here (e.g. an op that only ever reaches the weave, like a
+            // misaligned CFORM-NT) is part of `replay`'s error contract
+            // too: caught per turn and surfaced as the offending core's
+            // `WorkerPanic`.
+            let mut quantum_weave_ns = 0u64;
             loop {
-                let all_done = replays
-                    .iter_mut()
-                    .all(|r| r.as_mut().expect("replay present between quanta").done());
-                if all_done {
+                let mut progressed = false;
+                for core in &mut replays {
+                    let turn_start = tel.as_ref().map(|t| t.clock.now_ns());
+                    let batch_hist = tel.as_mut().map(|t| &mut t.weave_batch_sizes);
+                    let turn = catch_unwind(AssertUnwindSafe(|| {
+                        self.weave_turn(core, quantum_end, &mut rt, batch_hist)
+                    }))
+                    .map_err(|payload| WorkerPanic {
+                        core: core.id,
+                        message: panic_message(payload.as_ref()),
+                    })?;
+                    progressed |= turn;
+                    if let (true, Some(t), Some(start)) = (turn, tel.as_mut(), turn_start) {
+                        let dur = t.clock.now_ns().saturating_sub(start);
+                        t.tracks[core.id].record(Phase::Weave, rt.quanta, start, dur);
+                        t.weave_turn_ns.record(dur);
+                        t.per_core_weave_ns[core.id] += dur;
+                        quantum_weave_ns += dur;
+                    }
+                }
+                if !progressed {
                     break;
                 }
+            }
+            let t2 = Instant::now();
 
-                // Lend each worker its replay cursor, L1 and span track.
-                let t0 = Instant::now();
-                for (c, slot) in slots.iter().enumerate() {
-                    let task = WorkerTask {
-                        replay: replays[c].take().expect("replay present between quanta"),
-                        l1: self.hierarchy.take_l1(c),
-                        track: tel.as_mut().and_then(|t| t.tracks[c].take()),
-                        quantum: rt.quanta,
-                    };
-                    *lock_recover(slot) = Some(task);
-                }
+            if let Some(t) = tel.as_mut() {
+                // Whole-machine phase spans on the `runtime` track, plus
+                // this quantum's weave sample.
+                let bound_ns = (t1 - t0).as_nanos() as u64;
+                let weave_ns = (t2 - t1).as_nanos() as u64;
+                t.runtime_track
+                    .record(Phase::Bound, rt.quanta, t0n, bound_ns);
+                t.runtime_track
+                    .record(Phase::Weave, rt.quanta, t0n + bound_ns, weave_ns);
+                t.push_quantum_weave(quantum_weave_ns);
+            }
+            rt.quanta += 1;
+            rt.barrier_waits += n as u64;
+            quantum_end += quantum;
 
-                // Parallel (bound) phase.
-                let t1 = Instant::now();
-                let t1n = tel.as_ref().map_or(0, |t| t.clock.now_ns());
-                if use_threads {
-                    barrier.release(n, quantum_end);
-                    match self.cfg.runtime.watchdog {
-                        None => barrier.wait_all_done(),
-                        Some(deadline) => {
-                            if let Err(err) = barrier.wait_all_done_deadline(deadline) {
-                                // A stalled worker: retire the barrier so
-                                // the survivors exit (and the stalled
-                                // worker's eventual late report no-ops),
-                                // then surface the typed stall.
-                                let core = match err {
-                                    BarrierWaitError::Stalled(cores) => {
-                                        cores.first().copied().unwrap_or(0)
-                                    }
-                                    BarrierWaitError::TornDown => 0,
-                                };
-                                barrier.tear_down();
-                                return Err(RunError::Stall(WorkerStall {
-                                    core,
-                                    phase: "bound",
-                                    quantum: rt.quanta,
-                                }));
-                            }
-                        }
-                    }
-                } else {
-                    let mut g = lock_recover(&slots[0]);
-                    let task = g.as_mut().expect("task was just lent");
-                    run_task_caught(0, task, quantum_end, &panics, &fault);
-                }
-                let t2 = Instant::now();
+            // Fast-forward over empty quanta: if every unfinished core
+            // is already past the boundary (e.g. one committed a huge
+            // `Exec`), jump to the first quantum in which some core can
+            // run instead of stepping through idle quanta one at a time.
+            // Pure f64 math on deterministic inputs.
+            let min_cycles = replays
+                .iter_mut()
+                .filter_map(|r| (!r.done()).then_some(r.state.cycles))
+                .fold(f64::INFINITY, f64::min);
+            if min_cycles.is_finite() && min_cycles >= quantum_end {
+                let skipped = ((min_cycles - quantum_end) / quantum).floor() + 1.0;
+                quantum_end += skipped * quantum;
+            }
+            let t3 = Instant::now();
+            timing.bound_s += (t1 - t0).as_secs_f64();
+            timing.weave_s += (t2 - t1).as_secs_f64();
+            timing.barrier_s += (t3 - t2).as_secs_f64();
 
-                // Reclaim the machine for the weave. An empty slot (the
-                // worker failed to return its task — only reachable
-                // through a handoff bug or a panic between take and
-                // put-back) is tolerated here and surfaced as a
-                // `WorkerPanic` below, after the panic log has been
-                // consulted for the likelier root cause.
-                let mut missing_slot: Option<usize> = None;
-                for (c, slot) in slots.iter().enumerate() {
-                    match lock_recover(slot).take() {
-                        Some(task) => {
-                            self.hierarchy.put_l1(c, task.l1);
-                            replays[c] = Some(task.replay);
-                            if let (Some(t), Some(track)) = (tel.as_mut(), task.track) {
-                                t.tracks[c] = Some(track);
-                            }
-                        }
-                        None => missing_slot = missing_slot.or(Some(c)),
-                    }
-                }
-                let t3 = Instant::now();
-
-                // Per-core barrier spans: from each core's bound-span end
-                // to the reclaim point — the wait the aggregate
-                // `barrier_s` sums away. Cores that recorded no bound
-                // span this quantum (exhausted shard) are skipped: their
-                // last span end predates this quantum's bound phase.
-                if let Some(t) = tel.as_mut() {
-                    for track in t.tracks.iter_mut().flatten() {
-                        match track.last_end_ns() {
-                            Some(wait_start) if wait_start >= t1n => {
-                                let dur = track.record_since(Phase::Barrier, rt.quanta, wait_start);
-                                t.barrier_wait_ns.record(dur);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-
-                // A worker panic aborts the run *before* the weave: the
-                // panicking core's cursor is mid-op, so continuing would
-                // simulate garbage. Stop the barrier first so the
-                // surviving workers exit and the scope can join them.
-                let worker_panic = {
-                    let mut g = lock_recover(&panics);
-                    g.sort_by_key(|p| p.core);
-                    g.first().cloned()
-                };
-                if let Some(p) = worker_panic {
-                    barrier.stop();
-                    return Err(p.into());
-                }
-                if let Some(core) = missing_slot {
-                    barrier.stop();
-                    return Err(WorkerPanic {
-                        core,
-                        message: "worker slot empty after the bound phase \
-                                  (worker did not return its task)"
-                            .to_string(),
-                    }
-                    .into());
-                }
-
-                // Serial (weave) phase: deterministic round-robin. An
-                // engine panic here (e.g. an op that only ever reaches
-                // the weave, like a misaligned CFORM-NT) is part of
-                // `replay`'s error contract too: catch it per turn,
-                // stop the barrier so the scope can join the parked
-                // workers, and surface it as the offending core's
-                // `WorkerPanic`.
-                let mut quantum_weave_ns = 0u64;
-                loop {
-                    let mut progressed = false;
-                    for slot in replays.iter_mut() {
-                        let mut core = slot.take().expect("replay present between quanta");
-                        let turn_start = tel.as_ref().map(|t| t.clock.now_ns());
-                        let batch_hist = tel.as_mut().map(|t| &mut t.weave_batch_sizes);
-                        let turn = catch_unwind(AssertUnwindSafe(|| {
-                            self.weave_turn(&mut core, quantum_end, &mut rt, batch_hist)
-                        }));
-                        let core_id = core.id;
-                        *slot = Some(core);
-                        match turn {
-                            Ok(p) => {
-                                progressed |= p;
-                                if p {
-                                    if let (Some(t), Some(start)) = (tel.as_mut(), turn_start) {
-                                        let dur = t.clock.now_ns().saturating_sub(start);
-                                        if let Some(track) = t.tracks[core_id].as_mut() {
-                                            track.record(Phase::Weave, rt.quanta, start, dur);
-                                        }
-                                        t.weave_turn_ns.record(dur);
-                                        t.per_core_weave_ns[core_id] += dur;
-                                        quantum_weave_ns += dur;
-                                    }
-                                }
-                            }
-                            Err(payload) => {
-                                barrier.stop();
-                                return Err(WorkerPanic {
-                                    core: core_id,
-                                    message: panic_message(payload.as_ref()),
-                                }
-                                .into());
-                            }
-                        }
-                    }
-                    if !progressed {
-                        break;
-                    }
-                }
-                let t4 = Instant::now();
-
-                timing.barrier_s += (t1 - t0).as_secs_f64() + (t3 - t2).as_secs_f64();
-                timing.bound_s += (t2 - t1).as_secs_f64();
-                timing.weave_s += (t4 - t3).as_secs_f64();
-                if let Some(t) = tel.as_mut() {
-                    // Whole-machine phase spans on the `runtime` track,
-                    // plus this quantum's weave sample.
-                    let bound_ns = (t2 - t1).as_nanos() as u64;
-                    let weave_ns = (t4 - t3).as_nanos() as u64;
-                    let reclaim_ns = (t3 - t2).as_nanos() as u64;
-                    t.runtime_track
-                        .record(Phase::Bound, rt.quanta, t1n, bound_ns);
-                    t.runtime_track
-                        .record(Phase::Barrier, rt.quanta, t1n + bound_ns, reclaim_ns);
-                    t.runtime_track.record(
-                        Phase::Weave,
-                        rt.quanta,
-                        t1n + bound_ns + reclaim_ns,
-                        weave_ns,
-                    );
-                    t.push_quantum_weave(quantum_weave_ns);
-                }
-                rt.quanta += 1;
-                rt.barrier_waits += n as u64;
-                quantum_end += quantum;
-
-                // Fast-forward over empty quanta: if every unfinished core
-                // is already past the boundary (e.g. one committed a huge
-                // `Exec`), jump to the first quantum in which some core can
-                // run instead of waking idle workers one quantum at a time.
-                // Pure f64 math on deterministic inputs.
-                let min_cycles = replays
-                    .iter_mut()
-                    .filter_map(|r| {
-                        let r = r.as_mut().expect("replay present between quanta");
-                        if r.done() {
-                            None
-                        } else {
-                            Some(r.state.cycles)
-                        }
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                if min_cycles.is_finite() && min_cycles >= quantum_end {
-                    let skipped = ((min_cycles - quantum_end) / quantum).floor() + 1.0;
-                    quantum_end += skipped * quantum;
-                }
-
-                // Checkpoint at the quantum boundary: every worker has
-                // quiesced (barrier crossed, L1s reclaimed, weave done),
-                // so the machine is single-threaded here and the capture
-                // is plain sequential code — the drain protocol
-                // model-checked in `califorms-analyze`.
-                if let Some(c) = checkpoint.as_mut() {
-                    if rt.quanta % c.every.get() == 0 {
-                        (c.sink)(self.capture_checkpoint(&replays, &rt, quantum_end));
-                    }
+            // Checkpoint at the quantum boundary, after the weave: no op
+            // is in flight on any core.
+            if let Some(c) = checkpoint.as_mut() {
+                if rt.quanta % c.every.get() == 0 {
+                    (c.sink)(self.capture_checkpoint(&replays, &rt, quantum_end));
                 }
             }
-            barrier.stop();
-            Ok(())
-        });
-        run_result?;
-
-        let cores = replays
-            .into_iter()
-            .map(|r| r.expect("replay present at finish"))
-            .collect();
-        Ok(self.finish(cores, rt, timing, tel))
+        }
+        Ok(self.finish(replays, rt, timing, tel))
     }
 
     fn finish(
@@ -1541,11 +1229,7 @@ impl MulticoreEngine {
             let mut spans = Vec::new();
             let mut track_names = Vec::new();
             let mut dropped_spans = 0u64;
-            let tracks = t
-                .tracks
-                .into_iter()
-                .flatten()
-                .chain(std::iter::once(t.runtime_track));
+            let tracks = t.tracks.into_iter().chain(std::iter::once(t.runtime_track));
             for track in tracks {
                 let name = if (track.track() as usize) < cores.len() {
                     format!("core {}", track.track())
@@ -1563,7 +1247,6 @@ impl MulticoreEngine {
                 spans,
                 track_names,
                 weave_turn_ns: t.weave_turn_ns,
-                barrier_wait_ns: t.barrier_wait_ns,
                 dropped_spans,
             }
         });
@@ -1778,9 +1461,8 @@ mod tests {
         run(2, vec![vec![]]);
     }
 
-    /// A panicking worker used to leave the quantum barrier waiting for a
-    /// completion that never came, hanging the run; it must now surface
-    /// as an `Err` naming the offending core.
+    /// A panic in a core's bound phase surfaces as an `Err` naming the
+    /// offending core.
     #[test]
     fn worker_panic_surfaces_as_err_with_core_id() {
         // A misaligned CFORM target panics in `CformInstruction::new`
@@ -1802,11 +1484,11 @@ mod tests {
         );
     }
 
-    /// A panic on the main-thread weave path is part of the same error
+    /// A panic on the weave path is part of the same error
     /// contract: a misaligned `CFORM-NT` never runs in the bound phase
     /// (non-temporal CFORMs are always coherence transactions), so its
     /// alignment assert fires inside the weave — and must come back as
-    /// `Err` with the woven core's id, not unwind past the barrier.
+    /// `Err` with the woven core's id, not unwind out of `replay`.
     #[test]
     fn weave_phase_panic_surfaces_as_err_with_core_id() {
         let shards = vec![
@@ -1822,7 +1504,7 @@ mod tests {
         assert!(err.message.contains("aligned"), "{}", err.message);
     }
 
-    /// The inline single-core bound phase takes the same catch path.
+    /// A one-core machine takes the same catch path.
     #[test]
     fn single_core_panic_surfaces_as_err() {
         let shards = vec![vec![TraceOp::Cform {
@@ -1838,55 +1520,6 @@ mod tests {
     #[should_panic(expected = "one pack per configured core")]
     fn pack_count_mismatch_panics() {
         let _ = engine(2).replay(Source::Packs(&[TracePack::from_ops(std::iter::empty())]));
-    }
-
-    /// A poisoned worker slot must not take down the worker loop with a
-    /// nested "worker slot poisoned" panic: pre-fix, the worker died
-    /// before calling `worker_done`, so `wait_all_done` here hung
-    /// forever; now the loop recovers the guard, finds the slot empty,
-    /// and still reports done.
-    #[test]
-    fn worker_loop_survives_a_poisoned_slot() {
-        let barrier = QuantumBarrier::new();
-        let slot: Mutex<Option<WorkerTask<'static>>> = Mutex::new(None);
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            let _g = slot.lock().unwrap();
-            panic!("poison the slot");
-        }));
-        assert!(slot.is_poisoned());
-        let panics: Mutex<Vec<WorkerPanic>> = Mutex::new(Vec::new());
-        let fault = FaultPlan::default();
-        std::thread::scope(|scope| {
-            scope.spawn(|| worker_loop(0, &barrier, &slot, &panics, &fault));
-            barrier.release(1, 10_000.0);
-            barrier.wait_all_done();
-            barrier.stop();
-        });
-        assert!(
-            lock_recover(&panics).is_empty(),
-            "an empty poisoned slot is not itself a worker panic"
-        );
-    }
-
-    /// A panic in the replay must land in the panic log even when the log
-    /// mutex is already poisoned (e.g. by a concurrently panicking
-    /// sibling) — the recorded entry is what `replay` surfaces as the
-    /// `WorkerPanic` error instead of a nested panic.
-    #[test]
-    fn panic_log_records_through_poison() {
-        let panics: Mutex<Vec<WorkerPanic>> = Mutex::new(Vec::new());
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            let _g = panics.lock().unwrap();
-            panic!("poison the log");
-        }));
-        assert!(panics.is_poisoned());
-        lock_recover(&panics).push(WorkerPanic {
-            core: 3,
-            message: "late arrival".into(),
-        });
-        let g = lock_recover(&panics);
-        assert_eq!(g.len(), 1);
-        assert_eq!(g[0].core, 3);
     }
 
     /// A mixed workload with private and cross-core-shared lines plus
@@ -1964,14 +1597,13 @@ mod tests {
         }
     }
 
-    /// An injected worker kill surfaces as a typed `RunError::Panic`
-    /// naming the killed core — the run never hangs at the barrier.
+    /// An injected kill surfaces as a typed `RunError::Panic` naming the
+    /// killed core.
     #[test]
     fn kill_fault_surfaces_as_typed_panic() {
         let pack = TracePack::from_ops(crash_test_ops());
         let cfg = MulticoreConfig::westmere(2).with_fault(FaultPlan {
             kill_at: Some((1, 0)),
-            ..FaultPlan::default()
         });
         let err = expect_worker_panic(replay_pack(cfg, &pack).unwrap_err());
         assert_eq!(err.core, 1);
@@ -1982,29 +1614,6 @@ mod tests {
         );
     }
 
-    /// An injected stall trips the barrier watchdog within its deadline
-    /// and comes back as `RunError::Stall` naming the stalled core and
-    /// phase — never a hang.
-    #[test]
-    fn stall_fault_trips_the_watchdog() {
-        let pack = TracePack::from_ops(crash_test_ops());
-        let cfg = MulticoreConfig::westmere(2)
-            .with_watchdog(Some(Duration::from_millis(50)))
-            .with_fault(FaultPlan {
-                stall_at: Some((1, 0, 400)),
-                ..FaultPlan::default()
-            });
-        let err = replay_pack(cfg, &pack).unwrap_err();
-        match err {
-            RunError::Stall(s) => {
-                assert_eq!(s.core, 1, "the stalled core is named");
-                assert_eq!(s.phase, "bound");
-                assert!(s.to_string().contains("watchdog"), "{s}");
-            }
-            other => panic!("expected a stall, got: {other}"),
-        }
-    }
-
     /// A fault plan that never fires leaves the run bit-identical to an
     /// unfaulted one (the hooks are free until they trigger).
     #[test]
@@ -2013,7 +1622,6 @@ mod tests {
         let reference = replay_pack(MulticoreConfig::westmere(2), &pack).unwrap();
         let cfg = MulticoreConfig::westmere(2).with_fault(FaultPlan {
             kill_at: Some((0, u64::MAX)),
-            stall_at: Some((1, u64::MAX, 1)),
         });
         let out = replay_pack(cfg, &pack).unwrap();
         assert_eq!(out.stats, reference.stats);

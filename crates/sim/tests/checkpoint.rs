@@ -196,6 +196,33 @@ fn resumed_runs_keep_checkpointing_on_the_original_cadence() {
     }
 }
 
+/// `(count, FNV-1a over every checkpoint's bytes in order)`.
+fn digest(checkpoints: &[Vec<u8>]) -> (usize, u64) {
+    (checkpoints.len(), fnv1a(&checkpoints.concat()))
+}
+
+#[test]
+fn checkpoint_bytes_match_recorded_constants() {
+    // Recorded before the bound phase moved onto the calling thread. A
+    // change to the checkpoint format or to simulated timing must
+    // re-record these on purpose.
+    let pack = pack();
+    let got: Vec<(usize, u64)> = (1..=3)
+        .map(|cores| digest(&multicore_checkpoints(&pack, cores, 2)))
+        .chain([digest(&single_checkpoints(&pack, 1))])
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (47, 3_247_381_215_500_087_408),
+            (27, 15_980_900_542_544_619_935),
+            (18, 7_076_522_332_205_442_917),
+            (9, 16_431_898_482_687_824),
+        ],
+        "multicore at 1, 2 and 3 cores every 2 quanta, then single-core every batch"
+    );
+}
+
 #[test]
 fn corrupted_magic_is_bad_magic_on_both_engines() {
     let pack = pack();

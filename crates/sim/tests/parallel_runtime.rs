@@ -1,10 +1,13 @@
-//! Integration tests of the parallel replay runtime (DESIGN.md §10):
+//! Integration tests of the multicore replay runtime (DESIGN.md §10):
 //! bit-identical determinism across quantum sizes and weave batching
 //! depths, per-core pack replay equivalence, the zero-cross-core-coherence
-//! guarantee for disjoint working sets, and recorded constants that pin
-//! the weave's simulated results across commits.
+//! guarantee for disjoint working sets, recorded constants that pin the
+//! weave's simulated results across commits, and the count of ops the
+//! bound phase commits.
 
-use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine, MulticoreOutcome, Source};
+use califorms_sim::multicore::{
+    shard_ops, MulticoreConfig, MulticoreEngine, MulticoreOutcome, Source,
+};
 use califorms_sim::{CoherenceStats, TraceOp, TracePack, LINE_BYTES};
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -385,4 +388,80 @@ fn barrier_waits_track_quanta_and_cores() {
         );
         assert!(out.timing.bound_s >= 0.0 && out.timing.weave_s >= 0.0);
     }
+}
+
+fn replay(cores: usize, source: Source<'_, '_>) -> MulticoreOutcome {
+    MulticoreEngine::new(MulticoreConfig::westmere(cores))
+        .replay(source)
+        .expect("replay")
+        .0
+}
+
+/// `Exec` ops never need a coherence transaction, so the bound phase
+/// commits every op of an all-`Exec` run.
+#[test]
+fn bound_phase_commits_every_op_of_an_exec_only_run() {
+    let shards: Vec<Vec<TraceOp>> = (0..2u32)
+        .map(|c| {
+            (0..3_000u32)
+                .map(|i| TraceOp::Exec(1 + (i * 7 + c) % 400))
+                .collect()
+        })
+        .collect();
+    let out = replay(2, Source::Shards(shards));
+    assert!(out.stats.runtime.quanta > 1, "the run must span quanta");
+    assert_eq!(out.timing.bound_ops, 6_000);
+}
+
+/// A non-temporal `CFORM` works below the L1 on every core's copy, so it
+/// is always a weave transaction: the bound phase commits none.
+#[test]
+fn bound_phase_commits_no_cform_nt() {
+    let shards: Vec<Vec<TraceOp>> = (0..2u64)
+        .map(|c| {
+            (0..200u64)
+                .map(|i| TraceOp::CformNt {
+                    line_addr: 0x10_0000 + (c * 200 + i) * LINE_BYTES,
+                    attrs: 1,
+                    mask: 1,
+                })
+                .collect()
+        })
+        .collect();
+    let out = replay(2, Source::Shards(shards));
+    assert_eq!(out.stats.combined.cforms, 400);
+    assert_eq!(out.timing.bound_ops, 0);
+}
+
+/// The bound-phase op count depends only on the simulated run, so packed
+/// and unpacked replays of one trace count the same.
+#[test]
+fn bound_ops_match_between_packed_and_unpacked_replay() {
+    let ops = chaotic_shard(0, 0xB0B, 6_000);
+    let pack = TracePack::from_ops(ops.iter().copied());
+    let unpacked = replay(2, Source::Shards(shard_ops(ops.iter().copied(), 2)));
+    let packed = replay(
+        2,
+        Source::Pack {
+            pack: &pack,
+            checkpoints: None,
+        },
+    );
+    assert_identical(&unpacked, &packed);
+    let bound = unpacked.timing.bound_ops;
+    assert!(
+        0 < bound && bound < ops.len() as u64,
+        "a mixed trace splits its {} ops between the phases, bound {bound}",
+        ops.len()
+    );
+    assert_eq!(packed.timing.bound_ops, bound);
+
+    let shards = chaotic_shards(2, 0xB0B, 3_000);
+    let packs: Vec<TracePack> = shards
+        .iter()
+        .map(|s| TracePack::from_ops(s.iter().copied()))
+        .collect();
+    let unpacked = replay(2, Source::Shards(shards));
+    let packed = replay(2, Source::Packs(&packs));
+    assert_eq!(packed.timing.bound_ops, unpacked.timing.bound_ops);
 }

@@ -2,8 +2,8 @@
 //! instrumentation must never perturb simulation results, counter
 //! snapshots must be byte-identical across runs and across packed vs
 //! unpacked replay (modulo the pack-only `decode.*` family), the span
-//! timeline of a 4-core run must cover bound/weave/barrier on every core
-//! track, and the per-core weave breakdown must sum back to the
+//! timeline of a 4-core run must cover bound/weave on every core track,
+//! and the per-core weave breakdown must sum back to the
 //! aggregate runtime counters.
 
 use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine, Source};
@@ -91,12 +91,11 @@ fn four_core_run_emits_spans_on_every_core_track() {
         };
         assert!(has(Phase::Bound), "core {core} has no bound span");
         assert!(has(Phase::Weave), "core {core} has no weave span");
-        assert!(has(Phase::Barrier), "core {core} has no barrier span");
     }
     // The aggregate runtime track sits after the core tracks and carries
-    // one bound/barrier/weave triple per quantum.
+    // one bound/weave pair per quantum.
     let runtime_track = 4u32;
-    for phase in [Phase::Bound, Phase::Barrier, Phase::Weave] {
+    for phase in [Phase::Bound, Phase::Weave] {
         let n = report
             .spans
             .iter()

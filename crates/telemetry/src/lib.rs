@@ -7,16 +7,16 @@
 //! * [`CounterRegistry`] / [`CounterSnapshot`] — named counters with
 //!   per-lane values (lane = core, directory shard, or a single global
 //!   lane). They are populated exclusively from **simulated** state, so a
-//!   snapshot is bit-identical across runs, host thread schedules, and
-//!   packed/unpacked replay — it can be asserted in tests and diffed by
-//!   the differential oracle like any other result.
+//!   snapshot is bit-identical across runs and packed/unpacked replay —
+//!   it can be asserted in tests and diffed by the differential oracle
+//!   like any other result.
 //! * [`LogHistogram`] — power-of-two-bucketed histograms. Deterministic
 //!   when fed simulated values (weave batch sizes), host-side when fed
-//!   span durations (weave-turn latency, barrier waits).
+//!   span durations (weave-turn latency).
 //! * [`TelemetryClock`] / [`TrackRecorder`] / [`SpanEvent`] — host
-//!   wall-clock phase spans (bound/weave/barrier, per core, per
-//!   quantum). Host time is scheduling-dependent by nature, so spans are
-//!   confined to telemetry-only output and never feed a simulated result;
+//!   wall-clock phase spans (bound/weave, per core, per quantum). Host
+//!   time varies from run to run by nature, so spans are confined to
+//!   telemetry-only output and never feed a simulated result;
 //!   the `califorms-analyze` determinism linter allowlists exactly one
 //!   file for the clock ([`span`]) and keeps flagging host time anywhere
 //!   else in this crate.

@@ -26,8 +26,6 @@ pub struct TelemetryReport {
     pub track_names: Vec<(u32, String)>,
     /// Host-time histogram of weave-turn latencies (ns).
     pub weave_turn_ns: LogHistogram,
-    /// Host-time histogram of per-core barrier waits (ns).
-    pub barrier_wait_ns: LogHistogram,
     /// Spans dropped after a track filled up (never silent).
     pub dropped_spans: u64,
 }
@@ -45,12 +43,11 @@ impl TelemetryReport {
     pub fn metrics_json(&self) -> String {
         format!(
             "{{\n  \"counters\": {},\n  \"weave_batch_sizes\": {},\n  \"host\": {{\n    \
-             \"weave_turn_ns\": {},\n    \"barrier_wait_ns\": {},\n    \
-             \"span_count\": {},\n    \"dropped_spans\": {}\n  }}\n}}\n",
+             \"weave_turn_ns\": {},\n    \"span_count\": {},\n    \
+             \"dropped_spans\": {}\n  }}\n}}\n",
             self.counters.to_json(),
             self.weave_batch_sizes.to_json(),
             self.weave_turn_ns.to_json(),
-            self.barrier_wait_ns.to_json(),
             self.spans.len(),
             self.dropped_spans,
         )
@@ -85,13 +82,6 @@ impl TelemetryReport {
                 self.weave_turn_ns.count(),
             ));
         }
-        if self.barrier_wait_ns.count() > 0 {
-            out.push_str(&format!(
-                "  barrier wait: p50 {} ns, p99 {} ns\n",
-                self.barrier_wait_ns.percentile(0.5),
-                self.barrier_wait_ns.percentile(0.99),
-            ));
-        }
         out
     }
 }
@@ -122,7 +112,6 @@ mod tests {
             }],
             track_names: vec![(0, "core 0".into())],
             weave_turn_ns,
-            barrier_wait_ns: LogHistogram::new(),
             dropped_spans: 0,
         }
     }

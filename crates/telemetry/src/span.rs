@@ -14,12 +14,11 @@ use std::time::Instant;
 /// The engine phase a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Parallel bound phase: private-L1-completable replay on a worker.
+    /// Bound phase: the ops a core's private L1 completes without a
+    /// coherence transaction.
     Bound,
-    /// Serial weave phase: coherence transactions on the main thread.
+    /// Weave phase: coherence transactions in deterministic round-robin.
     Weave,
-    /// Barrier wait / quantum bookkeeping.
-    Barrier,
 }
 
 impl Phase {
@@ -28,7 +27,6 @@ impl Phase {
         match self {
             Phase::Bound => "bound",
             Phase::Weave => "weave",
-            Phase::Barrier => "barrier",
         }
     }
 }
@@ -50,7 +48,7 @@ pub struct SpanEvent {
 }
 
 /// A shared time origin: every recorder in a run copies the same clock so
-/// spans from different threads land on one timeline.
+/// spans from every track land on one timeline.
 #[derive(Debug, Clone, Copy)]
 pub struct TelemetryClock {
     origin: Instant,
@@ -77,10 +75,7 @@ impl TelemetryClock {
 /// silent).
 pub const MAX_EVENTS_PER_TRACK: usize = 1 << 18;
 
-/// Records spans for one track (one core, or the runtime track). Owned by
-/// exactly one thread at a time — the multicore engine lends a core's
-/// recorder to its worker for the bound phase and takes it back for the
-/// weave, so no synchronisation is ever needed.
+/// Records spans for one track (one core, or the runtime track).
 #[derive(Debug, Clone)]
 pub struct TrackRecorder {
     track: u32,
@@ -130,7 +125,7 @@ impl TrackRecorder {
     }
 
     /// Records a fully formed span (the caller computed both stamps, e.g.
-    /// a barrier-wait span derived from two other spans' endpoints).
+    /// a weave turn timed against the run clock).
     pub fn record(&mut self, phase: Phase, quantum: u64, start_ns: u64, dur_ns: u64) {
         self.push(SpanEvent {
             track: self.track,
@@ -147,11 +142,6 @@ impl TrackRecorder {
         } else {
             self.dropped += 1;
         }
-    }
-
-    /// End stamp (`start_ns + dur_ns`) of the most recent span, if any.
-    pub fn last_end_ns(&self) -> Option<u64> {
-        self.events.last().map(|e| e.start_ns + e.dur_ns)
     }
 
     /// The recorded spans, in recording order.
@@ -186,7 +176,6 @@ mod tests {
         assert_eq!(ev.phase, Phase::Bound);
         assert_eq!(ev.quantum, 7);
         assert_eq!(ev.dur_ns, dur);
-        assert_eq!(rec.last_end_ns(), Some(ev.start_ns + ev.dur_ns));
     }
 
     #[test]
@@ -204,6 +193,5 @@ mod tests {
     fn phase_names_are_stable() {
         assert_eq!(Phase::Bound.as_str(), "bound");
         assert_eq!(Phase::Weave.as_str(), "weave");
-        assert_eq!(Phase::Barrier.as_str(), "barrier");
     }
 }

@@ -252,8 +252,8 @@ fn sample_events() -> Vec<SpanEvent> {
         ev(1, Phase::Bound, 0, 2_500, 900),
         ev(0, Phase::Bound, 0, 1_234, 1_000),
         ev(2, Phase::Weave, 0, 4_000, 2_000),
-        ev(0, Phase::Barrier, 0, 2_234, 700),
-        ev(1, Phase::Barrier, 0, 3_400, 600),
+        ev(0, Phase::Weave, 0, 2_234, 700),
+        ev(1, Phase::Weave, 0, 3_400, 600),
         ev(0, Phase::Bound, 1, 7_000, 1_100),
         ev(2, Phase::Bound, 0, 1_000, 2_900),
         ev(1, Phase::Weave, 1, 8_000, 50),
@@ -305,10 +305,7 @@ fn every_event_is_a_complete_or_metadata_record_with_required_fields() {
             }
             "X" => {
                 let name = e.get("name").and_then(Json::as_str).unwrap();
-                assert!(
-                    ["bound", "weave", "barrier"].contains(&name),
-                    "phase name: {name}"
-                );
+                assert!(["bound", "weave"].contains(&name), "phase name: {name}");
                 assert_eq!(e.get("cat").and_then(Json::as_str), Some("phase"));
                 assert!(e.get("ts").and_then(Json::as_num).is_some_and(|v| v >= 0.0));
                 assert!(e

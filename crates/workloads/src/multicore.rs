@@ -61,9 +61,7 @@ pub enum MtPattern {
     SharedTable,
     /// The same read-mostly shape over a table that **fits** in every
     /// private L1: after warm-up nearly every access is a clean Shared
-    /// hit completed in the parallel bound phase — the best case for the
-    /// persistent-worker runtime, and the `replay` bench's read-mostly
-    /// scaling row.
+    /// hit — the `replay` bench's read-mostly row.
     SharedTableHot,
 }
 
@@ -318,8 +316,8 @@ fn lock_contention(cfg: &MtWorkloadConfig) -> Vec<Vec<TraceOp>> {
 
 /// Read-mostly shared table: 97 % loads of a hot shared table, 1 % table
 /// updates, 2 % private stores — the "millions of concurrent users over
-/// one data set" shape the ROADMAP asks for. Scales almost linearly in
-/// the parallel phase because nearly every access is a clean Shared hit;
+/// one data set" shape the ROADMAP asks for. Nearly every access is a
+/// clean Shared hit that needs no coherence transaction;
 /// `table_lines` decides whether the hot set lives in the private L1s
 /// ([`MtPattern::SharedTableHot`]) or thrashes them into the shared
 /// levels ([`MtPattern::SharedTable`]).

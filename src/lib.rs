@@ -12,8 +12,8 @@
 //! * [`sim`] — the trace-driven memory-hierarchy and core-timing simulator
 //!   that substitutes for the paper's ZSim setup, including the
 //!   multi-core subsystem: a MESI directory over per-core bitvector L1s
-//!   ([`sim::coherence`]) and the deterministic parallel trace replay of
-//!   [`sim::multicore::MulticoreEngine`].
+//!   ([`sim::coherence`]) and the deterministic bound/weave trace replay
+//!   of [`sim::multicore::MulticoreEngine`].
 //! * [`layout`] — the C-ABI struct-layout engine with the paper's three
 //!   security-byte insertion policies.
 //! * [`alloc`] — the quarantining, clean-before-use heap allocator model.

@@ -1,7 +1,7 @@
 //! The clean-before-use, quarantining heap allocator model.
 
 use califorms_core::LineMap;
-use califorms_layout::CaliformedLayout;
+use califorms_layout::califormed::{CaliformedLayout, CformOp};
 use califorms_sim::TraceOp;
 use std::collections::VecDeque;
 
@@ -98,7 +98,7 @@ struct FreeBlock {
 struct LiveAllocation {
     size: usize,
     /// Span mask per line, as issued at allocation (needed to free).
-    layout_spans: Vec<(u64, u64)>,
+    layout_spans: Vec<CformOp>,
 }
 
 /// The model heap allocator.
@@ -114,6 +114,9 @@ pub struct CaliformsHeap {
     bump: u64,
     free_list: Vec<FreeBlock>,
     quarantine: VecDeque<FreeBlock>,
+    /// Bytes held in `quarantine`, kept as blocks enter and leave it so a
+    /// `free` never re-sums the whole quarantine.
+    quarantined: usize,
     // Keyed by block base address; a `LineMap` (deterministic hasher) so
     // no future iteration over live allocations can leak per-process
     // RandomState order into emitted trace ops (DESIGN.md §12).
@@ -131,6 +134,7 @@ impl CaliformsHeap {
             bump: base,
             free_list: Vec::new(),
             quarantine: VecDeque::new(),
+            quarantined: 0,
             live: LineMap::default(),
             stats: HeapStats::default(),
         }
@@ -139,7 +143,7 @@ impl CaliformsHeap {
     /// Current statistics.
     pub fn stats(&self) -> HeapStats {
         let mut s = self.stats;
-        s.quarantined_bytes = self.quarantine.iter().map(|b| b.size).sum();
+        s.quarantined_bytes = self.quarantined;
         s.heap_consumed = (self.bump - self.base) as usize;
         s
     }
@@ -153,9 +157,8 @@ impl CaliformsHeap {
 
         let block = self.take_block(block_size);
         let spans = layout.cform_ops(block.addr);
-        let span_masks: Vec<(u64, u64)> = spans.iter().map(|op| (op.line_addr, op.mask)).collect();
 
-        if self.cfg.emit_cforms && !span_masks.is_empty() {
+        if self.cfg.emit_cforms && !spans.is_empty() {
             ops.push(TraceOp::Exec(self.cfg.instrumented_call_insns));
         }
         if self.cfg.emit_cforms {
@@ -165,12 +168,7 @@ impl CaliformsHeap {
                 // positions stay set: mask 0 = "don't care" in the K-map).
                 for line in Self::lines(block.addr, block_size) {
                     let region = Self::region_mask(line, block.addr, block_size);
-                    let keep = span_masks
-                        .iter()
-                        .find(|(l, _)| *l == line)
-                        .map(|(_, m)| *m)
-                        .unwrap_or(0);
-                    let clear = region & !keep;
+                    let clear = region & !Self::mask_at(&spans, line);
                     if clear != 0 {
                         ops.push(TraceOp::Exec(self.cfg.cform_setup_insns));
                         ops.push(TraceOp::Cform {
@@ -183,7 +181,7 @@ impl CaliformsHeap {
                 }
             } else {
                 // Fresh memory: only the object's spans need setting.
-                for &(line_addr, mask) in &span_masks {
+                for &CformOp { line_addr, mask } in &spans {
                     ops.push(TraceOp::Exec(self.cfg.cform_setup_insns));
                     ops.push(TraceOp::Cform {
                         line_addr,
@@ -199,7 +197,7 @@ impl CaliformsHeap {
             block.addr,
             LiveAllocation {
                 size: block_size,
-                layout_spans: span_masks,
+                layout_spans: spans,
             },
         );
         block.addr
@@ -232,13 +230,7 @@ impl CaliformsHeap {
                 // avoid polluting the L1 here; we model the plain variant.)
                 for line in Self::lines(base, alloc.size) {
                     let region = Self::region_mask(line, base, alloc.size);
-                    let spans = alloc
-                        .layout_spans
-                        .iter()
-                        .find(|(l, _)| *l == line)
-                        .map(|(_, m)| *m)
-                        .unwrap_or(0);
-                    let set = region & !spans;
+                    let set = region & !Self::mask_at(&alloc.layout_spans, line);
                     if set != 0 {
                         ops.push(TraceOp::Exec(self.cfg.cform_setup_insns));
                         ops.push(self.free_cform(line, set, set));
@@ -252,7 +244,7 @@ impl CaliformsHeap {
                 // spans are *unset* so the recycled block comes back plain
                 // (the clean-before-use invariant is then re-established by
                 // the next malloc's set pass).
-                for &(line_addr, mask) in &alloc.layout_spans {
+                for &CformOp { line_addr, mask } in &alloc.layout_spans {
                     ops.push(TraceOp::Exec(self.cfg.cform_setup_insns));
                     ops.push(self.free_cform(line_addr, 0, mask));
                     self.stats.cform_ops += 1;
@@ -266,6 +258,7 @@ impl CaliformsHeap {
             size: alloc.size,
             califormed: block_califormed,
         });
+        self.quarantined += alloc.size;
         self.drain_quarantine();
     }
 
@@ -320,13 +313,22 @@ impl CaliformsHeap {
         }
     }
 
+    /// Releases the oldest quarantined blocks to the free list until the
+    /// quarantine holds at most its capacity.
     fn drain_quarantine(&mut self) {
-        let mut held: usize = self.quarantine.iter().map(|b| b.size).sum();
-        while held > self.cfg.quarantine_bytes {
-            let block = self.quarantine.pop_front().expect("held > 0");
-            held -= block.size;
+        while self.quarantined > self.cfg.quarantine_bytes {
+            let block = self.quarantine.pop_front().expect("quarantined > 0");
+            self.quarantined -= block.size;
             self.free_list.push(block);
         }
+    }
+
+    /// The span mask `spans` holds for `line`, or 0.
+    fn mask_at(spans: &[CformOp], line: u64) -> u64 {
+        spans
+            .iter()
+            .find(|op| op.line_addr == line)
+            .map_or(0, |op| op.mask)
     }
 
     fn lines(base: u64, size: usize) -> impl Iterator<Item = u64> {

@@ -5,7 +5,7 @@
 //! unallocated stack memory carries **no** security bytes; a frame's spans
 //! are set on function entry and unset on function exit.
 
-use califorms_layout::CaliformedLayout;
+use califorms_layout::califormed::{CaliformedLayout, CformOp};
 use califorms_sim::TraceOp;
 
 /// A pushed frame's bookkeeping.
@@ -13,7 +13,7 @@ use califorms_sim::TraceOp;
 struct Frame {
     base: u64,
     size: usize,
-    spans: Vec<(u64, u64)>,
+    spans: Vec<CformOp>,
 }
 
 /// The model stack: grows downward from `top`, one frame per function.
@@ -58,13 +58,9 @@ impl CaliformsStack {
         let size = layout.size.max(1).div_ceil(16) * 16;
         self.sp -= size as u64;
         let base = self.sp;
-        let spans: Vec<(u64, u64)> = layout
-            .cform_ops(base)
-            .iter()
-            .map(|op| (op.line_addr, op.mask))
-            .collect();
+        let spans = layout.cform_ops(base);
         if self.emit_cforms {
-            for &(line_addr, mask) in &spans {
+            for &CformOp { line_addr, mask } in &spans {
                 ops.push(TraceOp::Exec(self.cform_setup_insns));
                 ops.push(TraceOp::Cform {
                     line_addr,
@@ -86,7 +82,7 @@ impl CaliformsStack {
     pub fn pop_frame(&mut self, ops: &mut Vec<TraceOp>) {
         let frame = self.frames.pop().expect("pop of empty stack");
         if self.emit_cforms {
-            for &(line_addr, mask) in &frame.spans {
+            for &CformOp { line_addr, mask } in &frame.spans {
                 ops.push(TraceOp::Exec(self.cform_setup_insns));
                 ops.push(TraceOp::Cform {
                     line_addr,

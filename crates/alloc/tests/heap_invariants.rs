@@ -1,13 +1,15 @@
 //! Property tests on the allocator: arbitrary malloc/free interleavings
-//! under every policy must keep the heap's structural invariants and
-//! never violate the CFORM K-map when replayed on the simulator.
+//! under every policy must keep the heap's structural invariants, hold
+//! exactly what a FIFO quarantine holds, and never violate the CFORM
+//! K-map when replayed on the simulator.
 
 use califorms_alloc::{AllocatorConfig, CaliformsHeap, FreeMode};
-use califorms_layout::{InsertionPolicy, StructDef};
+use califorms_layout::{CType, CaliformedLayout, Field, InsertionPolicy, Scalar, StructDef};
 use califorms_sim::{Engine, TraceOp};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone)]
 enum HeapOp {
@@ -16,14 +18,47 @@ enum HeapOp {
     Free(usize),
 }
 
+fn arb_op() -> impl Strategy<Value = HeapOp> {
+    prop_oneof![
+        3 => Just(HeapOp::Malloc),
+        2 => (0usize..64).prop_map(HeapOp::Free),
+    ]
+}
+
 fn arb_ops() -> impl Strategy<Value = Vec<HeapOp>> {
-    proptest::collection::vec(
-        prop_oneof![
-            3 => Just(HeapOp::Malloc),
-            2 => (0usize..64).prop_map(HeapOp::Free),
-        ],
-        1..60,
-    )
+    proptest::collection::vec(arb_op(), 1..60)
+}
+
+/// A one-`char` struct (the smallest block), the paper example, and two
+/// structs around `char` arrays of `page` and `arena` bytes, so that a
+/// short history overflows every quarantine cap from 0 to 1 MiB, and
+/// block totals land on and just past each cap.
+fn sized_layouts(
+    policy: InsertionPolicy,
+    seed: u64,
+    page: usize,
+    arena: usize,
+) -> [CaliformedLayout; 4] {
+    let with_buf = |name: &str, n: usize| {
+        StructDef::new(
+            name,
+            vec![
+                Field::new("len", CType::Scalar(Scalar::Long)),
+                Field::new(
+                    "buf",
+                    CType::Array(Box::new(CType::Scalar(Scalar::Char)), n),
+                ),
+            ],
+        )
+    };
+    let tiny = StructDef::new("tiny", vec![Field::new("c", CType::Scalar(Scalar::Char))]);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    [
+        policy.apply(&tiny, &mut rng),
+        policy.apply(&StructDef::paper_example(), &mut rng),
+        policy.apply(&with_buf("page", page), &mut rng),
+        policy.apply(&with_buf("arena", arena), &mut rng),
+    ]
 }
 
 fn arb_policy() -> impl Strategy<Value = InsertionPolicy> {
@@ -97,6 +132,56 @@ proptest! {
             out.stats.exceptions_delivered, 0,
             "allocator discipline must never fault"
         );
+    }
+
+    /// The quarantine holds exactly what a FIFO of freed block sizes holds
+    /// after every operation, under caps from none to the default 1 MiB,
+    /// and a free never leaves more than the cap quarantined.
+    #[test]
+    fn quarantine_matches_a_fifo_of_sizes(
+        ops in proptest::collection::vec((arb_op(), 0usize..4), 1..120),
+        policy in arb_policy(),
+        page in 1usize..4_096,
+        arena in 4_096usize..300_000,
+        span_only in any::<bool>(),
+        cap in prop_oneof![Just(0usize), Just(512), Just(4 << 10), Just(64 << 10), Just(1 << 20)],
+        seed in any::<u64>(),
+    ) {
+        let layouts = sized_layouts(policy, seed, page, arena);
+        let cfg = AllocatorConfig {
+            free_mode: if span_only { FreeMode::SpanOnly } else { FreeMode::FullObject },
+            quarantine_bytes: cap,
+            ..AllocatorConfig::default()
+        };
+        let block_size = |l: &CaliformedLayout| l.size.max(1).div_ceil(cfg.align) * cfg.align;
+        let mut heap = CaliformsHeap::new(0x1000_0000, cfg);
+        let mut trace = Vec::new();
+        let mut live: Vec<(u64, usize)> = Vec::new();
+        let mut model: VecDeque<usize> = VecDeque::new();
+
+        for (op, kind) in ops {
+            match op {
+                HeapOp::Malloc => {
+                    let l = &layouts[kind];
+                    live.push((heap.malloc(l, &mut trace), block_size(l)));
+                }
+                HeapOp::Free(i) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let (base, size) = live.remove(i % live.len());
+                    heap.free(base, &mut trace);
+                    model.push_back(size);
+                    while model.iter().sum::<usize>() > cap {
+                        model.pop_front();
+                    }
+                    prop_assert!(heap.stats().quarantined_bytes <= cap);
+                }
+            }
+            trace.clear();
+            prop_assert_eq!(heap.stats().quarantined_bytes, model.iter().sum::<usize>());
+            prop_assert_eq!(heap.quarantine_len(), model.len());
+        }
     }
 
     /// Heap statistics are internally consistent over any history.

@@ -142,6 +142,19 @@ fn bench_workload_generation(c: &mut Criterion) {
             WorkloadConfig::with_policy(califorms_layout::InsertionPolicy::full_1_to(7), 10_000, 3);
         b.iter(|| generate(black_box(&profile), &cfg).ops.len())
     });
+    // perfbench `mc_shared_2c`'s set-up at a quarter of its length: churn
+    // leaves about 9.5k freed blocks in the heap's 1 MiB quarantine, where
+    // `generate_10k_trace` frees too few for a free's cost to depend on
+    // how many are held.
+    c.bench_function("generate_churn_400k", |b| {
+        let profile = spec::by_name("perlbench").unwrap();
+        let cfg = WorkloadConfig::with_policy(
+            califorms_layout::InsertionPolicy::intelligent_1_to(7),
+            400_000,
+            7,
+        );
+        b.iter(|| generate(black_box(&profile), &cfg).ops.len())
+    });
 }
 
 fn bench_tracepack(c: &mut Criterion) {

@@ -73,8 +73,13 @@ impl CaliformedLayout {
 
     /// The per-line `CFORM` set operations for an object allocated at
     /// `base` (which the paper's `malloc` issues after allocation;
-    /// one `CFORM` covers one line). Lines without security bytes get no
-    /// operation.
+    /// one `CFORM` covers one line), in ascending line order. Lines
+    /// without security bytes get no operation.
+    ///
+    /// Each span is cut at line boundaries into pieces, and each piece is
+    /// one contiguous bit range. The spans are ascending and
+    /// non-overlapping, so a piece either lands on the line of the last op
+    /// or starts a new one.
     ///
     /// # Panics
     ///
@@ -82,22 +87,23 @@ impl CaliformedLayout {
     /// guarantee ABI alignment, and the mask math assumes in-line offsets.
     pub fn cform_ops(&self, base: u64) -> Vec<CformOp> {
         assert_eq!(base % 8, 0, "allocation base must be ABI-aligned");
+        const LINE: u64 = LINE_BYTES as u64;
         let mut ops: Vec<CformOp> = Vec::new();
         for span in &self.security_spans {
-            for i in 0..span.len {
-                let addr = base + (span.offset + i) as u64;
-                let line_addr = addr & !(LINE_BYTES as u64 - 1);
-                let bit = (addr - line_addr) as u32;
-                match ops.iter_mut().find(|op| op.line_addr == line_addr) {
-                    Some(op) => op.mask |= 1 << bit,
-                    None => ops.push(CformOp {
-                        line_addr,
-                        mask: 1 << bit,
-                    }),
+            let mut addr = base + span.offset as u64;
+            let end = addr + span.len as u64;
+            while addr < end {
+                let line_addr = addr & !(LINE - 1);
+                let lo = addr - line_addr;
+                let hi = (end - line_addr).min(LINE);
+                let mask = (u64::MAX >> (LINE - (hi - lo))) << lo;
+                match ops.last_mut() {
+                    Some(op) if op.line_addr == line_addr => op.mask |= mask,
+                    _ => ops.push(CformOp { line_addr, mask }),
                 }
+                addr = line_addr + hi;
             }
         }
-        ops.sort_by_key(|op| op.line_addr);
         ops
     }
 

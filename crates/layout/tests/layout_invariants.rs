@@ -3,11 +3,39 @@
 //! must keep the structural invariants a C compiler (and the allocator)
 //! depend on.
 
+use califorms_layout::califormed::{CaliformedLayout, CformOp, SecuritySpan};
 use califorms_layout::ctype::{CType, Field, Scalar, StructDef};
 use califorms_layout::{InsertionPolicy, StructLayout};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// `cform_ops` as one loop iteration per security byte, with a linear
+/// search for the byte's line and a final sort, kept only as the oracle
+/// the line-piece walk is compared against.
+mod reference {
+    use super::*;
+
+    pub fn cform_ops(layout: &CaliformedLayout, base: u64) -> Vec<CformOp> {
+        let mut ops: Vec<CformOp> = Vec::new();
+        for span in &layout.security_spans {
+            for i in 0..span.len {
+                let addr = base + (span.offset + i) as u64;
+                let line_addr = addr & !63;
+                let bit = (addr - line_addr) as u32;
+                match ops.iter_mut().find(|op| op.line_addr == line_addr) {
+                    Some(op) => op.mask |= 1 << bit,
+                    None => ops.push(CformOp {
+                        line_addr,
+                        mask: 1 << bit,
+                    }),
+                }
+            }
+        }
+        ops.sort_by_key(|op| op.line_addr);
+        ops
+    }
+}
 
 fn arb_scalar() -> impl Strategy<Value = Scalar> {
     prop_oneof![
@@ -52,10 +80,44 @@ fn arb_policy() -> impl Strategy<Value = InsertionPolicy> {
     prop_oneof![
         Just(InsertionPolicy::None),
         Just(InsertionPolicy::Opportunistic),
-        (1u8..=7).prop_map(|max| InsertionPolicy::Full { min: 1, max }),
-        (1u8..=7).prop_map(|max| InsertionPolicy::Intelligent { min: 1, max }),
+        (1u8..=7, 1u8..=7).prop_map(|(a, b)| InsertionPolicy::Full {
+            min: a.min(b),
+            max: a.max(b)
+        }),
+        (1u8..=7, 1u8..=7).prop_map(|(a, b)| InsertionPolicy::Intelligent {
+            min: a.min(b),
+            max: a.max(b)
+        }),
         (1u8..=7).prop_map(InsertionPolicy::FixedPad),
     ]
+}
+
+/// A layout with arbitrary ascending, non-overlapping spans: gaps of 0 to
+/// 80 bytes (adjacent spans included) and lengths of 1 to 200 bytes, so
+/// spans start and end anywhere in a line and may cover whole lines.
+fn arb_span_layout() -> impl Strategy<Value = CaliformedLayout> {
+    proptest::collection::vec((0usize..80, 1usize..200), 0..12).prop_map(|pieces| {
+        let mut offset = 0;
+        let security_spans: Vec<SecuritySpan> = pieces
+            .into_iter()
+            .map(|(gap, len)| {
+                let span = SecuritySpan {
+                    offset: offset + gap,
+                    len,
+                };
+                offset = span.offset + span.len;
+                span
+            })
+            .collect();
+        CaliformedLayout {
+            name: "spans".into(),
+            fields: vec![],
+            security_spans,
+            size: offset.max(1),
+            align: 16,
+            natural_size: 0,
+        }
+    })
 }
 
 proptest! {
@@ -98,7 +160,10 @@ proptest! {
             prop_assert!(s.len >= 1);
             prop_assert!(s.offset + s.len <= l.size, "span in bounds");
         }
+        // Strictly ascending and non-overlapping: `cform_ops` merges each
+        // span's first line piece into the previous span's last op.
         for w in l.security_spans.windows(2) {
+            prop_assert!(w[0].offset < w[1].offset, "{:?}: spans not ascending", policy);
             prop_assert!(w[0].offset + w[0].len <= w[1].offset, "spans ordered, disjoint");
         }
         prop_assert!(l.size >= l.natural_size || !policy.changes_layout());
@@ -132,6 +197,24 @@ proptest! {
                     prop_assert!(l.is_security_offset(off), "offset {off}");
                 }
             }
+        }
+    }
+
+    /// `cform_ops` equals the per-byte reference at 16-byte-aligned bases,
+    /// for policy layouts and for spans of any length and placement,
+    /// including spans that cover whole lines and spans that touch.
+    #[test]
+    fn cform_ops_match_the_per_byte_reference(
+        def in arb_struct(),
+        policy in arb_policy(),
+        seed in any::<u64>(),
+        spans in arb_span_layout(),
+        base_block in 0u64..1024,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let base = 0x1000_0000 + base_block * 16;
+        for l in [&policy.apply(&def, &mut rng), &spans] {
+            prop_assert_eq!(l.cform_ops(base), reference::cform_ops(l, base));
         }
     }
 }

@@ -87,7 +87,12 @@ fn bench_hierarchy(c: &mut Criterion) {
             addr: 0x1000,
             size: 8,
         });
-        b.iter(|| engine.hierarchy.load(black_box(0x1000), 8, 0, None).latency)
+        b.iter(|| {
+            engine
+                .hierarchy
+                .load(0, black_box(0x1000), 8, 0, None)
+                .latency
+        })
     });
 }
 

@@ -13,7 +13,7 @@
 use califorms_alloc::{AllocatorConfig, CaliformsHeap};
 use califorms_layout::{InsertionPolicy, StructDef};
 use califorms_sim::vector::{vector_load, VectorMode};
-use califorms_sim::{CoreConfig, Engine, Hierarchy, HierarchyConfig, TraceOp};
+use califorms_sim::{CoreConfig, Engine, HierarchyConfig, TraceOp};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -153,9 +153,10 @@ fn vector_modes() {
     // A 64B sweep over an object whose span sits mid-line: legitimate
     // vectorised code (e.g. memcmp) that never *uses* the span lanes.
     let build = || {
-        let mut h = Hierarchy::new(HierarchyConfig::westmere());
-        h.store(0x9000, &[7u8; 64], 0);
+        let mut h = Engine::westmere().hierarchy;
+        h.store(0, 0x9000, &[7u8; 64], 0);
         h.cform(
+            0,
             &califorms_core::CformInstruction::set(0x9000, 0b111 << 24),
             0,
         );
@@ -171,7 +172,7 @@ fn vector_modes() {
         VectorMode::Propagate,
     ] {
         let mut h = build();
-        let (r, v) = vector_load(&mut h, 0x9000, 64, mode, 0);
+        let (r, v) = vector_load(&mut h, 0, 0x9000, 64, mode, 0);
         let faults = r.exception.is_some();
         let masked_ok = v.use_lanes(0xFFFF).is_none(); // consume clean lanes only
         let false_positive = faults && mode != VectorMode::Precise;

@@ -5,7 +5,7 @@
 //! Single-core rows over the same streaming workload:
 //!
 //! * `legacy_iter` — the pre-overhaul path, reproduced faithfully: a
-//!   boxed iterator chain feeding per-op `Hierarchy::load`/`store` calls
+//!   boxed iterator chain feeding per-op hierarchy load/store calls
 //!   that allocate a `Vec` per load result and a `Vec` per synthesized
 //!   store payload;
 //! * `engine_iter` — the current `Engine::run` over a materialised

@@ -193,8 +193,9 @@ struct LegacyResult {
     exception: Option<CaliformsException>,
 }
 
-/// The pre-overhaul hierarchy: same geometry, latencies and conversion
-/// hooks as `califorms_sim::Hierarchy`, with the pre-overhaul access
+/// The pre-overhaul hierarchy: same geometry, latencies, stream
+/// prefetcher and conversion hooks as the one-core
+/// `califorms_sim::CoherentHierarchy`, with the pre-overhaul access
 /// machinery (rotation-LRU caches, per-byte checks, allocating loads).
 pub struct LegacyHierarchy {
     cfg: HierarchyConfig,

@@ -8,17 +8,21 @@
 //!    equality of fault address, access kind, exception kind and pc.
 //! 2. **Final memory and blacklist state** over every line the oracle
 //!    touched, byte for byte, through the simulator's functional
-//!    snapshot hooks ([`Hierarchy::snapshot_line`],
-//!    [`CoherentHierarchy::snapshot_line`]).
+//!    snapshot hook ([`CoherentHierarchy::snapshot_line`]).
 //! 3. **Architectural counters** (loads, stores, cforms, instructions,
 //!    suppressed stores, delivered/suppressed exceptions) per core.
 //! 4. Optional **mid-run system events**: a califorms-respecting DMA
 //!    read must return exactly the oracle's view of memory at that
 //!    point, and a page swap-out/swap-in cycle must be architecturally
 //!    invisible (caught by the final state diff).
+//! 5. **One-core identity**: a single-core pack without events is also
+//!    replayed on a one-core [`MulticoreEngine`], whose outcome must
+//!    equal [`Engine`]'s in every counter, cycles included, and in every
+//!    exception — both engines drive the same one-core machine.
 //!
 //! Timing (cycles, latencies, cache hit rates) is deliberately *not*
-//! compared — the oracle has no caches, which is the point.
+//! compared with the oracle — it has no caches, which is the point —
+//! only between the two engines (5).
 //!
 //! For multi-core runs the pack is dealt to per-core lanes with the
 //! same deterministic round-robin the engine uses (op `i` → core
@@ -33,11 +37,10 @@
 use crate::model::{FlatMemory, OracleCore, OracleCounters};
 use califorms_core::CaliformsException;
 use califorms_sim::dma::DmaEngine;
-use califorms_sim::hierarchy::Hierarchy;
 use califorms_sim::os::SwapManager;
 use califorms_sim::{
     Checkpoints, CoherentHierarchy, Engine, FaultPlan, MulticoreConfig, MulticoreEngine, RunError,
-    SimStats, Source, TraceOp, TracePack,
+    SimOutcome, SimStats, Source, TraceOp, TracePack,
 };
 use std::num::NonZeroU64;
 
@@ -220,6 +223,14 @@ pub enum Divergence {
         /// What disagreed.
         detail: String,
     },
+    /// A one-core [`MulticoreEngine`] replay of a pack without system
+    /// events disagreed with [`Engine`]'s: both engines drive the same
+    /// one-core machine, so every counter (cycles included) and every
+    /// exception must match.
+    OneCoreEngines {
+        /// What disagreed.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for Divergence {
@@ -270,6 +281,9 @@ impl std::fmt::Display for Divergence {
             }
             Divergence::Resume { checkpoint, detail } => {
                 write!(f, "checkpoint {checkpoint} resume diverged: {detail}")
+            }
+            Divergence::OneCoreEngines { detail } => {
+                write!(f, "the engines disagree at one core: {detail}")
             }
         }
     }
@@ -382,9 +396,11 @@ fn diff_state(
 /// returns the first divergence (`None` = byte-exact agreement).
 ///
 /// `events` (single-core only) interleave DMA reads / swap cycles into
-/// the replay; pass `&[]` for a pure replay. For `cfg.cores > 1` the
-/// pack must be interleaving-independent (the fuzzer's multi-core
-/// grammar guarantees this) and `events` must be empty.
+/// the replay; pass `&[]` for a pure replay, which at one core also
+/// replays the pack on a one-core [`MulticoreEngine`] and requires its
+/// outcome to equal [`Engine`]'s. For `cfg.cores > 1` the pack must be
+/// interleaving-independent (the fuzzer's multi-core grammar guarantees
+/// this) and `events` must be empty.
 ///
 /// # Panics
 ///
@@ -393,15 +409,47 @@ fn diff_state(
 /// to a multi-core diff.
 pub fn diff_pack(pack: &TracePack, events: &[SysEvent], cfg: &DiffConfig) -> Option<Divergence> {
     assert!(cfg.cores >= 1, "need at least one core");
-    if cfg.cores == 1 {
-        diff_single(pack, events, cfg)
-    } else {
+    if cfg.cores > 1 {
         assert!(events.is_empty(), "system events are single-core only");
-        diff_multicore(pack, cfg)
+        return diff_multicore(pack, cfg);
+    }
+    match diff_single(pack, events, cfg) {
+        Err(d) => Some(d),
+        Ok(single) if events.is_empty() => diff_one_core_engines(pack, cfg, &single),
+        Ok(_) => None,
     }
 }
 
-fn apply_event(hierarchy: &mut Hierarchy, mem: &FlatMemory, ev: &SysEvent) -> Option<Divergence> {
+/// Replays `pack` on a one-core [`MulticoreEngine`] and compares its
+/// whole outcome with `single`, [`Engine`]'s outcome of the same pack.
+fn diff_one_core_engines(
+    pack: &TracePack,
+    cfg: &DiffConfig,
+    single: &SimOutcome,
+) -> Option<Divergence> {
+    let source = Source::Pack {
+        pack,
+        checkpoints: None,
+    };
+    let detail = match MulticoreEngine::new(engine_config(cfg)).replay(source) {
+        Err(err) => format!("the multicore replay failed: {err}"),
+        Ok((multi, _)) if multi.stats.combined != single.stats => format!(
+            "stats differ: engine {:?}, multicore {:?}",
+            single.stats, multi.stats.combined
+        ),
+        Ok((multi, _)) if multi.exceptions[0] != single.exceptions => {
+            "delivered exceptions differ".into()
+        }
+        Ok(_) => return None,
+    };
+    Some(Divergence::OneCoreEngines { detail })
+}
+
+fn apply_event(
+    hierarchy: &mut CoherentHierarchy,
+    mem: &FlatMemory,
+    ev: &SysEvent,
+) -> Option<Divergence> {
     match *ev {
         SysEvent::Dma { at_op, addr, len } => {
             let t = DmaEngine::respecting().read(hierarchy, addr, len);
@@ -437,7 +485,13 @@ fn apply_event(hierarchy: &mut Hierarchy, mem: &FlatMemory, ev: &SysEvent) -> Op
     }
 }
 
-fn diff_single(pack: &TracePack, events: &[SysEvent], cfg: &DiffConfig) -> Option<Divergence> {
+/// The single-core diff: [`Engine`] against the oracle, with `events`
+/// interleaved. Returns the engine's outcome when they agree.
+fn diff_single(
+    pack: &TracePack,
+    events: &[SysEvent],
+    cfg: &DiffConfig,
+) -> Result<SimOutcome, Divergence> {
     let ops: Vec<TraceOp> = pack.to_vec();
     let mut events: Vec<&SysEvent> = events.iter().collect();
     events.sort_by_key(|e| e.at_op());
@@ -450,7 +504,7 @@ fn diff_single(pack: &TracePack, events: &[SysEvent], cfg: &DiffConfig) -> Optio
     for (i, &op) in ops.iter().enumerate() {
         while next_event < events.len() && events[next_event].at_op() <= i {
             if let Some(d) = apply_event(&mut engine.hierarchy, &mem, events[next_event]) {
-                return Some(d);
+                return Err(d);
             }
             next_event += 1;
         }
@@ -459,7 +513,7 @@ fn diff_single(pack: &TracePack, events: &[SysEvent], cfg: &DiffConfig) -> Optio
     }
     while next_event < events.len() {
         if let Some(d) = apply_event(&mut engine.hierarchy, &mem, events[next_event]) {
-            return Some(d);
+            return Err(d);
         }
         next_event += 1;
     }
@@ -471,19 +525,21 @@ fn diff_single(pack: &TracePack, events: &[SysEvent], cfg: &DiffConfig) -> Optio
         |line| hierarchy.snapshot_line(line),
         |line| matches!(fault, Some(FaultInjection::L1MaskOffByOne)) && hierarchy.l1_contains(line),
     ) {
-        return Some(d);
+        return Err(d);
     }
     if let Some(d) = diff_exceptions(0, engine.delivered_exceptions(), core.exceptions()) {
-        return Some(d);
+        return Err(d);
     }
     let outcome = engine.finish();
     if let Some(d) = diff_counters(0, &outcome.stats, core.counters()) {
-        return Some(d);
+        return Err(d);
     }
-    if let Some(interval) = cfg.resume_at {
-        return diff_resume_single(pack, interval);
+    if let Some(every) = cfg.resume_at {
+        if let Some(d) = diff_resume_single(pack, every) {
+            return Err(d);
+        }
     }
-    None
+    Ok(outcome)
 }
 
 /// Oracle replay of a pack dealt to `cores` lanes with the engine's

@@ -337,7 +337,9 @@ pub fn speculative_probe(seed: u64) -> AttackReport {
     // architectural value must be zero (no stale data), and the exception
     // is deferred — exactly what breaks the Spectre-style gadget.
     let mut loaded = Vec::new();
-    engine.hierarchy.load(base, 1, u64::MAX, Some(&mut loaded));
+    engine
+        .hierarchy
+        .load(0, base, 1, u64::MAX, Some(&mut loaded));
     let leaked = loaded[0] != 0;
 
     // LSQ leg: a load younger than an in-flight CFORM gets zeros too.

@@ -111,22 +111,6 @@ impl<V> SetAssocCache<V> {
         self.sets.len() * self.ways * LINE_BYTES as usize
     }
 
-    /// Capacity in lines (the telemetry occupancy denominator).
-    pub fn capacity_lines(&self) -> usize {
-        self.sets.len() * self.ways
-    }
-
-    /// Fraction of line slots occupied, in `[0, 1]` (0 for a cache with
-    /// no line slots).
-    pub fn occupancy(&self) -> f64 {
-        let cap = self.capacity_lines();
-        if cap == 0 {
-            0.0
-        } else {
-            self.resident_lines() as f64 / cap as f64
-        }
-    }
-
     fn index(&self, line_addr: u64) -> (usize, u64) {
         let line_no = line_addr / LINE_BYTES;
         let set = (line_no as usize) & (self.sets.len() - 1);
@@ -170,19 +154,6 @@ impl<V> SetAssocCache<V> {
             value: &mut e.value,
             dirty: &mut e.dirty,
         })
-    }
-
-    /// Looks up a line, updating LRU but **not** the hit/miss counters.
-    ///
-    /// For multi-step operations (fill then write, read-modify-write) that
-    /// are one architectural access but several internal touches.
-    pub fn access_uncounted(&mut self, line_addr: u64) -> Option<&mut V> {
-        let (set_idx, tag) = self.index(line_addr);
-        self.clock += 1;
-        let clock = self.clock;
-        let e = self.sets[set_idx].iter_mut().find(|e| e.tag == tag)?;
-        e.stamp = clock;
-        Some(&mut e.value)
     }
 
     /// Looks up a line without affecting LRU order or counters.
@@ -291,19 +262,6 @@ impl<V> SetAssocCache<V> {
     /// Number of lines currently resident.
     pub fn resident_lines(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
-    }
-
-    /// Drains every resident line (for end-of-simulation flush), returning
-    /// `(line_addr, payload, dirty)` triples in no particular order.
-    pub fn drain(&mut self) -> Vec<(u64, V, bool)> {
-        let set_bits = self.set_bits;
-        let mut out = Vec::new();
-        for (set_idx, set) in self.sets.iter_mut().enumerate() {
-            for e in set.drain(..) {
-                out.push((address_of(set_bits, e.tag, set_idx), e.value, e.dirty));
-            }
-        }
-        out
     }
 
     /// The LRU clock (checkpoint serialization; restored by
@@ -450,21 +408,6 @@ mod tests {
         c.mark_dirty(64);
         assert_eq!(c.invalidate(64), Some((9, true)));
         assert_eq!(c.invalidate(64), None);
-    }
-
-    #[test]
-    fn drain_returns_all_lines_with_addresses() {
-        let mut c = cache();
-        c.insert(0, 1, false);
-        c.insert(64, 2, true);
-        c.insert(8 * 64, 3, false);
-        let mut drained = c.drain();
-        drained.sort_by_key(|(a, _, _)| *a);
-        assert_eq!(
-            drained,
-            vec![(0, 1, false), (64, 2, true), (8 * 64, 3, false)]
-        );
-        assert_eq!(c.resident_lines(), 0);
     }
 
     #[test]

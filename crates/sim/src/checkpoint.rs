@@ -2,10 +2,10 @@
 //! crash-tolerant replay.
 //!
 //! A checkpoint captures everything that feeds the bit-identity contract
-//! — core state (pc, exception masks, counters), the full hierarchy
-//! (L1 lines with their MESI state and dirty/recency state, the shared
-//! levels, the MESI directory), the runtime counters, and the replay
-//! cursor ([`crate::tracepack::ResumePoint`]
+//! — core state (pc, exception masks, counters), the whole machine (L1
+//! lines with their MESI state and dirty/recency state, the shared
+//! levels, the stream trackers, the MESI directory), the runtime
+//! counters, and the replay cursor ([`crate::tracepack::ResumePoint`]
 //! per lane) — so a run killed at any quantum boundary can be resumed
 //! from its last checkpoint and produce results byte-identical to a
 //! straight-through run (verified by the `resume_at` mode of the
@@ -14,7 +14,7 @@
 //! The format follows the same discipline as `tracepack`:
 //!
 //! ```text
-//! header  := magic "CFCK" | version u8 (=4)
+//! header  := magic "CFCK" | version u8 (=5)
 //! section := tag u8 (!= 0xFF) | len u64 LE | payload[len]
 //! end     := 0xFF
 //! trailer := checksum u64 LE (FNV-1a over every preceding byte)
@@ -66,7 +66,7 @@ pub const MAGIC: [u8; 4] = *b"CFCK";
 /// Checkpoint format version. Checkpoints are run-local and never
 /// migrated, so the decoder reads exactly this version and rejects every
 /// other one, older or newer.
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 
 /// End-of-sections marker tag.
 const TAG_END: u8 = 0xFF;
@@ -425,10 +425,8 @@ pub(crate) const SEC_META: u8 = 0x01;
 pub(crate) const SEC_CONFIG: u8 = 0x02;
 /// Per-core replay state (repeated per core in one section).
 pub(crate) const SEC_CORE: u8 = 0x03;
-/// Single-core hierarchy state.
-pub(crate) const SEC_HIERARCHY: u8 = 0x04;
-/// Multi-core coherent hierarchy state.
-pub(crate) const SEC_COHERENT: u8 = 0x05;
+/// Machine state (`CoherentHierarchy`), written alike by both engines.
+pub(crate) const SEC_MACHINE: u8 = 0x05;
 /// Runtime counters + the end of the next quantum.
 pub(crate) const SEC_RUNTIME: u8 = 0x06;
 /// Replay cursor(s): one `ResumePoint` (+ ring leftovers) per lane.

@@ -1,5 +1,5 @@
-//! The L1 data cache of both engines, and MESI directory coherence over
-//! per-core L1s.
+//! The one machine both engines drive: per-core L1s over the shared
+//! levels, kept coherent by a MESI directory at two or more cores.
 //!
 //! **One L1.** [`CoreL1`] is a core's private L1D: lines in the
 //! *califorms-bitvector* format, each with a MESI state. Every L1 access
@@ -10,19 +10,20 @@
 //! lacks (or holds only Shared, for a write) is made resident — their
 //! `MissPath`:
 //!
-//! * the single-core [`crate::hierarchy::Hierarchy`] fetches it from the
-//!   shared levels through its stream prefetcher, so its lines are always
-//!   E or M;
-//! * [`CoherentHierarchy`] runs the MESI directory below;
+//! * a core's port into [`CoherentHierarchy`] makes it resident: through
+//!   the MESI directory at two or more cores, and at one core — the
+//!   single-core [`crate::engine::Engine`]'s machine — straight from the
+//!   shared levels through the stream prefetcher, with no directory to
+//!   consult, so its lines are always E or M;
 //! * a core's bound phase ([`crate::multicore::MulticoreEngine`]) does
 //!   not make it resident at all: it defers the access to the weave
 //!   without counting a hit or miss.
 //!
 //! **Coherence** (DESIGN.md §7). Every core owns a `CoreL1`, and all cores
-//! share the sentinel-format L2/L3/DRAM levels ([`SharedLevels`]). A
-//! full-map directory (conceptually co-located with the shared L2 tags)
-//! tracks, per line, which cores cache it and whether one of them holds it
-//! exclusively. The protocol is MESI:
+//! share the sentinel-format L2/L3/DRAM levels ([`SharedLevels`]). At two
+//! or more cores a full-map directory (conceptually co-located with the
+//! shared L2 tags) tracks, per line, which cores cache it and whether one
+//! of them holds it exclusively. The protocol is MESI:
 //!
 //! * **M**odified — sole copy, dirty; the directory records the owner.
 //! * **E**xclusive — sole copy, clean; a silent local E→M upgrade on the
@@ -187,11 +188,12 @@ impl MissPath for CoreL1 {
 }
 
 /// How an L1 access gets a line its L1 lacks, or holds only Shared for a
-/// write: the one step in which the engines differ.
+/// write. Two paths implement it: a core's port into the machine, and the
+/// bound phase's bare [`CoreL1`].
 pub(crate) trait MissPath {
-    /// Why the path may refuse an access: [`Infallible`] for the paths
-    /// that always make the line resident, `()` for the bound phase,
-    /// which defers the access to the weave.
+    /// Why the path may refuse an access: [`Infallible`] for the machine's
+    /// port, which always makes the line resident, `()` for the bound
+    /// phase, which defers the access to the weave.
     type Defer;
 
     /// The L1 the access runs against.
@@ -413,26 +415,36 @@ struct DirEntry {
     owner: Option<usize>,
 }
 
-/// The multi-core hierarchy: N per-core L1Ds kept coherent by a MESI
-/// directory over the shared sentinel-format L2/L3/DRAM.
+/// The simulated machine: N per-core L1Ds over the shared sentinel-format
+/// L2/L3/DRAM. At two or more cores a MESI directory keeps the L1s
+/// coherent. A one-core machine has no other core to consult, so its
+/// misses and non-temporal `CFORM`s skip the directory — no lookup, no
+/// entry, no directory or cache-to-cache charge — and its misses run the
+/// stream prefetcher when [`HierarchyConfig::stream_prefetcher`] asks.
 #[derive(Debug)]
 pub struct CoherentHierarchy {
     cfg: HierarchyConfig,
     ccfg: CoherenceConfig,
     l1s: Vec<CoreL1>,
     shared: SharedLevels,
-    /// Full-map entries of every line some L1 holds.
+    /// Full-map entries of every line some L1 holds (two or more cores;
+    /// always empty at one core).
     dir: LineMap<DirEntry>,
     /// L1→L2 spill conversions of califormed lines (all cores).
     spills: u64,
     /// L2→L1 fill conversions of califormed lines (all cores).
     fills: u64,
-    /// Coherence-traffic counters.
+    /// Coherence-traffic counters (all zero at one core).
     coherence: CoherenceStats,
+    /// The one-core machine's prefetcher: the last missed line of four
+    /// independent sequential streams.
+    streams: [u64; 4],
+    /// The stream tracker a new stream replaces next.
+    stream_cursor: usize,
 }
 
 /// Core `c`'s port into a [`CoherentHierarchy`]: its L1, with misses and
-/// upgrades resolved by the directory.
+/// upgrades resolved by the machine.
 struct CorePort<'a> {
     h: &'a mut CoherentHierarchy,
     c: usize,
@@ -460,10 +472,11 @@ impl MissPath for CorePort<'_> {
 }
 
 impl CoherentHierarchy {
-    /// Builds a coherent hierarchy with `cores` private L1Ds.
+    /// Builds a machine with `cores` private L1Ds.
     ///
-    /// `cfg.stream_prefetcher` / `cfg.prefetch_residual` are ignored:
-    /// the multi-core L1s carry no prefetcher (DESIGN.md §7).
+    /// `cfg.stream_prefetcher` / `cfg.prefetch_residual` are honoured at
+    /// one core and ignored at two or more, whose L1s carry no prefetcher
+    /// (DESIGN.md §7).
     ///
     /// # Panics
     ///
@@ -483,6 +496,8 @@ impl CoherentHierarchy {
             cfg,
             ccfg,
             coherence: CoherenceStats::default(),
+            streams: [u64::MAX; 4],
+            stream_cursor: 0,
         }
     }
 
@@ -541,23 +556,32 @@ impl CoherentHierarchy {
         spilled
     }
 
-    /// Removes core `c` from a victim line's directory entry (L1 capacity
-    /// eviction), writing a dirty victim back through the spill path. One
-    /// hash operation in the common case (sole resident core evicts →
-    /// entry removed); the entry is reinserted only when other cores
-    /// still share the line.
+    /// Whether this is the one-core machine, whose misses and
+    /// non-temporal `CFORM`s skip the directory.
+    #[inline]
+    fn alone(&self) -> bool {
+        self.l1s.len() == 1
+    }
+
+    /// Retires core `c`'s L1 capacity victim, writing it back through the
+    /// spill path if dirty. At two or more cores it also leaves the line's
+    /// directory entry: one hash operation in the common case (sole
+    /// resident core evicts → entry removed); the entry is reinserted only
+    /// when other cores still share the line.
     fn retire_victim(&mut self, c: usize, victim: Eviction<CoherentLine>) {
-        let mut entry = self
-            .dir
-            .remove(&victim.line_addr)
-            // analyze::allow(hot-path-unwrap): coherence invariant: every resident line has a directory entry
-            .expect("resident lines are in the directory");
-        entry.sharers &= !(1u64 << c);
-        if entry.sharers != 0 {
-            if entry.owner == Some(c) {
-                entry.owner = None;
+        if !self.alone() {
+            let mut entry = self
+                .dir
+                .remove(&victim.line_addr)
+                // analyze::allow(hot-path-unwrap): coherence invariant: every resident line has a directory entry
+                .expect("resident lines are in the directory");
+            entry.sharers &= !(1u64 << c);
+            if entry.sharers != 0 {
+                if entry.owner == Some(c) {
+                    entry.owner = None;
+                }
+                self.dir.insert(victim.line_addr, entry);
             }
-            self.dir.insert(victim.line_addr, entry);
         }
         if victim.dirty {
             self.write_back(victim.line_addr, &victim.value.line, true);
@@ -604,11 +628,72 @@ impl CoherentHierarchy {
         }
     }
 
-    /// The MESI miss: makes `line_addr`, absent from core `c`'s L1,
-    /// resident there with read (`write == false`) or write permission.
-    /// Counts an L1 miss and returns the latency beyond the L1 hit.
+    /// The miss: makes `line_addr`, absent from core `c`'s L1, resident
+    /// there with read (`write == false`) or write permission, running the
+    /// fill conversion and retiring the L1 victim. Counts an L1 miss and
+    /// returns the latency beyond the L1 hit.
     fn fetch_line(&mut self, c: usize, line_addr: u64, write: bool) -> u32 {
         self.l1s[c].cache.stats.misses += 1;
+        let (l2line, private, latency) = if self.alone() {
+            let (line, latency) = self.fetch_alone(line_addr);
+            (line, true, latency)
+        } else {
+            self.fetch_coherent(c, line_addr, write)
+        };
+        if l2line.califormed {
+            self.fills += 1;
+        }
+        let state = if write {
+            Mesi::Modified
+        } else if private {
+            Mesi::Exclusive
+        } else {
+            Mesi::Shared
+        };
+        let line = CoherentLine {
+            line: fill_canonical(&l2line),
+            state,
+        };
+        if let Some(victim) = self.l1s[c].cache.insert(line_addr, line, false) {
+            self.retire_victim(c, victim);
+        }
+        latency
+    }
+
+    /// The one-core miss: no other core to consult, so the line comes
+    /// straight from the shared levels. A miss that continues a sequential
+    /// stream costs only the residual latency the prefetcher could not
+    /// hide. Returns the line and the latency beyond the L1 hit.
+    fn fetch_alone(&mut self, line_addr: u64) -> (L2Line, u32) {
+        let prefetched = self.cfg.stream_prefetcher && self.stream_hit(line_addr);
+        let (line, latency) = self.shared.fetch(line_addr);
+        if prefetched {
+            (line, latency.min(self.cfg.prefetch_residual))
+        } else {
+            (line, latency)
+        }
+    }
+
+    /// Detects sequential miss streams: returns true when `line_addr`
+    /// continues one of the tracked streams (the prefetcher would already
+    /// have the line in flight), updating the trackers either way.
+    fn stream_hit(&mut self, line_addr: u64) -> bool {
+        for s in &mut self.streams {
+            if line_addr == s.wrapping_add(LINE_BYTES) {
+                *s = line_addr;
+                return true;
+            }
+        }
+        self.streams[self.stream_cursor] = line_addr;
+        self.stream_cursor = (self.stream_cursor + 1) % self.streams.len();
+        false
+    }
+
+    /// The MESI miss of a machine of two or more cores: consults the
+    /// directory, recalling or invalidating remote copies as the request
+    /// needs. Returns the line in flight, whether no other core was
+    /// involved, and the latency beyond the L1 hit.
+    fn fetch_coherent(&mut self, c: usize, line_addr: u64, write: bool) -> (L2Line, bool, u32) {
         // One hash op for a private miss: the entry is created and
         // updated in place.
         self.coherence.directory_lookups += 1;
@@ -617,18 +702,14 @@ impl CoherentHierarchy {
         let remote_sharers = entry.sharers & !(1u64 << c);
         let mut latency = self.ccfg.directory_latency;
 
-        let (l2line, state) = if remote_owner.is_none() && remote_sharers == 0 {
+        let private = remote_owner.is_none() && remote_sharers == 0;
+        let line = if private {
             // No other core involved: the private case the weave batches.
             entry.sharers = 1 << c;
             entry.owner = Some(c);
             let (line, fetch_latency) = self.shared.fetch(line_addr);
             latency += fetch_latency;
-            let state = if write {
-                Mesi::Modified
-            } else {
-                Mesi::Exclusive
-            };
-            (line, state)
+            line
         } else {
             let line = if let Some(o) = remote_owner {
                 self.recall(o, line_addr, write, &mut latency)
@@ -643,29 +724,16 @@ impl CoherentHierarchy {
                 line
             };
             let entry = self.dir.entry(line_addr).or_default();
-            let state = if write {
+            if write {
                 entry.sharers = 1 << c;
                 entry.owner = Some(c);
-                Mesi::Modified
             } else {
                 entry.sharers |= 1 << c;
                 entry.owner = None;
-                Mesi::Shared
-            };
-            (line, state)
+            }
+            line
         };
-
-        if l2line.califormed {
-            self.fills += 1;
-        }
-        let line = CoherentLine {
-            line: fill_canonical(&l2line),
-            state,
-        };
-        if let Some(victim) = self.l1s[c].cache.insert(line_addr, line, false) {
-            self.retire_victim(c, victim);
-        }
-        latency
+        (line, private, latency)
     }
 
     /// Cache-to-cache transfer: recalls `line_addr` from the remote
@@ -737,19 +805,29 @@ impl CoherentHierarchy {
         self.serve(c, insn.line_addr, Access::Cform(insn), pc)
     }
 
-    /// Executes a **non-temporal** `CFORM` by core `c`: every L1 copy is
-    /// recalled/invalidated (write-back through the spill conversion where
-    /// dirty) and the line is updated in place at the shared L2 without
-    /// re-entering any L1.
-    /// (`_c` identifies the requesting core for API symmetry; the NT
-    /// variant never allocates into any L1, so it does not use it.)
-    pub fn cform_nt(&mut self, _c: usize, insn: &CformInstruction, pc: u64) -> MemResult {
+    /// Executes a **non-temporal** `CFORM` (the footnote-3 variant): every
+    /// L1 copy is recalled/invalidated (write-back through the spill
+    /// conversion where dirty) and the line is updated in place at the
+    /// shared L2 without re-entering any L1 — deallocation-time califorming
+    /// should not pollute an L1 with dead lines. It never allocates into
+    /// the requesting core's L1, so it needs no core index.
+    pub fn cform_nt(&mut self, insn: &CformInstruction, pc: u64) -> MemResult {
         let line_addr = insn.line_addr;
-        self.coherence.directory_lookups += 1;
-        let mut latency = self.ccfg.directory_latency;
-        if let Some(entry) = self.dir.remove(&line_addr) {
+        let mut latency = 0;
+        if self.alone() {
+            // No directory to consult: drop the one L1 copy, writing it
+            // back if dirty so the L2 copy is authoritative.
+            if let Some((e, dirty)) = self.l1s[0].cache.invalidate(line_addr) {
+                if dirty {
+                    self.write_back(line_addr, &e.line, true);
+                }
+            }
+        } else {
+            self.coherence.directory_lookups += 1;
+            latency = self.ccfg.directory_latency;
+            let sharers = self.dir.remove(&line_addr).map_or(0, |e| e.sharers);
             for o in 0..self.l1s.len() {
-                if entry.sharers >> o & 1 == 1 {
+                if sharers >> o & 1 == 1 {
                     if let Some((victim, dirty)) = self.l1s[o].cache.invalidate(line_addr) {
                         self.coherence.invalidations += 1;
                         if dirty {
@@ -777,28 +855,22 @@ impl CoherentHierarchy {
         }
     }
 
-    /// Functional view of the line holding `addr`: the authoritative copy
-    /// is the owning core's L1 if any, then any Shared L1 copy, then the
+    /// Functional view of the line holding `addr`: any L1 copy (an M or E
+    /// copy is the only one, and Shared copies are all equal), else the
     /// shared levels. No timing, LRU or counter effects.
     fn peek_line(&self, addr: u64) -> L1Line {
         let line_addr = line_base(addr);
-        if let Some(entry) = self.dir.get(&line_addr) {
-            for o in 0..self.l1s.len() {
-                if entry.sharers >> o & 1 == 1 {
-                    if let Some(e) = self.l1s[o].cache.peek(line_addr) {
-                        return e.line;
-                    }
-                }
-            }
+        match self.l1s.iter().find_map(|l1| l1.cache.peek(line_addr)) {
+            Some(e) => e.line,
+            None => fill_canonical(&self.shared.peek_line(line_addr)),
         }
-        fill_canonical(&self.shared.peek_line(line_addr))
     }
 
     /// Functional snapshot of a line's canonical *(data, security-mask)*
-    /// state through the coherent machine (freshest copy: an owning L1
-    /// first, then the shared levels) — no timing, LRU or stats effects.
-    /// The differential oracle (`califorms-oracle`) diffs final memory
-    /// and blacklist state against this.
+    /// state through the machine (freshest copy: an L1 first, then the
+    /// shared levels) — no timing, LRU or stats effects. The differential
+    /// oracle (`califorms-oracle`) diffs final memory and blacklist state
+    /// against this.
     pub fn snapshot_line(&self, line_addr: u64) -> califorms_core::CaliformedLine {
         *self.peek_line(line_addr).line()
     }
@@ -825,8 +897,57 @@ impl CoherentHierarchy {
         self.l1s[c].cache.peek(line_addr).map(|e| e.state)
     }
 
-    /// Copies the shared-level and coherence counters into `stats` (the
-    /// whole-machine "combined" block of
+    /// Whether some core's L1 currently holds a line (used by the
+    /// non-temporal-`CFORM` pollution tests and the oracle's L1 fault).
+    pub fn l1_contains(&self, line_addr: u64) -> bool {
+        self.l1s.iter().any(|l1| l1.cache.peek(line_addr).is_some())
+    }
+
+    /// Writes one line back to DRAM and drops every cached copy — the
+    /// building block of page swap-out and of the DMA and I/O reads (the
+    /// OS must see the line's current content and metadata bit in
+    /// memory). Every L1 copy and the line's directory entry go; the L1
+    /// copy is written to DRAM through the spill conversion (a Modified
+    /// copy is the only one, and Shared copies are all equal). No
+    /// coherence event is counted: the OS, not a core, asked.
+    pub fn evict_line_to_dram(&mut self, line_addr: u64) {
+        self.dir.remove(&line_addr);
+        let mut copy = None;
+        for l1 in &mut self.l1s {
+            if let Some((e, _)) = l1.cache.invalidate(line_addr) {
+                copy = Some(e.line);
+            }
+        }
+        self.shared.evict_to_dram(line_addr);
+        if let Some(line) = copy {
+            let spilled = spill_canonical(&line);
+            if spilled.califormed {
+                self.spills += 1;
+            }
+            self.shared.set_dram_line(line_addr, spilled);
+        }
+    }
+
+    /// Reads a line's DRAM copy (sentinel format; the *califormed?* bit
+    /// conceptually lives in the spare ECC bits).
+    pub fn dram_line(&self, line_addr: u64) -> L2Line {
+        self.shared.dram_line(line_addr)
+    }
+
+    /// Overwrites a line's DRAM copy (page swap-in path).
+    pub fn set_dram_line(&mut self, line_addr: u64, line: L2Line) {
+        self.shared.set_dram_line(line_addr, line);
+    }
+
+    /// Removes a line from DRAM entirely (its page was swapped out).
+    pub fn remove_dram_line(&mut self, line_addr: u64) {
+        self.shared.remove_dram_line(line_addr);
+    }
+
+    /// Copies the cache, conversion and coherence counters into `stats`:
+    /// the L1 counters summed over the cores, the shared levels, spills,
+    /// fills and the coherence counters (the single-core engine's whole
+    /// stats block, and the multi-core engine's "combined" block of
     /// [`crate::stats::MulticoreStats`]).
     pub fn export_stats(&self, stats: &mut SimStats) {
         self.shared.export_stats(stats);
@@ -847,7 +968,7 @@ impl CoherentHierarchy {
 
 // ---------------------------------------------------------------------------
 // Checkpoint state (DESIGN.md §14). Implemented here (not in `checkpoint`)
-// because the coherent hierarchy's fields are private.
+// because the machine's fields are private.
 // ---------------------------------------------------------------------------
 
 use crate::checkpoint::{self as ck, CheckpointError};
@@ -861,12 +982,12 @@ fn mesi_tag(state: Mesi) -> u8 {
     }
 }
 
-pub(crate) fn put_coherent_line(w: &mut ck::Wr, line: &CoherentLine) {
+fn put_coherent_line(w: &mut ck::Wr, line: &CoherentLine) {
     ck::put_l1_line(w, &line.line);
     w.u8(mesi_tag(line.state));
 }
 
-pub(crate) fn get_coherent_line(r: &mut ck::Rd<'_>) -> ck::Result<CoherentLine> {
+fn get_coherent_line(r: &mut ck::Rd<'_>) -> ck::Result<CoherentLine> {
     let line = ck::get_l1_line(r)?;
     let state = match r.u8()? {
         0 => Mesi::Modified,
@@ -878,16 +999,28 @@ pub(crate) fn get_coherent_line(r: &mut ck::Rd<'_>) -> ck::Result<CoherentLine> 
 }
 
 impl CoherentHierarchy {
-    /// Serializes the full mutable coherent-machine state (the
-    /// `SEC_COHERENT` payload): per-core L1s with their MESI states, the
-    /// shared levels, the directory and the conversion and coherence
-    /// counters. The configuration travels separately in `SEC_CONFIG`.
+    /// Serializes the full mutable machine state (the `SEC_MACHINE`
+    /// payload both engines write): per-core L1s with their MESI states,
+    /// the shared levels, the conversion and coherence counters, the
+    /// stream trackers and the directory. The configuration travels
+    /// separately in `SEC_CONFIG`.
     pub(crate) fn save_state(&self, w: &mut ck::Wr) {
         w.u64(self.l1s.len() as u64);
         for l1 in &self.l1s {
             ck::put_cache(w, &l1.cache, put_coherent_line);
         }
         self.shared.save_state(w);
+        w.u64(self.spills);
+        w.u64(self.fills);
+        w.u64(self.coherence.invalidations);
+        w.u64(self.coherence.upgrades_s_to_m);
+        w.u64(self.coherence.cache_to_cache_transfers);
+        w.u64(self.coherence.califormed_transfers);
+        w.u64(self.coherence.directory_lookups);
+        for s in self.streams {
+            w.u64(s);
+        }
+        w.u64(self.stream_cursor as u64);
         // Directory entries in canonical form: sorted by line address
         // (`LineMap` iteration order is insertion-history-dependent, the
         // sort buys byte-identical checkpoints for equal states).
@@ -905,18 +1038,13 @@ impl CoherentHierarchy {
                 None => w.bool(false),
             }
         }
-        w.u64(self.spills);
-        w.u64(self.fills);
-        w.u64(self.coherence.invalidations);
-        w.u64(self.coherence.upgrades_s_to_m);
-        w.u64(self.coherence.cache_to_cache_transfers);
-        w.u64(self.coherence.califormed_transfers);
-        w.u64(self.coherence.directory_lookups);
     }
 
-    /// Rebuilds a coherent hierarchy from a `SEC_COHERENT` payload
-    /// against `cfg`/`ccfg`/`cores` (already decoded from `SEC_CONFIG` /
-    /// `SEC_META`).
+    /// Rebuilds a machine from a `SEC_MACHINE` payload against
+    /// `cfg`/`ccfg`/`cores` (already decoded from `SEC_CONFIG` /
+    /// `SEC_META`). A one-core machine holds its lines E or M and keeps
+    /// no directory, so a Shared line or a directory entry in its
+    /// payload is corrupt.
     pub(crate) fn restore_state(
         cfg: HierarchyConfig,
         ccfg: CoherenceConfig,
@@ -927,11 +1055,38 @@ impl CoherentHierarchy {
         if r.count()? != cores {
             return Err(CheckpointError::ConfigMismatch("per-core L1 count"));
         }
+        let alone = h.alone();
         for l1 in &mut h.l1s {
-            ck::get_cache(r, &mut l1.cache, get_coherent_line)?;
+            ck::get_cache(r, &mut l1.cache, |r| {
+                let line = get_coherent_line(r)?;
+                if alone && !line.state.writable() {
+                    return Err(CheckpointError::Corrupt("Shared line in a one-core L1"));
+                }
+                Ok(line)
+            })?;
         }
         h.shared.restore_state(r)?;
+        h.spills = r.u64()?;
+        h.fills = r.u64()?;
+        h.coherence.invalidations = r.u64()?;
+        h.coherence.upgrades_s_to_m = r.u64()?;
+        h.coherence.cache_to_cache_transfers = r.u64()?;
+        h.coherence.califormed_transfers = r.u64()?;
+        h.coherence.directory_lookups = r.u64()?;
+        for s in &mut h.streams {
+            *s = r.u64()?;
+        }
+        let cursor = r.u64()?;
+        if cursor >= h.streams.len() as u64 {
+            return Err(CheckpointError::Corrupt("stream cursor out of range"));
+        }
+        h.stream_cursor = cursor as usize;
         let n = r.count()?;
+        if alone && n != 0 {
+            return Err(CheckpointError::Corrupt(
+                "directory entry in a one-core machine",
+            ));
+        }
         let mut prev = None;
         for _ in 0..n {
             let addr = r.u64()?;
@@ -966,13 +1121,6 @@ impl CoherentHierarchy {
             };
             h.dir.insert(addr, DirEntry { sharers, owner });
         }
-        h.spills = r.u64()?;
-        h.fills = r.u64()?;
-        h.coherence.invalidations = r.u64()?;
-        h.coherence.upgrades_s_to_m = r.u64()?;
-        h.coherence.cache_to_cache_transfers = r.u64()?;
-        h.coherence.califormed_transfers = r.u64()?;
-        h.coherence.directory_lookups = r.u64()?;
         Ok(h)
     }
 }
@@ -1133,7 +1281,7 @@ mod tests {
         h.store(0, 0xA000, &[3; 8], 0);
         h.load(1, 0xA000, 8, 1, None);
         h.load(2, 0xA000, 8, 2, None);
-        let r = h.cform_nt(0, &CformInstruction::set(0xA000, 1 << 40), 3);
+        let r = h.cform_nt(&CformInstruction::set(0xA000, 1 << 40), 3);
         assert!(r.exception.is_none());
         for c in 0..3 {
             assert_eq!(h.l1_state(c, 0xA000), None, "core {c} dropped its copy");
@@ -1161,9 +1309,11 @@ mod tests {
     #[test]
     fn single_core_behaves_like_flat_hierarchy() {
         let mut h = coh(1);
+        // Cold miss: L1(4) + L2(7) + L3(27) + DRAM(300), and no directory.
         let r = h.load(0, 0x4000, 1, 0, None);
-        assert_eq!(r.latency, 4 + 2 + 7 + 27 + 300, "directory adds 2 cycles");
+        assert_eq!(r.latency, 4 + 7 + 27 + 300, "one core has no directory");
         let r = h.load(0, 0x4000, 1, 0, None);
         assert_eq!(r.latency, 4);
+        assert_eq!(h.coherence_totals(), CoherenceStats::default());
     }
 }

@@ -15,7 +15,7 @@
 //!   because a califormed line's first bytes hold the header and the
 //!   displaced data sits in the security-byte slots.
 
-use crate::hierarchy::Hierarchy;
+use crate::coherence::CoherentHierarchy;
 use crate::{line_base, line_offset, LINE_BYTES};
 use califorms_core::fill_canonical;
 
@@ -51,9 +51,10 @@ impl DmaEngine {
         }
     }
 
-    /// Reads `[addr, addr+len)` directly from memory (the hierarchy first
-    /// writes the lines back, as a coherent DMA would force). A transfer
-    /// may cover up to and including the last byte of the address space.
+    /// Reads `[addr, addr+len)` directly from memory (the machine first
+    /// writes the lines back from every core's L1, as a coherent DMA would
+    /// force). A transfer may cover up to and including the last byte of
+    /// the address space.
     ///
     /// # Panics
     ///
@@ -61,7 +62,7 @@ impl DmaEngine {
     /// (`addr + len - 1` overflows) — a wrapping descriptor is a
     /// programming error (real DMA engines fault it), and the old
     /// unchecked arithmetic made it silently read nothing.
-    pub fn read(&self, hierarchy: &mut Hierarchy, addr: u64, len: usize) -> DmaTransfer {
+    pub fn read(&self, hierarchy: &mut CoherentHierarchy, addr: u64, len: usize) -> DmaTransfer {
         let mut data = Vec::with_capacity(len);
         let mut security = 0usize;
         if len == 0 {
@@ -118,14 +119,19 @@ impl DmaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coherence::CoherenceConfig;
     use crate::hierarchy::HierarchyConfig;
     use califorms_core::CformInstruction;
 
-    fn hier_with_victim() -> (Hierarchy, u64) {
-        let mut h = Hierarchy::new(HierarchyConfig::westmere());
+    fn hier() -> CoherentHierarchy {
+        CoherentHierarchy::new(HierarchyConfig::westmere(), CoherenceConfig::westmere(), 1)
+    }
+
+    fn hier_with_victim() -> (CoherentHierarchy, u64) {
+        let mut h = hier();
         let base = 0x6_0000u64;
-        h.store(base, &[0xAB; 16], 0);
-        h.cform(&CformInstruction::set(base, 1 << 4), 0);
+        h.store(0, base, &[0xAB; 16], 0);
+        h.cform(0, &CformInstruction::set(base, 1 << 4), 0);
         (h, base)
     }
 
@@ -158,7 +164,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "wraps past the top of the address space")]
     fn wrapping_transfer_panics() {
-        let mut h = Hierarchy::new(HierarchyConfig::westmere());
+        let mut h = hier();
         DmaEngine::respecting().read(&mut h, u64::MAX - 7, 16);
     }
 
@@ -167,9 +173,9 @@ mod tests {
     /// is served without tripping the wrap check.
     #[test]
     fn transfer_ending_at_address_space_top_is_served() {
-        let mut h = Hierarchy::new(HierarchyConfig::westmere());
+        let mut h = hier();
         let base = u64::MAX - 63; // final line's base
-        h.store(base, &[0xEE; 8], 0);
+        h.store(0, base, &[0xEE; 8], 0);
         let t = DmaEngine::respecting().read(&mut h, base, 64);
         assert_eq!(t.data.len(), 64);
         assert_eq!(&t.data[..8], &[0xEE; 8]);
@@ -185,8 +191,8 @@ mod tests {
 
     #[test]
     fn clean_lines_are_identical_for_both_engines() {
-        let mut h = Hierarchy::new(HierarchyConfig::westmere());
-        h.store(0x7_0000, &[3, 1, 4, 1, 5, 9, 2, 6], 0);
+        let mut h = hier();
+        h.store(0, 0x7_0000, &[3, 1, 4, 1, 5, 9, 2, 6], 0);
         let a = DmaEngine::respecting().read(&mut h, 0x7_0000, 8);
         let b = DmaEngine::bypassing().read(&mut h, 0x7_0000, 8);
         assert_eq!(a.data, b.data);

@@ -1,9 +1,10 @@
 //! The simulation engine: runs a trace through the core model and the
-//! memory hierarchy, handling Califorms exceptions and whitelist masks.
+//! one-core machine, handling Califorms exceptions and whitelist masks.
 
 use crate::checkpoint::{self as ck, CheckpointError, Checkpoints};
+use crate::coherence::{CoherenceConfig, CoherentHierarchy};
 use crate::cpu::{CoreConfig, CoreState};
-use crate::hierarchy::{Hierarchy, HierarchyConfig};
+use crate::hierarchy::HierarchyConfig;
 use crate::stats::SimStats;
 use crate::trace::TraceOp;
 use crate::tracepack::{self, PackDecoder, ResumePoint, TracePack, MAX_ACCESS_BYTES};
@@ -19,20 +20,23 @@ pub struct SimOutcome {
     pub exceptions: Vec<CaliformsException>,
 }
 
-/// Trace-driven simulator: Westmere-like core + Califorms hierarchy.
+/// Trace-driven simulator: a Westmere-like core on the one-core
+/// Califorms machine.
 #[derive(Debug)]
 pub struct Engine {
-    /// The simulated memory hierarchy (public: attack simulations inspect
-    /// and prod it directly).
-    pub hierarchy: Hierarchy,
+    /// The simulated one-core machine (public: attack simulations inspect
+    /// and prod it directly, as core 0).
+    pub hierarchy: CoherentHierarchy,
     core: CoreState,
 }
 
 impl Engine {
-    /// Builds an engine from hierarchy and core configurations.
+    /// Builds an engine from hierarchy and core configurations. The
+    /// coherence latencies are never charged at one core, so the default
+    /// stands for them.
     pub fn new(hcfg: HierarchyConfig, core: CoreConfig) -> Self {
         Self {
-            hierarchy: Hierarchy::new(hcfg),
+            hierarchy: CoherentHierarchy::new(hcfg, CoherenceConfig::westmere(), 1),
             core: CoreState::new(core, hcfg.l1d_latency),
         }
     }
@@ -46,17 +50,17 @@ impl Engine {
     pub fn step(&mut self, op: TraceOp) {
         let pc = self.core.pc + 1;
         let r = match op {
-            TraceOp::Load { addr, size } => self.hierarchy.load(addr, size as usize, pc, None),
-            TraceOp::Store { addr, size } => with_store_data(addr, size as usize, |data| {
-                self.hierarchy.store(addr, data, pc)
-            }),
+            TraceOp::Load { addr, size } => self.hierarchy.load(0, addr, size as usize, pc, None),
+            TraceOp::Store { addr, size } => {
+                with_store_data(addr, size, |data| self.hierarchy.store(0, addr, data, pc))
+            }
             TraceOp::Cform {
                 line_addr,
                 attrs,
                 mask,
             } => self
                 .hierarchy
-                .cform(&CformInstruction::new(line_addr, attrs, mask), pc),
+                .cform(0, &CformInstruction::new(line_addr, attrs, mask), pc),
             TraceOp::CformNt {
                 line_addr,
                 attrs,
@@ -186,7 +190,7 @@ impl Engine {
     // --- checkpoint / resume ------------------------------------------
 
     /// Serializes the complete engine state (core counters, exception
-    /// mask, hierarchy, configuration) plus the replay `cursor`, taken
+    /// mask, machine, configuration) plus the replay `cursor`, taken
     /// at a decode-batch boundary, into a self-contained checkpoint.
     fn checkpoint(&self, cursor: ResumePoint) -> Vec<u8> {
         let mut w = ck::Wr::checkpoint();
@@ -201,7 +205,7 @@ impl Engine {
         let s = w.begin_section(ck::SEC_CORE);
         self.core.save(&mut w);
         w.end_section(s);
-        let s = w.begin_section(ck::SEC_HIERARCHY);
+        let s = w.begin_section(ck::SEC_MACHINE);
         self.hierarchy.save_state(&mut w);
         w.end_section(s);
         let s = w.begin_section(ck::SEC_CURSOR);
@@ -240,12 +244,17 @@ impl Engine {
         let core = CoreState::load(&mut r, core, hcfg.l1d_latency)?;
         ck::consumed(&r, ck::SEC_CORE)?;
 
-        let mut r = ck::require(&sections, ck::SEC_HIERARCHY, "hierarchy")?;
+        let mut r = ck::require(&sections, ck::SEC_MACHINE, "machine")?;
         let engine = Engine {
-            hierarchy: Hierarchy::restore_state(hcfg, &mut r)?,
+            hierarchy: CoherentHierarchy::restore_state(
+                hcfg,
+                CoherenceConfig::westmere(),
+                1,
+                &mut r,
+            )?,
             core,
         };
-        ck::consumed(&r, ck::SEC_HIERARCHY)?;
+        ck::consumed(&r, ck::SEC_MACHINE)?;
 
         let mut r = ck::require(&sections, ck::SEC_CURSOR, "cursor")?;
         if r.u64()? != 1 {
@@ -265,21 +274,20 @@ impl Engine {
 /// by [`Engine`] and [`crate::multicore::MulticoreEngine`] so single- and
 /// multi-core replays of the same shard write identical bytes.
 ///
-/// This is the allocating form (public so external replay drivers can
-/// reproduce the engine's payloads); the replay hot path uses
-/// [`fill_store_pattern`] over a stack buffer instead.
+/// This is the allocating form (public so external drivers, such as the
+/// oracle's flat model, can reproduce the engine's payloads); the replay
+/// path uses [`fill_store_pattern`] over a stack buffer instead.
 pub fn store_pattern(addr: u64, len: usize) -> Vec<u8> {
-    // analyze::allow(hot-path-alloc): allocating form for external drivers; the replay path uses fill_store_pattern over a stack buffer
     let mut buf = vec![0u8; len];
     fill_store_pattern(addr, &mut buf);
     buf
 }
 
 /// Fills `buf` with the deterministic store pattern for a store at
-/// `addr` — the allocation-free form of [`store_pattern`] the replay hot
-/// path threads through [`Hierarchy::store`] via a stack `[u8; 64]`.
+/// `addr` — the allocation-free form of [`store_pattern`] the replay
+/// path threads through [`CoherentHierarchy::store`] via a stack buffer.
 /// A store that wraps past the address space gets a pattern too; the
-/// hierarchy then refuses the store itself.
+/// machine then refuses the store itself.
 #[inline]
 pub fn fill_store_pattern(addr: u64, buf: &mut [u8]) {
     for (i, b) in buf.iter_mut().enumerate() {
@@ -287,21 +295,31 @@ pub fn fill_store_pattern(addr: u64, buf: &mut [u8]) {
     }
 }
 
-/// Synthesises the store payload for `addr`/`len` and hands it to `f`:
-/// on the hot path (`len <= 64`, the trace-pack contract) the payload
-/// lives in a stack buffer; oversized hand-built stores fall back to the
-/// allocating form. Shared by [`Engine`] and
+/// Synthesises the store payload for a store of `size` bytes at `addr`
+/// and hands it to `f`, from a stack buffer: a `[u8; 64]` on the hot path
+/// (`size <= 64`, the trace-pack contract), and in a cold branch one as
+/// large as a [`TraceOp`] size can be (255 B), for the oversized stores
+/// only a hand-built op carries. Shared by [`Engine`] and
 /// [`crate::multicore::MulticoreEngine`] so every replay path writes
 /// identical bytes.
 #[inline]
-pub(crate) fn with_store_data<R>(addr: u64, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+pub(crate) fn with_store_data<R>(addr: u64, size: u8, f: impl FnOnce(&[u8]) -> R) -> R {
+    let len = usize::from(size);
     if len <= MAX_ACCESS_BYTES {
         let mut buf = [0u8; MAX_ACCESS_BYTES];
         fill_store_pattern(addr, &mut buf[..len]);
         f(&buf[..len])
     } else {
-        f(&store_pattern(addr, len))
+        with_wide_store_data(addr, len, f)
     }
+}
+
+/// [`with_store_data`] for a store wider than a line.
+#[cold]
+fn with_wide_store_data<R>(addr: u64, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+    let mut buf = [0u8; u8::MAX as usize];
+    fill_store_pattern(addr, &mut buf[..len]);
+    f(&buf[..len])
 }
 
 #[cfg(test)]
@@ -490,6 +508,21 @@ mod tests {
             let truncated = &bytes[..bytes.len() - cut];
             assert!(Engine::restore(truncated).is_err());
         }
+    }
+
+    #[test]
+    fn wide_hand_built_store_writes_the_store_pattern() {
+        // Only a hand-built op is wider than a line (a `TraceOp` size is a
+        // `u8`): its payload comes from the cold stack buffer and must
+        // equal the allocating form byte for byte.
+        let mut engine = Engine::westmere();
+        engine.step(TraceOp::Store {
+            addr: 0x1010,
+            size: u8::MAX,
+        });
+        let mut data = Vec::new();
+        engine.hierarchy.load(0, 0x1010, 255, 0, Some(&mut data));
+        assert_eq!(data, store_pattern(0x1010, 255));
     }
 
     #[test]

@@ -13,12 +13,15 @@
 //! privileged-exception/whitelisting machinery is exercised end to end.
 //!
 //! * [`cache`] — generic set-associative, write-back, LRU cache.
-//! * [`hierarchy`] — L1D/L2/L3/DRAM with the Table 3 configuration and the
-//!   califorms conversion hooks at the L1 boundary.
-//! * [`coherence`] — the L1 of both engines, with the one byte-granular
-//!   access path, and the multi-core extension: a MESI directory over
-//!   per-core bitvector-format L1Ds sharing the sentinel-format L2/L3,
-//!   with the real spill/fill conversions on every cross-core transfer.
+//! * [`hierarchy`] — the Table 3 configuration and the shared
+//!   sentinel-format L2/L3/DRAM below the L1.
+//! * [`coherence`] — the one machine both engines drive
+//!   ([`CoherentHierarchy`]): per-core bitvector-format L1Ds with the one
+//!   byte-granular access path and the califorms conversions at the L1
+//!   boundary, over the shared levels. At two or more cores a MESI
+//!   directory keeps the L1s coherent, with the real spill/fill
+//!   conversions on every cross-core transfer; the one-core machine
+//!   skips the directory and runs the stream prefetcher.
 //! * [`multicore`] — sharded trace replay in deterministic cycle quanta,
 //!   each a bound phase per core and a round-robin weave.
 //! * [`lsq`] — load/store-queue semantics for in-flight `CFORM`s
@@ -27,8 +30,8 @@
 //! * [`trace`] — the memory-access trace representation workloads emit.
 //! * [`tracepack`] — the compact varint-delta binary trace format the
 //!   replay hot path batch-decodes from.
-//! * [`engine`] — runs a trace through core + hierarchy and produces
-//!   [`stats::SimStats`].
+//! * [`engine`] — runs a trace through a core and the one-core machine
+//!   and produces [`stats::SimStats`].
 //! * [`os`] — OS support (Section 6.3): page swap with 8 B-per-page
 //!   metadata preservation, and the un-califorming I/O boundary.
 //! * [`checkpoint`] — versioned binary engine-state snapshots for
@@ -65,7 +68,7 @@ pub use checkpoint::{CheckpointError, Checkpoints};
 pub use coherence::{CoherenceConfig, CoherentHierarchy, Mesi};
 pub use cpu::CoreConfig;
 pub use engine::{Engine, SimOutcome};
-pub use hierarchy::{Hierarchy, HierarchyConfig, LineHasher, LineMap};
+pub use hierarchy::{HierarchyConfig, LineHasher, LineMap};
 pub use multicore::{
     shard_ops, FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError, Source,
     WorkerPanic,

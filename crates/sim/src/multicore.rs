@@ -67,10 +67,9 @@ pub struct MulticoreConfig {
     pub quantum: f64,
     /// Geometry/latency of the shared hierarchy (per-core L1s use the
     /// L1D parameters; L2/L3/DRAM are shared). The `stream_prefetcher`
-    /// and `prefetch_residual` fields are **ignored** — the multi-core
-    /// L1s have no prefetcher (DESIGN.md §7), so single-core
-    /// `MulticoreEngine` runs of streaming traces report higher memory
-    /// latency than [`crate::engine::Engine`] on the same trace.
+    /// and `prefetch_residual` fields are honoured at one core, where the
+    /// machine is exactly [`crate::engine::Engine`]'s, and ignored at two
+    /// or more, whose L1s have no prefetcher (DESIGN.md §7).
     pub hierarchy: HierarchyConfig,
     /// Coherence-fabric latencies.
     pub coherence: CoherenceConfig,
@@ -366,7 +365,7 @@ impl<'p> CoreReplay<'p> {
                     let len = size as usize;
                     l1.try_access(addr, Access::Load { len, sink: None }, pc)
                 }
-                TraceOp::Store { addr, size } => with_store_data(addr, size as usize, |data| {
+                TraceOp::Store { addr, size } => with_store_data(addr, size, |data| {
                     l1.try_access(addr, Access::Store(data), pc)
                 }),
                 TraceOp::Cform {
@@ -560,7 +559,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// quanta, each a bound phase and a weave phase.
 #[derive(Debug)]
 pub struct MulticoreEngine {
-    /// The coherent hierarchy (public: attack simulations inspect it).
+    /// The simulated machine (public: attack simulations inspect it).
     pub hierarchy: CoherentHierarchy,
     cfg: MulticoreConfig,
 }
@@ -590,9 +589,9 @@ impl MulticoreEngine {
     fn execute_op(&mut self, c: usize, op: TraceOp, pc: u64) -> MemResult {
         match op {
             TraceOp::Load { addr, size } => self.hierarchy.load(c, addr, size as usize, pc, None),
-            TraceOp::Store { addr, size } => with_store_data(addr, size as usize, |data| {
-                self.hierarchy.store(c, addr, data, pc)
-            }),
+            TraceOp::Store { addr, size } => {
+                with_store_data(addr, size, |data| self.hierarchy.store(c, addr, data, pc))
+            }
             TraceOp::Cform {
                 line_addr,
                 attrs,
@@ -607,7 +606,7 @@ impl MulticoreEngine {
                 mask,
             } => {
                 let insn = CformInstruction::new(line_addr, attrs, mask);
-                self.hierarchy.cform_nt(c, &insn, pc)
+                self.hierarchy.cform_nt(&insn, pc)
             }
             TraceOp::Exec(..) | TraceOp::MaskPush | TraceOp::MaskPop => {
                 unreachable!("local ops are consumed by the fast path")
@@ -842,7 +841,7 @@ impl MulticoreEngine {
     }
 
     /// Serializes the whole machine — configuration, per-core
-    /// architectural state, coherent hierarchy, runtime counters and
+    /// architectural state, the machine, runtime counters and
     /// every decoder lane's cursor — into a self-contained checkpoint.
     /// Called only at a quantum boundary, after the weave.
     fn capture_checkpoint(
@@ -876,7 +875,7 @@ impl MulticoreEngine {
         }
         w.end_section(s);
 
-        let s = w.begin_section(ck::SEC_COHERENT);
+        let s = w.begin_section(ck::SEC_MACHINE);
         self.hierarchy.save_state(&mut w);
         w.end_section(s);
 
@@ -1054,9 +1053,9 @@ impl MulticoreEngine {
         };
         let mut engine = MulticoreEngine::new(cfg);
 
-        let mut r = ck::require(&sections, ck::SEC_COHERENT, "coherent hierarchy")?;
+        let mut r = ck::require(&sections, ck::SEC_MACHINE, "machine")?;
         engine.hierarchy = CoherentHierarchy::restore_state(hierarchy, coherence, cores, &mut r)?;
-        ck::consumed(&r, ck::SEC_COHERENT)?;
+        ck::consumed(&r, ck::SEC_MACHINE)?;
 
         Ok((engine, replays, ResumeSeed { rt, quantum_end }))
     }

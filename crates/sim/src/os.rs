@@ -14,9 +14,11 @@
 //!   filesystem, socket): the exported copy carries zeros in security-byte
 //!   positions and the metadata never leaves the machine.
 
-use crate::hierarchy::{Hierarchy, LineMap};
-use crate::{line_base, LINE_BYTES};
-use califorms_core::{fill, L2Line};
+use crate::coherence::CoherentHierarchy;
+use crate::dma::DmaEngine;
+use crate::hierarchy::LineMap;
+use crate::LINE_BYTES;
+use califorms_core::L2Line;
 
 /// Page size: 4 KB = 64 cache lines.
 pub const PAGE_BYTES: u64 = 4096;
@@ -80,7 +82,7 @@ impl SwapManager {
     ///
     /// Panics if `page_addr` is not page-aligned or the page is already
     /// swapped out (kernel invariant violations).
-    pub fn swap_out(&mut self, hierarchy: &mut Hierarchy, page_addr: u64) {
+    pub fn swap_out(&mut self, hierarchy: &mut CoherentHierarchy, page_addr: u64) {
         assert_eq!(page_addr % PAGE_BYTES, 0, "page-aligned address required");
         assert!(
             !self.device.contains_key(&page_addr),
@@ -109,7 +111,7 @@ impl SwapManager {
     /// # Panics
     ///
     /// Panics if the page is not currently swapped out.
-    pub fn swap_in(&mut self, hierarchy: &mut Hierarchy, page_addr: u64) {
+    pub fn swap_in(&mut self, hierarchy: &mut CoherentHierarchy, page_addr: u64) {
         let payload = self
             .device
             .remove(&page_addr)
@@ -144,49 +146,38 @@ pub struct IoExport {
 
 /// Copies `[addr, addr+len)` out of the memory system in un-califormed
 /// form — the `write(2)`-to-pipe/file/socket path. The in-memory lines
-/// remain califormed; only the exported copy is stripped.
-pub fn io_write(hierarchy: &mut Hierarchy, addr: u64, len: usize) -> IoExport {
-    let mut data = Vec::with_capacity(len);
-    let mut crossed = 0usize;
-    let mut cur = addr;
-    let end = addr + len as u64;
-    while cur < end {
-        let line_addr = line_base(cur);
-        // The kernel reads through the hierarchy's coherent view.
-        hierarchy.evict_line_to_dram(line_addr);
-        let l1 = fill(&hierarchy.dram_line(line_addr)).expect("well-formed line");
-        let chunk_end = (line_addr + LINE_BYTES).min(end);
-        while cur < chunk_end {
-            let off = (cur - line_addr) as usize;
-            if l1.line().is_security_byte(off) {
-                crossed += 1;
-                data.push(0);
-            } else {
-                data.push(l1.line().data()[off]);
-            }
-            cur += 1;
-        }
-    }
+/// remain califormed; only the exported copy is stripped. The kernel
+/// reads memory as a califorms-aware DMA engine does
+/// ([`DmaEngine::respecting`]), so an export may end flush at the top of
+/// the address space.
+///
+/// # Panics
+///
+/// Panics if the export wraps around the 64-bit address space, as
+/// [`DmaEngine::read`] does.
+pub fn io_write(hierarchy: &mut CoherentHierarchy, addr: u64, len: usize) -> IoExport {
+    let t = DmaEngine::respecting().read(hierarchy, addr, len);
     IoExport {
-        data,
-        security_bytes_crossed: crossed,
+        data: t.data,
+        security_bytes_crossed: t.security_bytes_seen,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coherence::CoherenceConfig;
     use crate::hierarchy::HierarchyConfig;
     use califorms_core::CformInstruction;
 
-    fn hier() -> Hierarchy {
-        Hierarchy::new(HierarchyConfig::westmere())
+    fn hier() -> CoherentHierarchy {
+        CoherentHierarchy::new(HierarchyConfig::westmere(), CoherenceConfig::westmere(), 1)
     }
 
     /// The bytes a load of `len` at `addr` returns.
-    fn read(h: &mut Hierarchy, addr: u64, len: usize) -> Vec<u8> {
+    fn read(h: &mut CoherentHierarchy, addr: u64, len: usize) -> Vec<u8> {
         let mut data = Vec::new();
-        h.load(addr, len, 0, Some(&mut data));
+        h.load(0, addr, len, 0, Some(&mut data));
         data
     }
 
@@ -195,10 +186,10 @@ mod tests {
         let mut h = hier();
         let page = 0x10_0000u64;
         // Populate a few lines, caliform some bytes.
-        h.store(page, &[1, 2, 3, 4], 0);
-        h.store(page + 128, &[5, 6], 0);
-        h.cform(&CformInstruction::set(page, 1 << 60), 0);
-        h.cform(&CformInstruction::set(page + 128, 1 << 7), 0);
+        h.store(0, page, &[1, 2, 3, 4], 0);
+        h.store(0, page + 128, &[5, 6], 0);
+        h.cform(0, &CformInstruction::set(page, 1 << 60), 0);
+        h.cform(0, &CformInstruction::set(page + 128, 1 << 7), 0);
 
         let mut swap = SwapManager::new();
         swap.swap_out(&mut h, page);
@@ -216,14 +207,14 @@ mod tests {
         assert!(h.peek_is_security_byte(page + 128 + 7));
         assert!(!h.peek_is_security_byte(page + 1));
         // Tripwires still live after the round trip.
-        assert!(h.load(page + 60, 1, 0, None).exception.is_some());
+        assert!(h.load(0, page + 60, 1, 0, None).exception.is_some());
     }
 
     #[test]
     fn swap_handles_fully_clean_pages() {
         let mut h = hier();
         let page = 0x20_0000u64;
-        h.store(page + 64, &[7; 8], 0);
+        h.store(0, page + 64, &[7; 8], 0);
         let mut swap = SwapManager::new();
         swap.swap_out(&mut h, page);
         swap.swap_in(&mut h, page);
@@ -250,8 +241,8 @@ mod tests {
     fn io_write_strips_security_bytes_without_unarming_them() {
         let mut h = hier();
         let base = 0x40_0000u64;
-        h.store(base, &[0xAA; 8], 0);
-        h.cform(&CformInstruction::set(base, 1 << 3), 0);
+        h.store(0, base, &[0xAA; 8], 0);
+        h.cform(0, &CformInstruction::set(base, 1 << 3), 0);
         let export = io_write(&mut h, base, 8);
         assert_eq!(
             export.data,
@@ -260,14 +251,14 @@ mod tests {
         assert_eq!(export.security_bytes_crossed, 1);
         // The in-memory copy is still protected.
         assert!(h.peek_is_security_byte(base + 3));
-        assert!(h.load(base + 3, 1, 0, None).exception.is_some());
+        assert!(h.load(0, base + 3, 1, 0, None).exception.is_some());
     }
 
     #[test]
     fn io_write_spans_lines() {
         let mut h = hier();
         let base = 0x50_0000u64 + 60;
-        h.store(base, &[1, 2, 3, 4, 5, 6, 7, 8], 0);
+        h.store(0, base, &[1, 2, 3, 4, 5, 6, 7, 8], 0);
         let export = io_write(&mut h, base, 8);
         assert_eq!(export.data, vec![1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(export.security_bytes_crossed, 0);

@@ -15,7 +15,8 @@
 //!    no false positives on loads whose poisoned lanes are masked off
 //!    before use.
 
-use crate::hierarchy::{Hierarchy, MemResult};
+use crate::coherence::CoherentHierarchy;
+use crate::hierarchy::MemResult;
 use califorms_core::{AccessKind, CaliformsException, ExceptionKind};
 
 /// The Appendix B vector-load policies.
@@ -48,13 +49,15 @@ impl VectorValue {
     }
 }
 
-/// Performs a wide vector load of `len` bytes (≤64) under `mode`.
+/// Performs a wide vector load of `len` bytes (≤64) by core `core`
+/// under `mode`.
 ///
 /// Returns the memory result (latency, possible exception) plus the
 /// register value: the loaded bytes and, for [`VectorMode::Propagate`],
 /// the poison mask (empty otherwise).
 pub fn vector_load(
-    hierarchy: &mut Hierarchy,
+    hierarchy: &mut CoherentHierarchy,
+    core: usize,
     addr: u64,
     len: usize,
     mode: VectorMode,
@@ -64,7 +67,7 @@ pub fn vector_load(
     // The data path is shared: the hierarchy load already substitutes
     // zeros and reports the first violating byte.
     let mut data = Vec::with_capacity(len);
-    let r = hierarchy.load(addr, len, pc, Some(&mut data));
+    let r = hierarchy.load(core, addr, len, pc, Some(&mut data));
     // Reconstruct the per-byte poison from the functional view (the
     // hardware gets this from the L1 bit vector directly).
     let mut poison = 0u64;
@@ -111,22 +114,27 @@ pub fn vector_load(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coherence::CoherenceConfig;
     use crate::hierarchy::HierarchyConfig;
     use califorms_core::CformInstruction;
 
-    fn hier_with_span() -> (Hierarchy, u64) {
-        let mut h = Hierarchy::new(HierarchyConfig::westmere());
+    fn hier() -> CoherentHierarchy {
+        CoherentHierarchy::new(HierarchyConfig::westmere(), CoherenceConfig::westmere(), 1)
+    }
+
+    fn hier_with_span() -> (CoherentHierarchy, u64) {
+        let mut h = hier();
         let base = 0x7000u64;
-        h.store(base, &[0x11; 32], 0);
+        h.store(0, base, &[0x11; 32], 0);
         // Span at bytes 16..19.
-        h.cform(&CformInstruction::set(base, 0b111 << 16), 0);
+        h.cform(0, &CformInstruction::set(base, 0b111 << 16), 0);
         (h, base)
     }
 
     #[test]
     fn precise_mode_matches_scalar_semantics() {
         let (mut h, base) = hier_with_span();
-        let (r, v) = vector_load(&mut h, base, 32, VectorMode::Precise, 0);
+        let (r, v) = vector_load(&mut h, 0, base, 32, VectorMode::Precise, 0);
         assert!(r.exception.is_some());
         assert_eq!(r.exception.unwrap().fault_addr, base + 16);
         assert_eq!(v.data[16], 0, "zero substituted");
@@ -137,17 +145,17 @@ mod tests {
     #[test]
     fn trap_on_any_faults_even_on_clean_lanes_present() {
         let (mut h, base) = hier_with_span();
-        let (r, _) = vector_load(&mut h, base, 32, VectorMode::TrapOnAny, 0);
+        let (r, _) = vector_load(&mut h, 0, base, 32, VectorMode::TrapOnAny, 0);
         assert!(r.exception.is_some());
         // A vector load that misses the span entirely is clean.
-        let (r, _) = vector_load(&mut h, base, 16, VectorMode::TrapOnAny, 0);
+        let (r, _) = vector_load(&mut h, 0, base, 16, VectorMode::TrapOnAny, 0);
         assert!(r.exception.is_none());
     }
 
     #[test]
     fn propagate_defers_to_use() {
         let (mut h, base) = hier_with_span();
-        let (r, v) = vector_load(&mut h, base, 32, VectorMode::Propagate, 0);
+        let (r, v) = vector_load(&mut h, 0, base, 32, VectorMode::Propagate, 0);
         assert!(r.exception.is_none(), "load never faults");
         assert_eq!(v.poison, 0b111 << 16);
         // Using only the clean lower lanes: fine.
@@ -165,9 +173,9 @@ mod tests {
             VectorMode::TrapOnAny,
             VectorMode::Propagate,
         ] {
-            let mut h = Hierarchy::new(HierarchyConfig::westmere());
-            h.store(0x9000, &[3; 64], 0);
-            let (r, v) = vector_load(&mut h, 0x9000, 64, mode, 0);
+            let mut h = hier();
+            h.store(0, 0x9000, &[3; 64], 0);
+            let (r, v) = vector_load(&mut h, 0, 0x9000, 64, mode, 0);
             assert!(r.exception.is_none(), "{mode:?}");
             assert_eq!(v.poison, 0);
             assert_eq!(v.data, vec![3; 64]);

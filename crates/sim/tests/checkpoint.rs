@@ -203,9 +203,10 @@ fn digest(checkpoints: &[Vec<u8>]) -> (usize, u64) {
 
 #[test]
 fn checkpoint_bytes_match_recorded_constants() {
-    // Recorded before the bound phase moved onto the calling thread. A
-    // change to the checkpoint format or to simulated timing must
-    // re-record these on purpose.
+    // Recorded for CFCK v5, when both engines came to write one machine
+    // section and a one-core multicore run lost the directory charge
+    // (fewer quanta: 47 → 42 checkpoints). A change to the checkpoint
+    // format or to simulated timing must re-record these on purpose.
     let pack = pack();
     let got: Vec<(usize, u64)> = (1..=3)
         .map(|cores| digest(&multicore_checkpoints(&pack, cores, 2)))
@@ -214,10 +215,10 @@ fn checkpoint_bytes_match_recorded_constants() {
     assert_eq!(
         got,
         [
-            (47, 3_247_381_215_500_087_408),
-            (27, 15_980_900_542_544_619_935),
-            (18, 7_076_522_332_205_442_917),
-            (9, 16_431_898_482_687_824),
+            (42, 15_385_361_786_405_403_404),
+            (27, 8_234_017_572_346_743_066),
+            (18, 901_034_161_606_496_269),
+            (9, 5_213_583_462_407_968_059),
         ],
         "multicore at 1, 2 and 3 cores every 2 quanta, then single-core every batch"
     );
@@ -268,18 +269,23 @@ const SEC_CORE: u8 = 0x03;
 /// CURSOR section tag (one pack resume point per replay lane).
 const SEC_CURSOR: u8 = 0x07;
 
-/// Byte offset of section `tag`'s payload, found by walking the section
+/// Byte range of section `tag`'s payload, found by walking the section
 /// framing (tag u8, length u64, payload) from the header.
-fn payload_at(bytes: &[u8], tag: u8) -> usize {
+fn payload(bytes: &[u8], tag: u8) -> std::ops::Range<usize> {
     let mut at = MAGIC.len() + 1;
     while at + 9 <= bytes.len() {
         let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
         if bytes[at] == tag {
-            return at + 9;
+            return at + 9..at + 9 + len;
         }
         at += 9 + len;
     }
     panic!("checkpoint has no section {tag:#04x}");
+}
+
+/// Byte offset of section `tag`'s payload.
+fn payload_at(bytes: &[u8], tag: u8) -> usize {
+    payload(bytes, tag).start
 }
 
 #[test]
@@ -346,31 +352,82 @@ fn impossible_cache_geometries_are_rejected_on_both_engines() {
     }
 }
 
-/// HIERARCHY section tag (the single-core hierarchy state).
-const SEC_HIERARCHY: u8 = 0x04;
+/// MACHINE section tag: the machine state both engines write. Its payload
+/// leads with the u64 core count and then each core's L1: clock, four
+/// stats and the line count, then the lines, each address, stamp, dirty
+/// flag, 64 data bytes, the security mask and the MESI tag. It ends with
+/// the directory: an entry count, then per entry the line address, the
+/// sharer set, an owner flag and the owner.
+const SEC_MACHINE: u8 = 0x05;
+
+/// A mid-run checkpoint of each engine running the one-core machine.
+fn one_core_checkpoints(pack: &TracePack) -> [(Vec<u8>, &'static str); 2] {
+    let multi = multicore_checkpoints(pack, 1, 2);
+    assert!(!multi.is_empty(), "workload must span several quanta");
+    [
+        (single_checkpoint(pack), "single"),
+        (multi[0].clone(), "multi"),
+    ]
+}
+
+/// Resumes corrupted bytes on `which` engine, expecting a typed error.
+fn either_err(pack: &TracePack, bytes: &[u8], which: &str) -> CheckpointError {
+    if which == "single" {
+        single_err(pack, bytes)
+    } else {
+        multicore_err(pack, bytes)
+    }
+}
 
 #[test]
 fn single_core_l1_rejects_a_shared_line() {
-    // The single-core L1 holds its lines E or M only: a resealed
-    // checkpoint that marks one Shared must fail typed. The HIERARCHY
-    // payload leads with 8 u64s (spill/fill/prefetch counters, four
-    // stream trackers, the cursor), then the L1: clock, four stats and
-    // the line count; each line is address, stamp, dirty flag, 64 data
-    // bytes, the security mask and the MESI tag.
+    // The one-core machine holds its lines E or M only, on both engines:
+    // a resealed checkpoint that marks one Shared must fail typed.
     let pack = pack();
-    let bytes = single_checkpoint(&pack);
-    let l1 = payload_at(&bytes, SEC_HIERARCHY) + 8 * 8;
-    let lines = u64::from_le_bytes(bytes[l1 + 40..l1 + 48].try_into().unwrap());
-    assert!(lines > 0, "the checkpointed L1 holds lines");
-    let tag = l1 + 48 + 8 + 8 + 1 + 64 + 8;
-    assert!(bytes[tag] <= 1, "a single-core line is M (0) or E (1)");
-    let mut b = bytes.clone();
-    b[tag] = 2; // Shared
-    reseal(&mut b);
-    assert!(
-        matches!(single_err(&pack, &b), CheckpointError::Corrupt(_)),
-        "a Shared line in the single-core L1 is corrupt"
-    );
+    for (bytes, which) in one_core_checkpoints(&pack) {
+        let l1 = payload_at(&bytes, SEC_MACHINE) + 8;
+        let lines = u64::from_le_bytes(bytes[l1 + 40..l1 + 48].try_into().unwrap());
+        assert!(lines > 0, "{which}: the checkpointed L1 holds lines");
+        let tag = l1 + 48 + 8 + 8 + 1 + 64 + 8;
+        assert!(
+            bytes[tag] <= 1,
+            "{which}: a one-core line is M (0) or E (1)"
+        );
+        let mut b = bytes.clone();
+        b[tag] = 2; // Shared
+        reseal(&mut b);
+        assert!(
+            matches!(either_err(&pack, &b, which), CheckpointError::Corrupt(_)),
+            "{which}: a Shared line in a one-core L1 is corrupt"
+        );
+    }
+}
+
+#[test]
+fn one_core_machine_rejects_a_directory_entry() {
+    // A one-core machine consults no directory and keeps none: a resealed
+    // checkpoint that gives it a well-formed entry (core 0 owns a line)
+    // must fail typed on both engines.
+    let pack = pack();
+    for (bytes, which) in one_core_checkpoints(&pack) {
+        let machine = payload(&bytes, SEC_MACHINE);
+        let count = machine.end - 8;
+        assert_eq!(bytes[count..machine.end], [0; 8], "{which}: no entries");
+        let mut entry = 0x1000u64.to_le_bytes().to_vec();
+        entry.extend_from_slice(&1u64.to_le_bytes()); // sharers: core 0
+        entry.push(1); // owned ...
+        entry.extend_from_slice(&0u64.to_le_bytes()); // ... by core 0
+        let mut b = bytes.clone();
+        b[count..machine.end].copy_from_slice(&1u64.to_le_bytes());
+        b.splice(machine.end..machine.end, entry.iter().copied());
+        let len = (machine.len() + entry.len()) as u64;
+        b[machine.start - 8..machine.start].copy_from_slice(&len.to_le_bytes());
+        reseal(&mut b);
+        assert!(
+            matches!(either_err(&pack, &b, which), CheckpointError::Corrupt(_)),
+            "{which}: a directory entry in a one-core machine is corrupt"
+        );
+    }
 }
 
 #[test]

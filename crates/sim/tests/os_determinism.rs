@@ -12,14 +12,14 @@
 //! loads and `io_write` exports — is byte-identical in both.
 
 use califorms_core::CformInstruction;
-use califorms_sim::hierarchy::{Hierarchy, HierarchyConfig};
 use califorms_sim::os::{io_write, SwapManager, PAGE_BYTES};
+use califorms_sim::{CoherenceConfig, CoherentHierarchy, HierarchyConfig};
 use std::process::Command;
 
 /// Runs a scripted swap/IO workload and folds everything order-sensitive
 /// into one printable digest string.
 fn swap_io_digest() -> String {
-    let mut h = Hierarchy::new(HierarchyConfig::westmere());
+    let mut h = CoherentHierarchy::new(HierarchyConfig::westmere(), CoherenceConfig::westmere(), 1);
     let mut swap = SwapManager::new();
     let mut digest = String::new();
 
@@ -28,8 +28,8 @@ fn swap_io_digest() -> String {
     // *and* removals — bucket layout depends on the whole op sequence).
     let pages: Vec<u64> = (0..24u64).map(|i| 0x10_0000 + i * PAGE_BYTES).collect();
     for (i, &page) in pages.iter().enumerate() {
-        h.store(page + (i as u64 % 64), &[i as u8 + 1; 4], 0);
-        h.cform(&CformInstruction::set(page, 1 << (i % 56)), 0);
+        h.store(0, page + (i as u64 % 64), &[i as u8 + 1; 4], 0);
+        h.cform(0, &CformInstruction::set(page, 1 << (i % 56)), 0);
         swap.swap_out(&mut h, page);
         if i % 5 == 4 {
             let victim = pages[i - 2];
@@ -57,7 +57,7 @@ fn swap_io_digest() -> String {
     }
     for (i, &page) in pages.iter().enumerate() {
         let mut data = Vec::new();
-        h.load(page + (i as u64 % 64), 4, 0, Some(&mut data));
+        h.load(0, page + (i as u64 % 64), 4, 0, Some(&mut data));
         digest.push_str(&format!(";d{i}={data:?}"));
     }
     let export = io_write(&mut h, pages[0], 64);

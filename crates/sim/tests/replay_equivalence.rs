@@ -123,50 +123,47 @@ fn packed_multicore_replay_is_bit_identical() {
     }
 }
 
-/// Both engines serve memory through one L1 and one set of shared levels,
-/// so at one core, with the single-core stream prefetcher off, they see
-/// every access alike: the same exceptions and the same cache, DRAM,
-/// conversion and suppression counters. Only the cycle count differs —
-/// the multi-core engine also charges the directory latency on a miss.
+/// At one core both engines drive the same machine: one L1 over the
+/// shared levels, no directory to consult, and the stream prefetcher when
+/// the configuration asks for it. So a one-core `MulticoreEngine` is
+/// exactly `Engine`: every counter, cycles included, and every exception
+/// agree, with the prefetcher on or off and at any weave batch.
 #[test]
 fn engines_agree_at_one_core() {
     use califorms_sim::{CoreConfig, HierarchyConfig};
-    let hierarchy = HierarchyConfig {
-        stream_prefetcher: false,
-        ..HierarchyConfig::westmere()
-    };
     for seed in [7, 11, 13] {
         let trace = mixed_trace(20_000, seed);
-        let single = Engine::new(hierarchy, CoreConfig::westmere()).run(trace.iter().copied());
-        let multi = MulticoreEngine::new(MulticoreConfig {
-            hierarchy,
-            ..MulticoreConfig::westmere(1)
-        })
-        .replay(Source::Shards(vec![trace]))
-        .expect("replay")
-        .0;
-        let (s, m) = (&single.stats, &multi.stats.combined);
-        assert_eq!(single.exceptions, multi.exceptions[0], "seed {seed}");
-        assert_eq!(
-            (s.instructions, s.loads, s.stores, s.cforms),
-            (m.instructions, m.loads, m.stores, m.cforms),
-            "seed {seed}"
-        );
-        assert_eq!(s.l1d, m.l1d, "seed {seed}");
-        assert_eq!(s.l2, m.l2, "seed {seed}");
-        assert_eq!(s.l3, m.l3, "seed {seed}");
-        assert_eq!(s.dram_accesses, m.dram_accesses, "seed {seed}");
-        assert_eq!((s.spills, s.fills), (m.spills, m.fills), "seed {seed}");
-        assert_eq!(s.stores_suppressed, m.stores_suppressed, "seed {seed}");
-        assert_eq!(
-            (s.exceptions_delivered, s.exceptions_suppressed),
-            (m.exceptions_delivered, m.exceptions_suppressed),
-            "seed {seed}"
-        );
-        assert!(s.l1d.misses > 0 && s.stores_suppressed > 0, "seed {seed}");
-        assert!(
-            m.cycles > s.cycles,
-            "seed {seed}: the directory costs cycles"
+        let mut cycles = Vec::new();
+        for stream_prefetcher in [true, false] {
+            let hierarchy = HierarchyConfig {
+                stream_prefetcher,
+                ..HierarchyConfig::westmere()
+            };
+            let single = Engine::new(hierarchy, CoreConfig::westmere()).run(trace.iter().copied());
+            let s = &single.stats;
+            assert!(s.l1d.misses > 0 && s.stores_suppressed > 0, "seed {seed}");
+            for batch in [1, 64] {
+                let cfg = MulticoreConfig {
+                    hierarchy,
+                    ..MulticoreConfig::westmere(1)
+                };
+                let multi = MulticoreEngine::new(cfg.with_weave_batch(batch))
+                    .replay(Source::Shards(vec![trace.clone()]))
+                    .expect("replay")
+                    .0;
+                let at = format!("seed {seed}, prefetcher {stream_prefetcher}, batch {batch}");
+                assert_eq!(multi.stats.combined, single.stats, "{at}");
+                assert_eq!(
+                    multi.exceptions,
+                    std::slice::from_ref(&single.exceptions),
+                    "{at}"
+                );
+            }
+            cycles.push(s.cycles);
+        }
+        assert_ne!(
+            cycles[0], cycles[1],
+            "seed {seed}: the prefetcher hides misses"
         );
     }
 }

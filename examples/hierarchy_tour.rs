@@ -32,7 +32,7 @@ fn main() {
             size: 8,
         });
     }
-    let spills = engine.hierarchy.spills;
+    let spills = engine.hierarchy.spills();
     println!("after thrashing the set: {spills} califormed spill(s) L1 -> L2 (sentinel format)");
     assert!(spills >= 1);
 
@@ -48,12 +48,12 @@ fn main() {
         addr: victim,
         size: 8,
     });
-    let fills = engine.hierarchy.fills;
+    let fills = engine.hierarchy.fills();
     println!("line re-filled into L1: {fills} califormed fill(s) so far");
 
     // Data integrity across the conversions.
     let mut data = Vec::new();
-    let r = engine.hierarchy.load(victim, 8, 0, Some(&mut data));
+    let r = engine.hierarchy.load(0, victim, 8, 0, Some(&mut data));
     assert!(r.exception.is_none());
     println!("original data intact after spill+fill: {data:02x?}");
 

@@ -104,11 +104,18 @@ fn vector_sweep_over_califormed_object() {
     let sweep_len = (first_span + 8).min(64);
 
     let (mut e, base) = build();
-    let (r, _) = vector_load(&mut e.hierarchy, base, sweep_len, VectorMode::Precise, 0);
+    let (r, _) = vector_load(&mut e.hierarchy, 0, base, sweep_len, VectorMode::Precise, 0);
     assert!(r.exception.is_some(), "precise catches the span");
 
     let (mut e, base) = build();
-    let (r, v) = vector_load(&mut e.hierarchy, base, sweep_len, VectorMode::Propagate, 0);
+    let (r, v) = vector_load(
+        &mut e.hierarchy,
+        0,
+        base,
+        sweep_len,
+        VectorMode::Propagate,
+        0,
+    );
     assert!(r.exception.is_none(), "propagate defers");
     assert!(v.poison != 0);
     // Consuming only the in-bounds field lanes is clean.
